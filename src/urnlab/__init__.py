@@ -7,6 +7,8 @@ classification of parameter families, and reproducible Monte Carlo
 cross-checks.
 """
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     ALPHA_FLOOR,
     CapacityError,
@@ -88,72 +90,10 @@ from .phase import (
 
 __version__ = "0.1.0"
 
+# Every name imported above, in import order; the submodules are not listed.
 __all__ = [
-    "ALPHA_FLOOR",
-    "CapacityError",
-    "InitialState",
-    "ModelParams",
-    "ParamFamily",
-    "PredictedTimes",
-    "corners",
-    "gamma",
-    "parse_alpha_rule",
-    "parse_m_rule",
-    "predicted_times",
-    "tilde_gamma",
-    "FULL_SCAN_LIMIT",
-    "Pmf",
-    "SurvivalPair",
-    "binomial_pmf",
-    "chain_law",
-    "chain_tv",
-    "convolve",
-    "observable_mean_variance",
-    "observed_law",
-    "observed_tv",
-    "stationary_chain",
-    "stationary_observed",
-    "survival",
-    "tv",
-    "tv_product",
-    "BoundCurve",
-    "CURVE_KINDS",
-    "bound_curve",
-    "chebyshev_lower_bound",
-    "clt_lower_bound",
-    "coupling_union_bound",
-    "kolmogorov_lower_bound",
-    "l2_upper_bound",
-    "product_chain_upper_bound",
-    "NegDepReport",
-    "NegDepRow",
-    "brute_force_joint_moment",
-    "exact_chi_square",
-    "factorial_moment_comparison",
-    "joint_moment",
-    "mean_z",
-    "mgf_compare",
-    "verify_negative_dependence",
-    "SampleBatch",
-    "TvEstimate",
-    "draw_stream",
-    "empirical_pmf",
-    "estimate_observed_tv",
-    "sample_batch",
-    "sample_coupled",
-    "sample_ctmc",
-    "ContradictionError",
-    "DeclaredLimits",
-    "FamilySample",
-    "MixingTimeResult",
-    "NoCrossingError",
-    "RegimeReport",
-    "chain_regime",
-    "classify",
-    "cutoff_profile",
-    "mixing_time",
-    "observable_regime",
-    "product_condition_ratio",
-    "validate_declared",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]
+del _ModuleType

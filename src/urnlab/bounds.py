@@ -26,18 +26,13 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-def _mean_survival(params: ModelParams, t: float) -> float:
-    """Population-averaged survival (m e^{-alpha t} + n e^{-t}) / N."""
-    pair = survival(params, t)
-    m, n = params.heavy_count, params.regular_count
-    return (m * pair.heavy_survival + n * pair.regular_survival) / params.total_balls
-
-
 def coupling_union_bound(params: ModelParams, t: float) -> float:
     """Expected number of not-yet-redrawn balls, m e^{-alpha t} + n e^{-t}.
 
     A valid bound on the chain distance once below 1, but returned raw
-    (it starts at N when t = 0); clamp downstream where needed.
+    (it starts at N when t = 0); clamp downstream where needed.  Divided by
+    N it is the population-averaged survival z of l2_upper_bound and
+    negdep.mean_z.
     """
     pair = survival(params, t)
     return (
@@ -55,7 +50,7 @@ def l2_upper_bound(params: ModelParams, t: float) -> float:
     coupled law equals (1 + z^2)^N - 1 exactly, so the constant cannot be
     improved.
     """
-    z = _mean_survival(params, t)
+    z = coupling_union_bound(params, t) / params.total_balls
     inner = math.expm1(params.total_balls * math.log1p(z * z))
     return min(1.0, 0.5 * math.sqrt(inner))
 

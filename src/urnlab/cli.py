@@ -134,7 +134,14 @@ def _time_grid(args) -> list[float]:
         grid = np.geomspace(args.t_start, args.t_stop, args.t_points)
     else:
         grid = np.linspace(args.t_start, args.t_stop, args.t_points)
-    return [float(t) for t in grid]
+    grid = [float(t) for t in grid]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"--t-points {args.t_points} from --t-start {args.t_start!r} to "
+            f"--t-stop {args.t_stop!r} are not strictly increasing in floating "
+            "point; widen the range or use fewer points"
+        )
+    return grid
 
 
 def _grid_config(args, grid: list[float]) -> dict:
@@ -205,18 +212,17 @@ def cmd_bounds(args) -> str:
     lower_applies = not isinstance(strategy, InitialState) or strategy == InitialState(
         0, 0
     )
+    cheb, kolm, clt, l2, coupling = (
+        bounds_mod.bound_curve(params, kind, grid)
+        for kind in ("chebyshev_lb", "kolmogorov_lb", "clt_lb", "l2_ub", "coupling_ub")
+    )
     rows = []
-    for t in grid:
-        lb_cheb = bounds_mod.chebyshev_lower_bound(params, t)
-        lb_kolm = bounds_mod.kolmogorov_lower_bound(params, t)
-        lb_clt = bounds_mod.clt_lower_bound(params, t)
-        ub_l2 = bounds_mod.l2_upper_bound(params, t)
-        raw = bounds_mod.coupling_union_bound(params, t)
-        row = [t, lb_cheb, lb_kolm, lb_clt]
+    for i, t in enumerate(grid):
+        row = [t, cheb.values[i], kolm.values[i], clt.values[i]]
         if args.exact:
             exact = dist.observed_tv(params, t, strategy)
-            lower = max(lb_cheb, lb_kolm)
-            upper = min(ub_l2, min(1.0, raw))
+            lower = max(cheb.values[i], kolm.values[i])
+            upper = min(l2.values[i], coupling.values[i])
             if exact > upper + SANDWICH_TOL or (
                 lower_applies and exact < lower - SANDWICH_TOL
             ):
@@ -225,7 +231,7 @@ def cmd_bounds(args) -> str:
                     f"outside [{lower:.17g}, {upper:.17g}]"
                 )
             row.append(exact)
-        row += [ub_l2, raw]
+        row += [l2.values[i], coupling.raw_values[i]]
         rows.append(row)
     if args.format == "json":
         return _json_text(
@@ -378,12 +384,11 @@ def _add_model_flags(parser) -> None:
     )
 
 
-def _add_grid_flags(parser, required_start: bool = False) -> None:
+def _add_grid_flags(parser) -> None:
     parser.add_argument(
         "--t-start",
         type=float,
-        default=None if required_start else 0.0,
-        required=required_start,
+        default=0.0,
         help="first grid time (or the single evaluation time)",
     )
     parser.add_argument("--t-stop", type=float, default=None, help="last grid time")
@@ -454,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("negdep", help="negative-dependence certificate table")
     _add_model_flags(p)
-    _add_grid_flags(p, required_start=True)
+    p.add_argument("--t-start", type=float, required=True, help="evaluation time")
     p.add_argument(
         "--max-size", type=int, default=None, help="largest subset size (default N)"
     )
@@ -465,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo draws or summary")
     _add_model_flags(p)
     p.add_argument("--initial", default="0,0", help="start state 'r,h'")
-    _add_grid_flags(p, required_start=True)
+    p.add_argument("--t-start", type=float, required=True, help="evaluation time")
     p.add_argument("--samples", type=int, required=True, help="number of draws")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=("coupled", "ctmc"), default="coupled")

@@ -133,16 +133,20 @@ class SurvivalPair:
     regular_flip: float
 
 
+def _flip(rate: float, t: float) -> float:
+    """Chance a ball with clock rate `rate` has switched sides by time t,
+    (1 - e^{-rate t}) / 2; expm1 keeps it accurate for small rate t."""
+    return -math.expm1(-rate * t) / 2.0
+
+
 def survival(params: ModelParams, t: float) -> SurvivalPair:
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    heavy_flip = -math.expm1(-params.heavy_rate * t) / 2.0
-    regular_flip = -math.expm1(-t) / 2.0
     return SurvivalPair(
         heavy_survival=math.exp(-params.heavy_rate * t),
         regular_survival=math.exp(-t),
-        heavy_flip=heavy_flip,
-        regular_flip=regular_flip,
+        heavy_flip=_flip(params.heavy_rate, t),
+        regular_flip=_flip(1.0, t),
     )
 
 
@@ -161,7 +165,7 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
         raise ValueError("rate must be positive")
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    flip = -math.expm1(-rate * t) / 2.0
+    flip = _flip(rate, t)
     keep = 1.0 - flip
     return convolve(
         binomial_pmf(ones_initial, keep),
@@ -171,10 +175,7 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
 
 def observed_law(params: ModelParams, init: InitialState, t: float) -> Pmf:
     """Exact law of the total left-urn count at time t from a given start."""
-    init.validate(params)
-    regular = coordinate_law(params.regular_count, init.regular_left, 1.0, t)
-    heavy = coordinate_law(params.heavy_count, init.heavy_left, params.heavy_rate, t)
-    return convolve(regular, heavy)
+    return convolve(*chain_law(params, init, t))
 
 
 def chain_law(params: ModelParams, init: InitialState, t: float) -> tuple[Pmf, Pmf]:
@@ -263,10 +264,12 @@ def _initial_states(params: ModelParams, strategy) -> list[InitialState]:
 
 
 def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
-    """Worst-case distance of the observable from stationarity at time t.
+    """Largest distance of the observable from stationarity at time t over
+    the chosen starts.
 
     strategy: "corners" (default) maximises over the four extreme starts,
-    "full_scan" over every start (guarded), or a single InitialState.
+    which are the maximisers only empirically; "full_scan" over every start
+    (guarded); or a single InitialState.
     """
     starts = _initial_states(params, strategy)
     target = stationary_observed(params)
@@ -274,7 +277,8 @@ def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
 
 
 def chain_tv(params: ModelParams, t: float, strategy="corners") -> float:
-    """Worst-case distance of the full pair chain from stationarity at time t."""
+    """Largest distance of the full pair chain from stationarity at time t
+    over the chosen starts; strategy as in observed_tv."""
     starts = _initial_states(params, strategy)
     target = stationary_chain(params)
     return max(tv_product(chain_law(params, init, t), target) for init in starts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +22,7 @@ from scipy.special import gammaln, logsumexp
 
 from .model import CapacityError, InitialState, ModelParams
 from .dist import survival
+from .bounds import coupling_union_bound
 
 BRUTE_FORCE_LIMIT = 10**6
 CHI_SQUARE_MAX_BALLS = 10
@@ -35,18 +36,23 @@ def _log_comb(n: int, k) -> float:
 
 def mean_z(params: ModelParams, t: float) -> float:
     """Mean survival of a uniformly placed ball: (m e^{-alpha t} + n e^{-t}) / N."""
-    pair = survival(params, t)
-    return (
-        params.heavy_count * pair.heavy_survival
-        + params.regular_count * pair.regular_survival
-    ) / params.total_balls
+    return coupling_union_bound(params, t) / params.total_balls
 
 
-def _subset_range(params: ModelParams, size: int) -> range:
-    """Heavy-member counts a with nonzero hypergeometric weight."""
-    low = max(0, size - params.regular_count)
-    high = min(size, params.heavy_count)
-    return range(low, high + 1)
+def _hypergeometric_log_weights(
+    params: ModelParams, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heavy-member counts a of a size-subset with nonzero weight, and their
+    log weights log C(m, a) + log C(n, size - a) - log C(N, size)."""
+    support = np.arange(
+        max(0, size - params.regular_count), min(size, params.heavy_count) + 1
+    )
+    log_weights = (
+        _log_comb(params.heavy_count, support)
+        + _log_comb(params.regular_count, size - support)
+        - _log_comb(params.total_balls, size)
+    )
+    return support, log_weights
 
 
 def joint_moment(params: ModelParams, t: float, size: int) -> float:
@@ -62,16 +68,12 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
         raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    m, n = params.heavy_count, params.regular_count
+    support, log_weights = _hypergeometric_log_weights(params, size)
+    log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
+    # Scalar left-to-right sum: np.sum's pairwise order would move the last bits.
     total = 0.0
-    for a in _subset_range(params, size):
-        log_weight = (
-            _log_comb(m, a)
-            + _log_comb(n, size - a)
-            - _log_comb(params.total_balls, size)
-        )
-        log_term = log_weight - params.heavy_rate * t * a - t * (size - a)
-        total += math.exp(float(log_term))
+    for log_term in log_terms.tolist():
+        total += math.exp(log_term)
     return total
 
 
@@ -136,15 +138,9 @@ def mgf_compare(params: ModelParams, u: float, size: int) -> tuple[float, float]
         raise ValueError("u must be positive")
     if not 1 <= size <= params.total_balls:
         raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
-    m, n = params.heavy_count, params.regular_count
-    frac = m / params.total_balls
+    frac = params.heavy_count / params.total_balls
     binom_side = math.exp(size * math.log1p(frac * (u - 1.0)))
-    support = np.array(_subset_range(params, size))
-    log_weights = (
-        _log_comb(m, support)
-        + _log_comb(n, size - support)
-        - _log_comb(params.total_balls, size)
-    )
+    support, log_weights = _hypergeometric_log_weights(params, size)
     hyper_side = float(np.exp(logsumexp(log_weights + support * math.log(u))))
     return binom_side, hyper_side
 
@@ -172,26 +168,7 @@ class NegDepReport:
     brute_max_error: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "negdep-report/1",
-            "total_balls": self.total_balls,
-            "heavy_count": self.heavy_count,
-            "heavy_rate": self.heavy_rate,
-            "t": self.t,
-            "rows": [
-                {
-                    "size": row.size,
-                    "joint": row.joint,
-                    "product": row.product,
-                    "slack": row.slack,
-                    "brute": row.brute,
-                }
-                for row in self.rows
-            ],
-            "min_slack": self.min_slack,
-            "passed": self.passed,
-            "brute_max_error": self.brute_max_error,
-        }
+        return {"schema": "negdep-report/1", **asdict(self)}
 
 
 def verify_negative_dependence(

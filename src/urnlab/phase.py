@@ -12,7 +12,7 @@ distance decays over a whole relaxation-time scale and there is no cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model import (
     CapacityError,
@@ -75,13 +75,17 @@ def mixing_time(
     target: str = "observable",
     t_hint: float | None = None,
 ) -> MixingTimeResult:
-    """Locate the first time the worst-case distance drops to epsilon.
+    """Locate the first time the distance drops to epsilon.
+
+    The distance is the maximum over the four corner starts (dist.observed_tv
+    or dist.chain_tv with their default strategy), which are the maximisers
+    only empirically.
 
     Scans a geometric grid seeded by the predicted cutoff times for the first
     point below epsilon, then bisects that bracket down to width
-    1e-3 * relaxation_time.  First-crossing semantics: the curves are
-    non-increasing from the worst start, so the crossing is unique; the
-    bracket endpoints are re-checked and a violation raises.
+    1e-3 * relaxation_time.  First-crossing semantics: the search takes the
+    curve to be non-increasing, so the crossing is unique; the bracket
+    endpoints are re-checked and a violation raises.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -256,37 +260,9 @@ class RegimeReport:
     ratio_size: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "regime-report/1",
-            "mode": self.mode,
-            "samples": [
-                {
-                    "total_balls": s.total_balls,
-                    "heavy_count": s.heavy_count,
-                    "heavy_rate": s.heavy_rate,
-                    "beta": s.beta,
-                    "gamma": s.gamma,
-                    "tilde_gamma": s.tilde_gamma,
-                    "ell_at_size": s.ell_at_size,
-                }
-                for s in self.samples
-            ],
-            "gamma_inf": self.gamma_inf,
-            "tilde_gamma_inf": self.tilde_gamma_inf,
-            "ell": self.ell,
-            "ell_diverges": self.ell_diverges,
-            "m_diverges": self.m_diverges,
-            "observable_regime": self.observable_regime,
-            "chain_regime": self.chain_regime,
-            "predicted_times": {
-                "regular_cutoff": self.times.regular_cutoff,
-                "heavy_cutoff": self.times.heavy_cutoff,
-                "delayed_cutoff": self.times.delayed_cutoff,
-            },
-            "ratio_epsilon": self.ratio_epsilon,
-            "product_condition_ratio": self.product_condition_ratio,
-            "ratio_size": self.ratio_size,
-        }
+        body = {"schema": "regime-report/1", **asdict(self)}
+        del body["largest"]
+        return {("predicted_times" if k == "times" else k): v for k, v in body.items()}
 
 
 def observable_regime(

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from urnlab import cli
+from urnlab import ModelParams, bounds, cli
 
 
 def run_cli(argv, capsys):
@@ -128,6 +128,31 @@ class TestCurveErrors:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("subcommand", ["curve", "bounds"])
+    def test_repeated_grid_times_rejected(self, subcommand, capsys):
+        # ten points inside one ulp of t = 1 would print ten rows at one time
+        code, out, err = run_cli(
+            [
+                subcommand,
+                "--n-balls",
+                "20",
+                "--heavy",
+                "2",
+                "--alpha",
+                "0.5",
+                "--t-start",
+                "1",
+                "--t-stop",
+                "1.0000000000000004",
+                "--t-points",
+                "10",
+            ],
+            capsys,
+        )
+        assert code == 64
+        assert out == ""
+        assert all(flag in err for flag in ("--t-points", "--t-start", "--t-stop"))
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(["curve", *MODEL, "--bogus", "1"], capsys)
         assert code == 64
@@ -214,6 +239,24 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["schema"] == "bounds/1"
         assert payload["columns"][4] == "exact"
+
+    def test_columns_equal_bound_functions(self, capsys):
+        code, out, _ = run_cli([*self.ARGS, "--exact", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        params = ModelParams(100, 20, 0.5)
+        functions = {
+            "lb_cheb": bounds.chebyshev_lower_bound,
+            "lb_kolm": bounds.kolmogorov_lower_bound,
+            "lb_clt": bounds.clt_lower_bound,
+            "ub_l2": bounds.l2_upper_bound,
+            "ub_coupling_raw": bounds.coupling_union_bound,
+        }
+        assert len(payload["rows"]) == 8
+        for row in payload["rows"]:
+            t = row[0]
+            for column, fn in functions.items():
+                assert row[payload["columns"].index(column)] == fn(params, t), column
 
 
 class TestClassify:
@@ -458,6 +501,21 @@ class TestNegdep:
             ["negdep", "--n-balls", "10", "--heavy", "3", "--alpha", "0.7"], capsys
         )
         assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["negdep", *MODEL, "--t-start", "1"],
+        ["simulate", *MODEL, "--t-start", "1", "--samples", "5"],
+    ],
+    ids=["negdep", "simulate"],
+)
+def test_single_time_subcommands_reject_grid_flags(argv, capsys):
+    # these subcommands evaluate one time; a grid flag would be ignored silently
+    code, out, _ = run_cli([*argv, "--t-points", "50"], capsys)
+    assert code == 64
+    assert out == ""
 
 
 class TestSimulate:

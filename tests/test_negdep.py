@@ -161,6 +161,20 @@ class TestReport:
         assert payload["total_balls"] == 6
         assert len(payload["rows"]) == 2
         assert payload["passed"] is True
+        assert (list(payload), list(payload["rows"][0])) == (
+            [
+                "schema",
+                "total_balls",
+                "heavy_count",
+                "heavy_rate",
+                "t",
+                "rows",
+                "min_slack",
+                "passed",
+                "brute_max_error",
+            ],
+            ["size", "joint", "product", "slack", "brute"],
+        )
 
     def test_max_size_validation(self):
         with pytest.raises(ValueError):

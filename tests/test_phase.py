@@ -260,6 +260,39 @@ class TestClassifyExtrapolate:
             "delayed_cutoff",
         }
         assert len(payload["samples"]) == 3
+        assert (
+            list(payload),
+            list(payload["samples"][0]),
+            list(payload["predicted_times"]),
+        ) == (
+            [
+                "schema",
+                "mode",
+                "samples",
+                "gamma_inf",
+                "tilde_gamma_inf",
+                "ell",
+                "ell_diverges",
+                "m_diverges",
+                "observable_regime",
+                "chain_regime",
+                "predicted_times",
+                "ratio_epsilon",
+                "product_condition_ratio",
+                "ratio_size",
+            ],
+            [
+                "total_balls",
+                "heavy_count",
+                "heavy_rate",
+                "beta",
+                "gamma",
+                "tilde_gamma",
+                "ell_at_size",
+            ],
+            ["regular_cutoff", "heavy_cutoff", "delayed_cutoff"],
+        )
+        assert "largest" not in payload
 
     def test_single_size_rejected(self):
         family = ParamFamily(("fixed", 1), ("const", 1.0), (1000,))
