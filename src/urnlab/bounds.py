@@ -21,11 +21,6 @@ from .dist import observable_mean_variance, observed_law, stationary_observed, s
 _SQRT2 = math.sqrt(2.0)
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erf; absolute error at machine level."""
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
 def coupling_union_bound(params: ModelParams, t: float) -> float:
     """Expected number of not-yet-redrawn balls, m e^{-alpha t} + n e^{-t}.
 
@@ -45,13 +40,13 @@ def l2_upper_bound(params: ModelParams, t: float) -> float:
     """Chi-square upper bound on the observable distance, clamped to 1.
 
     value = (1/2) sqrt((1 + z^2)^N - 1) with z the population-averaged
-    survival.  The inner expression is evaluated as expm1(N log1p(z^2)) so
-    tiny z keeps full relative precision.  At alpha = 1 the chi-square of the
-    coupled law equals (1 + z^2)^N - 1 exactly, so the constant cannot be
-    improved.
+    survival.  The inner expression is evaluated as expm1(N log1p(z^2)) so tiny
+    z keeps full relative precision, its argument capped at 709 against overflow
+    (the bound is 1 from log 5 on).  At alpha = 1 the chi-square of the coupled
+    law equals (1 + z^2)^N - 1 exactly, so the constant cannot be improved.
     """
     z = coupling_union_bound(params, t) / params.total_balls
-    inner = math.expm1(params.total_balls * math.log1p(z * z))
+    inner = math.expm1(min(709.0, params.total_balls * math.log1p(z * z)))
     return min(1.0, 0.5 * math.sqrt(inner))
 
 
@@ -97,8 +92,8 @@ def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
     """
     law = observed_law(params, InitialState(0, 0), t)
     target = stationary_observed(params)
-    gap = np.abs(law.cdf() - target.cdf())
-    return float(gap.max())
+    # clamped to 1 as in dist.tv: cumsum adds up the mass drift each table may carry
+    return min(1.0, float(np.abs(law.cdf() - target.cdf()).max()))
 
 
 def clt_lower_bound(params: ModelParams, t: float) -> float:

@@ -209,9 +209,7 @@ def cmd_bounds(args) -> str:
     # Lower bounds certify the all-right start; comparing them against a
     # user-pinned different start would be meaningless, so the sandwich
     # check on that side needs a dominating strategy.
-    lower_applies = not isinstance(strategy, InitialState) or strategy == InitialState(
-        0, 0
-    )
+    lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
     cheb, kolm, clt, l2, coupling = (
         bounds_mod.bound_curve(params, kind, grid)
         for kind in ("chebyshev_lb", "kolmogorov_lb", "clt_lb", "l2_ub", "coupling_ub")
@@ -501,7 +499,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"urnlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"urnlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     _emit(text, args.out)

@@ -89,16 +89,6 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     p = float(success_prob)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability {p} outside [0, 1]")
-    if trials == 0:
-        return Pmf([1.0])
-    if p == 0.0:
-        out = np.zeros(trials + 1)
-        out[0] = 1.0
-        return Pmf(out)
-    if p == 1.0:
-        out = np.zeros(trials + 1)
-        out[-1] = 1.0
-        return Pmf(out)
     k = np.arange(trials + 1, dtype=float)
     log_pmf = (
         gammaln(trials + 1.0)
@@ -244,23 +234,27 @@ def tv_product(x: tuple[Pmf, Pmf], y: tuple[Pmf, Pmf]) -> float:
 
 
 def _initial_states(params: ModelParams, strategy) -> list[InitialState]:
+    """Starts a strategy maximises over: an explicit InitialState as given,
+    else the four corners or (guarded) all (n + 1)(m + 1) starts, of which
+    only one start of each mirror pair is evaluated."""
     if isinstance(strategy, InitialState):
         return [strategy.validate(params)]
+    n, m = params.regular_count, params.heavy_count
     if strategy == "corners":
-        return corners(params)
-    if strategy == "full_scan":
-        states = (params.regular_count + 1) * (params.heavy_count + 1)
-        if states > FULL_SCAN_LIMIT:
+        states = corners(params)
+    elif strategy == "full_scan":
+        count = (n + 1) * (m + 1)
+        if count > FULL_SCAN_LIMIT:
             raise CapacityError(
-                f"full scan over {states} initial states exceeds the "
+                f"full scan over {count} initial states exceeds the "
                 f"{FULL_SCAN_LIMIT} guard"
             )
-        return [
-            InitialState(r, h)
-            for r in range(params.regular_count + 1)
-            for h in range(params.heavy_count + 1)
-        ]
-    raise ValueError(f"unknown strategy {strategy!r}")
+        states = [InitialState(r, h) for r in range(n + 1) for h in range(m + 1)]
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # The mirror (r, h) -> (n - r, m - h) reverses both factor laws and fixes both
+    # stationary laws, and relabelling states leaves total variation unchanged.
+    return [s for s in states if (2 * s.regular_left, 2 * s.heavy_left) <= (n, m)]
 
 
 def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
@@ -268,8 +262,8 @@ def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
     the chosen starts.
 
     strategy: "corners" (default) maximises over the four extreme starts,
-    which are the maximisers only empirically; "full_scan" over every start
-    (guarded); or a single InitialState.
+    the maximisers only empirically; "full_scan" over every start (guarded);
+    or a single InitialState.  One start of each mirror pair is evaluated.
     """
     starts = _initial_states(params, strategy)
     target = stationary_observed(params)
@@ -278,7 +272,7 @@ def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
 
 def chain_tv(params: ModelParams, t: float, strategy="corners") -> float:
     """Largest distance of the full pair chain from stationarity at time t
-    over the chosen starts; strategy as in observed_tv."""
+    over the chosen starts, one of each mirror pair; strategy as in observed_tv."""
     starts = _initial_states(params, strategy)
     target = stationary_chain(params)
     return max(tv_product(chain_law(params, init, t), target) for init in starts)

@@ -107,8 +107,8 @@ class InitialState:
 
 
 def corners(params: ModelParams) -> list[InitialState]:
-    """The four extreme initial states, the default starts the distances
-    maximise over; they are the total-variation maximisers only empirically."""
+    """The four extreme initial states; the distances maximise over them by default,
+    evaluating one of each mirror pair.  They are the maximisers only empirically."""
     n, m = params.regular_count, params.heavy_count
     seen: list[InitialState] = []
     for r, h in ((0, 0), (n, 0), (0, m), (n, m)):

@@ -132,16 +132,20 @@ def mgf_compare(params: ModelParams, u: float, size: int) -> tuple[float, float]
 
     B is Binomial(size, m/N), H the hypergeometric count.  For u >= 1 the
     binomial side dominates (same negative-dependence content as the
-    factorial moments).
+    factorial moments).  A side past the float range is math.inf.
     """
     if u <= 0.0:
         raise ValueError("u must be positive")
     if not 1 <= size <= params.total_balls:
         raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
     frac = params.heavy_count / params.total_balls
-    binom_side = math.exp(size * math.log1p(frac * (u - 1.0)))
+    try:
+        binom_side = math.exp(size * math.log1p(frac * (u - 1.0)))
+    except OverflowError:
+        binom_side = math.inf
     support, log_weights = _hypergeometric_log_weights(params, size)
-    hyper_side = float(np.exp(logsumexp(log_weights + support * math.log(u))))
+    with np.errstate(over="ignore"):
+        hyper_side = float(np.exp(logsumexp(log_weights + support * math.log(u))))
     return binom_side, hyper_side
 
 

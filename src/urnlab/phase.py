@@ -78,8 +78,8 @@ def mixing_time(
     """Locate the first time the distance drops to epsilon.
 
     The distance is the maximum over the four corner starts (dist.observed_tv
-    or dist.chain_tv with their default strategy), which are the maximisers
-    only empirically.
+    or dist.chain_tv with their default strategy, which evaluate one start of
+    each mirror pair); they are the maximisers only empirically.
 
     Scans a geometric grid seeded by the predicted cutoff times for the first
     point below epsilon, then bisects that bracket down to width

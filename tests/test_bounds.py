@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from urnlab.model import InitialState, ModelParams, predicted_times
 from urnlab.bounds import (
@@ -14,7 +13,6 @@ from urnlab.bounds import (
     coupling_union_bound,
     kolmogorov_lower_bound,
     l2_upper_bound,
-    normal_cdf,
     product_chain_upper_bound,
 )
 from urnlab.dist import chain_tv, observed_tv
@@ -50,6 +48,10 @@ class TestL2Bound:
 
     def test_clamped_to_one(self):
         assert l2_upper_bound(ModelParams(1000, 100, 0.5), 0.0) == 1.0
+
+    def test_no_overflow_for_large_n_near_zero(self):
+        """N log1p(z^2) is far past expm1's range here; the bound is its clamp."""
+        assert l2_upper_bound(ModelParams(2000, 20, 0.5), 0.0) == 1.0
 
     def test_tight_for_single_species(self):
         """At alpha = 1 the product form is an identity, so the bound squared
@@ -128,11 +130,6 @@ class TestLowerBounds:
         p = ModelParams(4000, 400, 0.5)
         for t in (1.0, 2.5, 4.0):
             assert abs(clt_lower_bound(p, t) - observed_tv(p, t)) < 0.05
-
-    @given(x=st.floats(min_value=-8, max_value=8))
-    @settings(max_examples=30)
-    def test_normal_cdf_matches_erf_identity(self, x):
-        assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestBoundCurve:

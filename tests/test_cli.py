@@ -259,6 +259,26 @@ class TestBounds:
                 assert row[payload["columns"].index(column)] == fn(params, t), column
 
 
+    def test_large_n_at_zero_exits_cleanly(self, capsys):
+        argv = ["bounds", "--n-balls", "2000", "--heavy", "20", "--alpha", "0.5"]
+        code, out, err = run_cli([*argv, "--t-start", "0"], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        columns = lines[-2].split(",")
+        assert float(lines[-1].split(",")[columns.index("ub_l2")]) == 1.0
+
+    def test_kolmogorov_column_at_most_one(self, capsys):
+        argv = ["bounds", "--n-balls", "2000", "--heavy", "20", "--alpha", "0.5"]
+        grid = ["--t-start", "0.5", "--t-stop", "5", "--t-points", "3", "--exact"]
+        code, out, err = run_cli([*argv, *grid], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        header = lines.index("t,lb_cheb,lb_kolm,lb_clt,exact,ub_l2,ub_coupling_raw")
+        kolm = [float(line.split(",")[2]) for line in lines[header + 1 :]]
+        assert len(kolm) == 3
+        assert max(kolm) <= 1.0
+
+
 class TestClassify:
     BASE = ["classify", "--ratio", "never"]
 

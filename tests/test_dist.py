@@ -6,8 +6,10 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from urnlab import dist as dist_module
 from urnlab.model import CapacityError, InitialState, ModelParams
 from urnlab.dist import (
+    _initial_states,
     Pmf,
     binomial_pmf,
     chain_law,
@@ -224,6 +226,51 @@ class TestWorstCase:
             assert observed_tv(p, t, "full_scan") == pytest.approx(
                 observed_tv(p, t, "corners"), abs=1e-12
             )
+
+    @pytest.mark.parametrize("total, heavy", [(10, 4), (8, 3)])
+    def test_mirror_reverses_the_oracle_law(self, total, heavy):
+        """The premise of one start per mirror pair: from (n - r, m - h) the
+        pair law is the law from (r, h) reversed along both axes, and the
+        stationary factors are symmetric."""
+        n, alpha, t = total - heavy, 0.4, 0.7
+        p = ModelParams(total, heavy, alpha)
+        for r in range(n + 1):
+            for h in range(heavy + 1):
+                law = oracles.joint_law(n, heavy, alpha, r, h, t)[::-1, ::-1]
+                mirrored = oracles.joint_law(n, heavy, alpha, n - r, heavy - h, t)
+                np.testing.assert_allclose(law, mirrored, rtol=0, atol=1e-12)
+                regular, heavy_law = chain_law(p, InitialState(n - r, heavy - h), t)
+                product = np.outer(regular.probs, heavy_law.probs)
+                np.testing.assert_allclose(law, product, rtol=0, atol=1e-12)
+        for factor in stationary_chain(p):
+            np.testing.assert_array_equal(factor.probs, factor.probs[::-1])
+
+    @pytest.mark.parametrize(
+        "p", [ModelParams(12, 4, 0.4), ModelParams(10, 0, 0.5), ModelParams(10, 10, 0.5)]
+    )
+    def test_full_scan_is_max_over_every_start(self, p):
+        n, m = p.regular_count, p.heavy_count
+        every = [InitialState(r, h) for r in range(n + 1) for h in range(m + 1)]
+        kept = set(_initial_states(p, "full_scan"))
+        mirrors = {InitialState(n - s.regular_left, m - s.heavy_left) for s in kept}
+        assert kept | mirrors == set(every)
+        assert len(kept) == math.ceil(len(every) / 2)
+        for t in (0.2, 0.9, 2.5):
+            for fn in (observed_tv, chain_tv):
+                single = max(fn(p, t, s) for s in every)
+                assert fn(p, t, "full_scan") == pytest.approx(single, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("fn", [observed_tv, chain_tv])
+    def test_corners_evaluate_one_start_per_mirror_pair(self, fn, monkeypatch):
+        calls = []
+
+        def counting_chain_law(params, init, t):
+            calls.append(init)
+            return chain_law(params, init, t)
+
+        monkeypatch.setattr(dist_module, "chain_law", counting_chain_law)
+        fn(ModelParams(100, 10, 0.5), 3.0)
+        assert calls == [InitialState(0, 0), InitialState(0, 10)]
 
     def test_full_scan_capacity_guard(self):
         p = ModelParams(2 * 10**6, 3, 0.7)

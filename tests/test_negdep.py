@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,20 @@ class TestMomentComparisons:
             for size in (1, 4, 8, 12):
                 binom, hyper = mgf_compare(p, u, size)
                 assert binom >= hyper - 1e-12
+
+    def test_mgf_past_float_range_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binom, hyper = mgf_compare(ModelParams(3000, 1500, 0.5), 2.3, 3000)
+        assert binom == math.inf
+        assert hyper == math.inf
+
+    def test_mgf_large_finite_values_pinned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binom, hyper = mgf_compare(ModelParams(3000, 1500, 0.5), 2.3, 100)
+        assert binom == 5.602661980034415e21
+        assert hyper == 4.331009022463609e21
 
     def test_mgf_at_one(self):
         binom, hyper = mgf_compare(ModelParams(9, 3, 0.5), 1.0, 5)
