@@ -167,8 +167,10 @@ def product_condition_ratio(params: ModelParams, epsilon: float = 0.25) -> float
     bounded shift of t^H = log m / (2 alpha), so the ratio grows like
     (1/2) log m even though the observable ratio stays bounded.
 
-    Guarded: the exact chain distance scans a state space of
-    (n + 1)(m + 1) cells per evaluation.
+    Guarded on the chain state count (n + 1)(m + 1), which also decides the
+    largest family size classify reports the ratio for.  Each evaluation of
+    the exact chain distance costs O((n + m) log m) per start through
+    dist.tv_product, plus the binomial tables of both factors.
     """
     states = (params.regular_count + 1) * (params.heavy_count + 1)
     if states > RATIO_STATE_LIMIT:

@@ -78,6 +78,23 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(pp - qq).sum())
 
 
+def tv_product_blocked(xr, xh, yr, yh) -> float:
+    """Total variation of the product laws xr x xh and yr x yh, one half of
+    the L1 distance of the outer products, summed over 512-row blocks of the
+    joint table so the peak memory stays near 512 * len(xh).  Clamped to 1
+    like the package's single-table distance.
+    """
+    xr, xh, yr, yh = (np.asarray(v, dtype=float) for v in (xr, xh, yr, yh))
+    block = 512
+    total = 0.0
+    for start in range(0, xr.size, block):
+        stop = min(start + block, xr.size)
+        total += float(
+            np.abs(np.outer(xr[start:stop], xh) - np.outer(yr[start:stop], yh)).sum()
+        )
+    return min(1.0, 0.5 * total)
+
+
 def chi_square_mixture(n_balls: int, m: int, alpha: float, ones: int, t: float) -> float:
     """Chi-square of the kept-or-resampled configuration law vs uniform.
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from urnlab import dist as dist_module
-from urnlab.model import CapacityError, InitialState, ModelParams
+from urnlab.model import CapacityError, InitialState, ModelParams, corners
 from urnlab.dist import (
     _initial_states,
     Pmf,
@@ -205,12 +205,131 @@ class TestTv:
         flat_y = Pmf(np.outer(y[0].probs, y[1].probs).ravel())
         assert tv_product(x, y) == pytest.approx(tv(flat_x, flat_y), abs=1e-14)
 
-    def test_tv_product_large_factor_blocks(self):
-        # wide enough to exercise more than one 512-row block
+    def test_tv_product_equal_heavy_factor_reduces_to_regular(self):
+        # a shared factor drops out: x (x) z vs y (x) z is tv(x, y) apart
         x = (binomial_pmf(1500, 0.2), binomial_pmf(4, 0.5))
         y = (binomial_pmf(1500, 0.5), binomial_pmf(4, 0.5))
         d = tv_product(x, y)
         assert d == pytest.approx(tv(x[0], y[0]), abs=1e-12)
+
+
+def _blocked(x, y) -> float:
+    return oracles.tv_product_blocked(x[0].probs, x[1].probs, y[0].probs, y[1].probs)
+
+
+@st.composite
+def _count_factors(draw, size):
+    """A pmf from small integer weights: zero entries and tied likelihood
+    ratios are common."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if not any(counts):
+        counts[draw(st.integers(0, size - 1))] = 1
+    return Pmf(np.array(counts, dtype=float) / sum(counts))
+
+
+@st.composite
+def _dyadic_factor_pair(draw, disjoint):
+    """Two pmfs, each uniform on 2^j points, so every mass is exactly 1;
+    with disjoint=True their supports do not meet."""
+    size = draw(st.integers(2, 24))
+    points = draw(st.permutations(range(size)))
+    first = draw(st.sampled_from([k for k in (1, 2, 4, 8) if k < size]))
+    second = draw(st.sampled_from([k for k in (1, 2, 4, 8, 16) if k <= size - first]))
+    start = first if disjoint else draw(st.integers(0, size - second))
+    a, b = np.zeros(size), np.zeros(size)
+    a[list(points[:first])] = 1.0 / first
+    b[list(points[start : start + second])] = 1.0 / second
+    return Pmf(a), Pmf(b)
+
+
+class TestTvProduct:
+    """The threshold form against the blocked half-sum it replaced."""
+
+    @given(
+        sizes=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        probs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_factors_match_blocked(self, sizes, probs):
+        n, m = sizes
+        x = (binomial_pmf(n, probs[0]), binomial_pmf(m, probs[1]))
+        y = (binomial_pmf(n, probs[2]), binomial_pmf(m, probs[3]))
+        d = tv_product(x, y)
+        assert 0.0 <= d <= 1.0
+        assert d == pytest.approx(_blocked(x, y), rel=0, abs=1e-14)
+
+    @given(sizes=st.tuples(st.integers(1, 12), st.integers(1, 12)), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_entries_and_tied_ratios_match_blocked(self, sizes, data):
+        n, m = sizes
+        x = (data.draw(_count_factors(n)), data.draw(_count_factors(m)))
+        y = (data.draw(_count_factors(n)), data.draw(_count_factors(m)))
+        for a, b in ((x, y), (y, x), (x, x)):
+            d = tv_product(a, b)
+            assert 0.0 <= d <= 1.0
+            assert d == pytest.approx(_blocked(a, b), rel=0, abs=1e-14)
+
+    @given(
+        total=st.integers(2, 40),
+        heavy_share=st.floats(0.0, 1.0),
+        alpha=st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_point_mass_corners_match_blocked(self, total, heavy_share, alpha):
+        p = ModelParams(total, round(heavy_share * total), alpha)
+        target = stationary_chain(p)
+        for init in corners(p):
+            law = chain_law(p, init, 0.0)
+            assert tv_product(law, target) == pytest.approx(
+                _blocked(law, target), rel=0, abs=1e-14
+            )
+
+    @given(
+        trials=st.tuples(st.integers(0, 50), st.integers(0, 50)),
+        probs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_identical_factors_are_exactly_zero(self, trials, probs):
+        x = (binomial_pmf(trials[0], probs[0]), binomial_pmf(trials[1], probs[1]))
+        y = tuple(Pmf(f.probs.copy()) for f in x)
+        assert tv_product(x, x) == 0.0
+        assert tv_product(x, y) == 0.0
+
+    @given(data=st.data(), disjoint_factor=st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_supports_are_exactly_one(self, data, disjoint_factor):
+        pairs = [data.draw(_dyadic_factor_pair(disjoint=False)) for _ in range(2)]
+        pairs[disjoint_factor] = data.draw(_dyadic_factor_pair(disjoint=True))
+        x = (pairs[0][0], pairs[1][0])
+        y = (pairs[0][1], pairs[1][1])
+        assert tv_product(x, y) == 1.0
+        assert _blocked(x, y) == 1.0
+
+    def test_lower_clamp(self):
+        # equal shapes, one entry 2.8e-17 apart: the raw threshold sum is
+        # -2.8e-17 while the half-sum is 1.4e-17
+        x = (Pmf([0.9289360978356946, 0.0710639021643053]), Pmf([1.0]))
+        y = (Pmf([0.9289360978356946, 0.07106390216430528]), Pmf([1.0]))
+        d = tv_product(x, y)
+        assert d >= 0.0
+        assert d == pytest.approx(_blocked(x, y), rel=0, abs=1e-14)
+
+    def test_rejects_mismatched_spaces(self):
+        x = (binomial_pmf(5, 0.5), binomial_pmf(3, 0.5))
+        with pytest.raises(ValueError):
+            tv_product(x, (binomial_pmf(5, 0.5), binomial_pmf(4, 0.5)))
+
+    def test_readme_chain_instance_matches_blocked(self):
+        """chain_tv at the README curve --chain instance against the blocked
+        half-sum maximised over the same two starts, (0, 0) and (0, m)."""
+        p = ModelParams(10_000, 1_000, 0.2)
+        target = stationary_chain(p)
+        for t in (5.0, 17.0, 30.0):
+            expected = max(
+                _blocked(chain_law(p, init, t), target)
+                for init in (InitialState(0, 0), InitialState(0, 1_000))
+            )
+            assert chain_tv(p, t) == pytest.approx(expected, rel=0, abs=1e-14)
 
 
 class TestWorstCase:
@@ -259,6 +378,26 @@ class TestWorstCase:
             for fn in (observed_tv, chain_tv):
                 single = max(fn(p, t, s) for s in every)
                 assert fn(p, t, "full_scan") == pytest.approx(single, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "total, heavy, alpha, c",
+        [
+            (50, 38, 0.6, 0.5),
+            (100, 10, 0.1, 1.0),
+            (200, 4, 1.0, 0.8),
+            (50, 25, 0.3, 1.5),
+            (100, 2, 0.3, 3.0),
+        ],
+    )
+    def test_no_start_beats_the_corners(self, total, heavy, alpha, c):
+        """Points of the corners audit grid, at c times the chain cutoff
+        scale max(log n, log m / alpha) / 2.  Gaps up to 3e-13 seen there
+        were exact ties in 40-digit arithmetic, so the slack is the 1e-12
+        mass drift a Pmf may carry unrenormalised."""
+        p = ModelParams(total, heavy, alpha)
+        t = c * max(math.log(p.regular_count), math.log(heavy) / alpha) / 2
+        for fn in (observed_tv, chain_tv):
+            assert fn(p, t, "full_scan") <= fn(p, t) + 1e-12
 
     @pytest.mark.parametrize("fn", [observed_tv, chain_tv])
     def test_corners_evaluate_one_start_per_mirror_pair(self, fn, monkeypatch):
