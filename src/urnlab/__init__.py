@@ -31,6 +31,7 @@ from .dist import (
     chain_law,
     chain_tv,
     convolve,
+    distance_curve,
     observable_mean_variance,
     observed_law,
     observed_tv,

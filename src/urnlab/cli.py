@@ -178,12 +178,9 @@ def cmd_curve(args) -> str:
         "chain": args.chain,
     }
     columns = ["t", "D_obs"] + (["D_chain"] if args.chain else [])
-    rows = []
-    for t in grid:
-        row = [t, dist.observed_tv(params, t, strategy)]
-        if args.chain:
-            row.append(dist.chain_tv(params, t, strategy))
-        rows.append(row)
+    targets = ["observable", "chain"] if args.chain else ["observable"]
+    curves = [dist.distance_curve(params, target, strategy) for target in targets]
+    rows = [[t, *(curve(t) for curve in curves)] for t in grid]
     if args.format == "json":
         return _json_text(
             {"schema": "curve/1", "config": config, "columns": columns, "rows": rows}
@@ -214,11 +211,14 @@ def cmd_bounds(args) -> str:
         bounds_mod.bound_curve(params, kind, grid)
         for kind in ("chebyshev_lb", "kolmogorov_lb", "clt_lb", "l2_ub", "coupling_ub")
     )
+    # only under --exact: building the curve resolves the guarded starts
+    if args.exact:
+        exact_curve = dist.distance_curve(params, "observable", strategy)
     rows = []
     for i, t in enumerate(grid):
         row = [t, cheb.values[i], kolm.values[i], clt.values[i]]
         if args.exact:
-            exact = dist.observed_tv(params, t, strategy)
+            exact = exact_curve(t)
             lower = max(cheb.values[i], kolm.values[i])
             upper = min(l2.values[i], coupling.values[i])
             if exact > upper + SANDWICH_TOL or (

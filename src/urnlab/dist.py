@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -266,25 +267,46 @@ def _initial_states(params: ModelParams, strategy) -> list[InitialState]:
     return [s for s in states if (2 * s.regular_left, 2 * s.heavy_left) <= (n, m)]
 
 
-def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
-    """Largest distance of the observable from stationarity at time t over
-    the chosen starts.
+def distance_curve(params: ModelParams, target: str = "observable", strategy="corners"):
+    """The exact curve t -> largest distance from stationarity at time t over
+    the chosen starts, of the observable ("observable") or the pair chain ("chain").
 
     strategy: "corners" (default) maximises over the four extreme starts,
     the maximisers only empirically; "full_scan" over every start (guarded);
     or a single InitialState.  One start of each mirror pair is evaluated.
+    Starts and stationary tables are built here, once.  An evaluation builds
+    one regular table per regular_left (the starts come grouped by it) and one
+    heavy table per start, and keeps at most one of each alive.
     """
     starts = _initial_states(params, strategy)
-    target = stationary_observed(params)
-    return max(tv(observed_law(params, init, t), target) for init in starts)
+    if target not in ("observable", "chain"):
+        raise ValueError(f"unknown target {target!r}")
+    stationary = stationary_chain(params) if target == "chain" else stationary_observed(params)
+    n, m, rate = params.regular_count, params.heavy_count, params.heavy_rate
+
+    def distance(regular: Pmf, heavy: Pmf) -> float:
+        if target == "chain":
+            return tv_product((regular, heavy), stationary)
+        return tv(convolve(regular, heavy), stationary)
+
+    def largest_from(regular: Pmf, group, t: float) -> float:
+        return max(distance(regular, coordinate_law(m, s.heavy_left, rate, t)) for s in group)
+
+    def curve(t: float) -> float:
+        groups = groupby(starts, key=lambda s: s.regular_left)
+        return max(largest_from(coordinate_law(n, r, 1.0, t), group, t) for r, group in groups)
+
+    return curve
+
+
+def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
+    """Observable distance at time t: distance_curve(params, "observable", strategy)(t)."""
+    return distance_curve(params, "observable", strategy)(t)
 
 
 def chain_tv(params: ModelParams, t: float, strategy="corners") -> float:
-    """Largest distance of the full pair chain from stationarity at time t
-    over the chosen starts, one of each mirror pair; strategy as in observed_tv."""
-    starts = _initial_states(params, strategy)
-    target = stationary_chain(params)
-    return max(tv_product(chain_law(params, init, t), target) for init in starts)
+    """Pair-chain distance at time t: distance_curve(params, "chain", strategy)(t)."""
+    return distance_curve(params, "chain", strategy)(t)
 
 
 def observable_mean_variance(params: ModelParams, t: float) -> tuple[float, float]:

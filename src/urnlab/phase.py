@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 
 from .model import (
     CapacityError,
-    InitialState,
     ModelParams,
     ParamFamily,
     PredictedTimes,
@@ -61,25 +60,14 @@ class MixingTimeResult:
     evaluations: int
 
 
-def _curve_fn(params: ModelParams, target: str):
-    if target == "observable":
-        return lambda t: dist.observed_tv(params, t)
-    if target == "chain":
-        return lambda t: dist.chain_tv(params, t)
-    raise ValueError(f"unknown target {target!r}")
-
-
 def mixing_time(
-    params: ModelParams,
-    epsilon: float,
-    target: str = "observable",
-    t_hint: float | None = None,
+    params: ModelParams, epsilon: float, target: str = "observable"
 ) -> MixingTimeResult:
     """Locate the first time the distance drops to epsilon.
 
-    The distance is the maximum over the four corner starts (dist.observed_tv
-    or dist.chain_tv with their default strategy, which evaluate one start of
-    each mirror pair); they are the maximisers only empirically.
+    The distance is dist.distance_curve(params, target): the maximum over
+    the four corner starts (one of each mirror pair evaluated), which are
+    the maximisers only empirically.
 
     Scans a geometric grid seeded by the predicted cutoff times for the first
     point below epsilon, then bisects that bracket down to width
@@ -89,7 +77,7 @@ def mixing_time(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    curve = _curve_fn(params, target)
+    curve = dist.distance_curve(params, target)
     evaluations = 0
 
     def evaluate(t: float) -> float:
@@ -114,13 +102,10 @@ def mixing_time(
         times.regular_cutoff,
         times.heavy_cutoff if math.isfinite(times.heavy_cutoff) else 0.0,
     )
-    hint = t_hint if t_hint is not None else scale
-    if not math.isfinite(hint) or hint <= 0.0:
-        hint = 1.0
-    ceiling = NO_CROSSING_FACTOR * max(scale, hint)
+    ceiling = NO_CROSSING_FACTOR * scale
     lo, value_lo = 0.0, at_zero
     hi = value_hi = None
-    t = hint / 64.0
+    t = scale / 64.0
     while t <= ceiling:
         value = evaluate(t)
         if value <= epsilon:
@@ -168,9 +153,10 @@ def product_condition_ratio(params: ModelParams, epsilon: float = 0.25) -> float
     (1/2) log m even though the observable ratio stays bounded.
 
     Guarded on the chain state count (n + 1)(m + 1), which also decides the
-    largest family size classify reports the ratio for.  Each evaluation of
-    the exact chain distance costs O((n + m) log m) per start through
-    dist.tv_product, plus the binomial tables of both factors.
+    largest family size classify reports the ratio for.  The search builds
+    the stationary tables once; each evaluation builds one regular table
+    (shared by the evaluated corners) and one heavy table per corner, plus
+    O((n + m) log m) per corner in dist.tv_product.
     """
     states = (params.regular_count + 1) * (params.heavy_count + 1)
     if states > RATIO_STATE_LIMIT:
@@ -199,7 +185,7 @@ def cutoff_profile(
         window_unit = params.relaxation_time if gamma(params) >= 0.0 else 1.0
     if window_unit <= 0.0:
         raise ValueError("window_unit must be positive")
-    curve = _curve_fn(params, target)
+    curve = dist.distance_curve(params, target)
     times = tuple(center_time + window_unit * float(o) for o in offsets)
     if any(t < 0.0 for t in times):
         raise ValueError("every sampled time must be non-negative")

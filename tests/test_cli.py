@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from urnlab import ModelParams, bounds, cli
+from urnlab import ModelParams, bounds, cli, dist
 
 
 def run_cli(argv, capsys):
@@ -88,6 +88,25 @@ class TestCurve:
         # starting at the stationary mode (5 of 10 left) leaves far less
         # distance than a corner
         assert float(out.splitlines()[-1].split(",")[1]) < 0.8
+
+    @pytest.mark.parametrize(
+        "initial, strategy", [("corners", "corners"), ("scan", "full_scan")]
+    )
+    def test_columns_equal_distance_curves(self, initial, strategy, capsys):
+        argv = ["curve", *MODEL, "--initial", initial, "--chain", "--t-start", "0.2"]
+        code, out, err = run_cli([*argv, "--t-stop", "5", "--t-points", "6"], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        header = lines.index("t,D_obs,D_chain")
+        rows = [line.split(",") for line in lines[header + 1 :]]
+        assert len(rows) == 6
+        params = ModelParams(10, 2, 0.5)
+        observable = dist.distance_curve(params, "observable", strategy)
+        chain = dist.distance_curve(params, "chain", strategy)
+        for t_text, d_obs, d_chain in rows:
+            t = float(t_text)
+            assert d_obs == format(observable(t), ".17g")
+            assert d_chain == format(chain(t), ".17g")
 
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ["curve", *MODEL, "--t-start", "0.3", "--t-stop", "4", "--t-points", "9"]
@@ -258,6 +277,19 @@ class TestBounds:
             for column, fn in functions.items():
                 assert row[payload["columns"].index(column)] == fn(params, t), column
 
+
+    def test_full_scan_guard_only_under_exact(self, capsys):
+        """Without --exact the table needs no start, so a scan the guard
+        refuses still prints its bounds; with --exact it exits 2."""
+        argv = ["bounds", "--n-balls", "2000000", "--heavy", "3", "--alpha", "0.7"]
+        argv += ["--initial", "scan", "--t-start", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert "t,lb_cheb,lb_kolm,lb_clt,ub_l2,ub_coupling_raw" in out.splitlines()
+        code, out, err = run_cli([*argv, "--exact"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "capacity guard" in err
 
     def test_large_n_at_zero_exits_cleanly(self, capsys):
         argv = ["bounds", "--n-balls", "2000", "--heavy", "20", "--alpha", "0.5"]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from urnlab.dist import (
     chain_law,
     chain_tv,
     convolve,
+    coordinate_law,
+    distance_curve,
     observable_mean_variance,
     observed_law,
     observed_tv,
@@ -401,15 +404,17 @@ class TestWorstCase:
 
     @pytest.mark.parametrize("fn", [observed_tv, chain_tv])
     def test_corners_evaluate_one_start_per_mirror_pair(self, fn, monkeypatch):
+        """The evaluated corners (0, 0) and (0, m) share one regular table
+        and build one heavy table each: three tables, not four."""
         calls = []
 
-        def counting_chain_law(params, init, t):
-            calls.append(init)
-            return chain_law(params, init, t)
+        def counting_coordinate_law(count, ones_initial, rate, t):
+            calls.append((count, ones_initial, rate))
+            return coordinate_law(count, ones_initial, rate, t)
 
-        monkeypatch.setattr(dist_module, "chain_law", counting_chain_law)
+        monkeypatch.setattr(dist_module, "coordinate_law", counting_coordinate_law)
         fn(ModelParams(100, 10, 0.5), 3.0)
-        assert calls == [InitialState(0, 0), InitialState(0, 10)]
+        assert calls == [(90, 0, 1.0), (10, 0, 0.5), (10, 10, 0.5)]
 
     def test_full_scan_capacity_guard(self):
         p = ModelParams(2 * 10**6, 3, 0.7)
@@ -431,6 +436,89 @@ class TestWorstCase:
         stationary_regular, stationary_heavy = stationary_chain(p)
         expected = 1.0 - stationary_regular.probs[0] * stationary_heavy.probs[0]
         assert chain_tv(p, 0.0) == pytest.approx(expected, abs=1e-12)
+
+
+class _TrackedPmf(Pmf):
+    """A Pmf that can be weakly referenced, to see when a table is freed."""
+
+
+class TestDistanceCurve:
+    @pytest.mark.parametrize("strategy", ["corners", "full_scan", InitialState(3, 1)])
+    def test_equals_the_single_time_functions(self, strategy):
+        """The curve, observed_tv, chain_tv and the per-start maximum over
+        observed_law / chain_law all agree bit for bit."""
+        p = ModelParams(12, 4, 0.4)
+        observable = distance_curve(p, "observable", strategy)
+        chain = distance_curve(p, "chain", strategy)
+        starts = _initial_states(p, strategy)
+        for t in (0.0, 0.3, 1.1, 4.0):
+            per_start_observable = max(
+                tv(observed_law(p, s, t), stationary_observed(p)) for s in starts
+            )
+            per_start_chain = max(
+                tv_product(chain_law(p, s, t), stationary_chain(p)) for s in starts
+            )
+            assert observable(t) == observed_tv(p, t, strategy) == per_start_observable
+            assert chain(t) == chain_tv(p, t, strategy) == per_start_chain
+
+    def test_unknown_target(self):
+        with pytest.raises(ValueError, match="unknown target"):
+            distance_curve(ModelParams(10, 3, 0.5), "pair")
+
+    @pytest.mark.parametrize(
+        "target, stationary",
+        [("observable", "stationary_observed"), ("chain", "stationary_chain")],
+    )
+    def test_full_scan_builds_each_regular_table_once(
+        self, target, stationary, monkeypatch
+    ):
+        """n = 8, m = 4: the kept starts are r = 0..3 with every h, and r = 4
+        with h = 0..2, so 5 regular and 23 heavy tables per time, and the
+        stationary tables once per curve."""
+        p = ModelParams(12, 4, 0.4)
+        calls, stationary_calls = [], []
+
+        def counting_coordinate_law(count, ones_initial, rate, t):
+            calls.append((count, ones_initial, rate))
+            return coordinate_law(count, ones_initial, rate, t)
+
+        def counting_stationary(params):
+            stationary_calls.append(params)
+            return original_stationary(params)
+
+        original_stationary = getattr(dist_module, stationary)
+        monkeypatch.setattr(dist_module, "coordinate_law", counting_coordinate_law)
+        monkeypatch.setattr(dist_module, stationary, counting_stationary)
+        curve = distance_curve(p, target, "full_scan")
+        for t in (0.5, 2.0):
+            calls.clear()
+            curve(t)
+            regular = [ones for count, ones, rate in calls if rate == 1.0]
+            heavy = [ones for count, ones, rate in calls if rate == 0.4]
+            assert regular == [0, 1, 2, 3, 4]
+            assert heavy == [0, 1, 2, 3, 4] * 4 + [0, 1, 2]
+        assert stationary_calls == [p]
+
+    @pytest.mark.parametrize("target", ["observable", "chain"])
+    def test_one_regular_and_one_heavy_table_alive(self, target, monkeypatch):
+        p = ModelParams(12, 4, 0.4)
+        live = {1.0: 0, 0.4: 0}
+        peak = dict(live)
+
+        def freed(rate):
+            live[rate] -= 1
+
+        def tracked_coordinate_law(count, ones_initial, rate, t):
+            law = _TrackedPmf(coordinate_law(count, ones_initial, rate, t).probs)
+            live[rate] += 1
+            peak[rate] = max(peak[rate], live[rate])
+            weakref.finalize(law, freed, rate)
+            return law
+
+        monkeypatch.setattr(dist_module, "coordinate_law", tracked_coordinate_law)
+        distance_curve(p, target, "full_scan")(1.0)
+        assert peak == {1.0: 1, 0.4: 1}
+        assert live == {1.0: 0, 0.4: 0}
 
 
 class TestMoments:

@@ -61,11 +61,6 @@ class TestMixingTime:
         assert result.value_lo == result.value_hi == pytest.approx(0.75)
         assert result.evaluations == 1
 
-    def test_hint_does_not_change_the_answer(self):
-        base = mixing_time(CLASSICAL, 0.25)
-        hinted = mixing_time(CLASSICAL, 0.25, t_hint=20.0)
-        assert abs(hinted.time - base.time) <= 2e-3 * CLASSICAL.relaxation_time
-
     def test_chain_target_dominates_observable(self):
         params = ModelParams(60, 12, 0.4)
         obs = mixing_time(params, 0.25, target="observable")
