@@ -78,6 +78,12 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(pp - qq).sum())
 
 
+def convolve_dense(a, b) -> np.ndarray:
+    """Convolution of two probability tables over their full lengths, zero
+    entries included: O(len(a) * len(b)) multiply-adds."""
+    return np.convolve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
 def tv_product_blocked(xr, xh, yr, yh) -> float:
     """Total variation of the product laws xr x xh and yr x yh, one half of
     the L1 distance of the outer products, summed over 512-row blocks of the

@@ -84,6 +84,43 @@ class TestBinomialPmf:
             binomial_pmf(5, 1.2)
 
 
+def _span(table: Pmf) -> np.ndarray:
+    """Entries from the first to the last non-zero one."""
+    nonzero = np.flatnonzero(table.probs)
+    return table.probs[nonzero[0] : nonzero[-1] + 1]
+
+
+def _assert_convolve_matches_dense(a: Pmf, b: Pmf) -> None:
+    """convolve against the full-length oracle: same length, exact zeros
+    outside the sum of the two non-zero spans, entries within 1e-16."""
+    got = convolve(a, b).probs
+    expected = oracles.convolve_dense(a.probs, b.probs)
+    assert got.size == expected.size == len(a) + len(b) - 1
+    nonzero_a, nonzero_b = np.flatnonzero(a.probs), np.flatnonzero(b.probs)
+    assert np.all(got[: nonzero_a[0] + nonzero_b[0]] == 0.0)
+    assert np.all(got[nonzero_a[-1] + nonzero_b[-1] + 1 :] == 0.0)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-16)
+
+
+@st.composite
+def _dyadic_count_table(draw):
+    """A pmf from small integer weights over a power-of-two total, with zero
+    heads, zero tails and interior zeros (a single entry is a point mass).
+
+    The power-of-two total makes every product and partial sum of two such
+    tables exact, so any summation order gives the same bits.  With other
+    totals a reordered sum can differ by one ulp, and one ulp of an entry
+    above 1/2 (1.1e-16) exceeds the 1e-16 tolerance: [1/3, 2/3] convolved
+    with [2/3, 1/3] reads 5/9 correctly rounded from the spans and one ulp
+    low from the full tables.
+    """
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    scale = 1 << max(sum(weights) - 1, 0).bit_length()
+    weights[draw(st.integers(0, len(weights) - 1))] += scale - sum(weights)
+    head, tail = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    return Pmf(np.concatenate([np.zeros(head), np.array(weights) / scale, np.zeros(tail)]))
+
+
 class TestConvolve:
     def test_two_dice(self):
         die = Pmf(np.full(6, 1 / 6))
@@ -103,6 +140,50 @@ class TestConvolve:
         left = convolve(binomial_pmf(a, prob), binomial_pmf(b, prob))
         right = binomial_pmf(a + b, prob)
         np.testing.assert_allclose(left.probs, right.probs, atol=1e-12)
+
+    @given(a=_dyadic_count_table(), b=_dyadic_count_table())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_with_zero_heads_tails_and_gaps(self, a, b):
+        point = Pmf([1.0])
+        for x, y in ((a, b), (b, a), (a, point), (point, b)):
+            _assert_convolve_matches_dense(x, y)
+
+    @given(
+        total=st.integers(2, 60),
+        heavy_share=st.floats(0.0, 1.0),
+        alpha=st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_on_time_zero_corner_laws(self, total, heavy_share, alpha):
+        p = ModelParams(total, round(heavy_share * total), alpha)
+        for init in corners(p):
+            _assert_convolve_matches_dense(*chain_law(p, init, 0.0))
+
+    def test_matches_dense_at_large_sizes(self):
+        _assert_convolve_matches_dense(binomial_pmf(90_000, 0.5), binomial_pmf(10_000, 0.275))
+
+    def test_observed_law_convolves_only_nonzero_spans(self, monkeypatch):
+        """At N = 10^5 most entries of each binomial table underflow to exact
+        zeros; np.convolve must see only the first-to-last non-zero spans."""
+        seen = []
+        dense = np.convolve
+
+        def spy(x, y):
+            seen.append((x, y))
+            return dense(x, y)
+
+        params, start, t = ModelParams(100_000, 10_000, 0.2), InitialState(0, 0), 5.0
+        monkeypatch.setattr(dist_module.np, "convolve", spy)
+        law = observed_law(params, start, t)
+        monkeypatch.undo()
+        assert len(law) == params.total_balls + 1
+        assert len(seen) == 3  # one per coordinate law, one for their sum
+        for table in (v for pair in seen for v in pair):
+            assert table[0] != 0.0 and table[-1] != 0.0
+        regular, heavy = chain_law(params, start, t)
+        assert np.array_equal(seen[-1][0], _span(regular))
+        assert np.array_equal(seen[-1][1], _span(heavy))
+        assert _span(regular).size < len(regular) / 4
 
 
 class TestSurvival:
