@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -251,11 +252,8 @@ def cmd_classify(args) -> str:
                 "declared mode needs --gamma-inf and --tilde-gamma-inf "
                 "(and --ell when gamma_inf >= 0)"
             )
-        declared = phase.DeclaredLimits(
-            gamma_inf=args.gamma_inf,
-            tilde_gamma_inf=args.tilde_gamma_inf,
-            m_diverges=args.m_diverges,
-            ell=args.ell,
+        declared = phase.DeclaredLimits(  # each field has a like-named flag
+            **{f.name: getattr(args, f.name) for f in fields(phase.DeclaredLimits)}
         )
     report = phase.classify(
         family,
@@ -274,10 +272,7 @@ def cmd_classify(args) -> str:
         "epsilon": args.epsilon,
     }
     if declared is not None:
-        config["gamma_inf"] = declared.gamma_inf
-        config["tilde_gamma_inf"] = declared.tilde_gamma_inf
-        config["m_diverges"] = declared.m_diverges
-        config["ell"] = declared.ell
+        config.update(asdict(declared))
     body = report.to_json_dict()
     return _json_text(
         {"schema": body.pop("schema"), "config": config, **body}

@@ -31,8 +31,8 @@ class Pmf:
 
     Entries that cancellation pushed slightly negative are clamped to zero.
     Total mass is renormalised when it drifts past 1e-12 and rejected when
-    it drifts further than log-space summation roundoff can explain (about
-    5e-15 per entry; that much drift means a bug, not roundoff).  The
+    it drifts past max(1e-9, 5e-15 * size), more than log-space summation
+    roundoff can explain (that much drift means a bug, not roundoff).  The
     underlying array is frozen so instances can be shared freely.
     """
 
@@ -77,6 +77,12 @@ class Pmf:
         return np.cumsum(self.probs)
 
 
+def _log_comb(n: int, k) -> np.ndarray:
+    """log C(n, k) through log-gamma, elementwise over k."""
+    k = np.asarray(k, dtype=float)
+    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+
+
 def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     """Binomial(trials, success_prob) computed through log-gamma.
 
@@ -94,13 +100,7 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability {p} outside [0, 1]")
     k = np.arange(trials + 1, dtype=float)
-    log_pmf = (
-        gammaln(trials + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(trials - k + 1.0)
-        + xlogy(k, p)
-        + xlog1py(trials - k, -p)
-    )
+    log_pmf = _log_comb(trials, k) + xlogy(k, p) + xlog1py(trials - k, -p)
     return Pmf(np.exp(log_pmf))
 
 
@@ -210,9 +210,9 @@ def stationary_chain(params: ModelParams) -> tuple[Pmf, Pmf]:
 def tv(a: Pmf, b: Pmf) -> float:
     """Total-variation distance, one half the L1 distance of the tables.
 
-    Clamped to 1: disjoint supports plus the 1e-15-scale mass drift each
-    table is allowed can push the raw half-sum a few ulp past the true
-    maximum.
+    Clamped to 1: a table may keep up to 1e-12 of mass drift without
+    renormalising, so on disjoint supports the raw half-sum can pass 1 by
+    about 1e-12.
     """
     width = max(len(a), len(b))
     pa = np.zeros(width)
@@ -234,8 +234,8 @@ def tv_product(x: tuple[Pmf, Pmf], y: tuple[Pmf, Pmf]) -> float:
     in O((n + m) log m) time and O(n + m) memory.  Then
     (1/2) sum |d| = sum d^+ - (1/2) sum d, and sum d = (sum xr)(sum xh) -
     (sum yr)(sum yh) keeps the allowed table-mass drift in, as the half-sum
-    has it.  Clamped to [0, 1]: that drift can push the raw value a few ulp
-    past either end.
+    has it.  Clamped to [0, 1]: that drift, up to 1e-12 per table, can push
+    the raw value about 1e-12 past either end.
     """
     xr, xh = x[0].probs, x[1].probs
     yr, yh = y[0].probs, y[1].probs

@@ -172,8 +172,35 @@ def predicted_times(params: ModelParams) -> PredictedTimes:
 # Parameter families m(N), alpha(N) used by the regime classifier.
 # ---------------------------------------------------------------------------
 
-M_RULE_KINDS = ("fixed", "power", "sqrtexp")
-ALPHA_RULE_KINDS = ("const", "invlog")
+# kind -> (argument types, value at size N given the arguments)
+_M_RULES = {
+    "fixed": ((int,), lambda size, c: int(c)),
+    "power": ((float,), lambda size, b: round(size**b)),
+    "sqrtexp": (
+        (float, float),
+        lambda size, c, ell: round(c * math.sqrt(size) * math.exp(ell / 2.0)),
+    ),
+}
+_ALPHA_RULES = {
+    "const": ((float,), lambda size, a: float(a)),
+    "invlog": ((float,), lambda size, a: float(a) / math.log(size)),
+}
+
+M_RULE_KINDS = tuple(_M_RULES)
+ALPHA_RULE_KINDS = tuple(_ALPHA_RULES)
+
+
+def _parse_rule(text: str, rules: dict, name: str) -> tuple:
+    """'kind:arg1,arg2,...' -> (kind, *args), each argument cast to its type."""
+    kind, _, arg = text.partition(":")
+    kind = kind.strip()
+    if kind not in rules:
+        raise ValueError(f"unknown {name} kind {kind!r} (expected one of {tuple(rules)})")
+    casts, parts = rules[kind][0], arg.split(",")
+    try:  # the strict zip raises ValueError on a wrong argument count
+        return (kind, *(cast(part) for cast, part in zip(casts, parts, strict=True)))
+    except ValueError as exc:
+        raise ValueError(f"malformed {name} argument in {text!r}") from exc
 
 
 def parse_m_rule(text: str) -> tuple:
@@ -183,19 +210,7 @@ def parse_m_rule(text: str) -> tuple:
     power:b       m(N) = round(N**b)
     sqrtexp:c,l   m(N) = round(c * sqrt(N) * exp(l / 2))
     """
-    kind, _, arg = text.partition(":")
-    kind = kind.strip()
-    try:
-        if kind == "fixed":
-            return ("fixed", int(arg))
-        if kind == "power":
-            return ("power", float(arg))
-        if kind == "sqrtexp":
-            coeff_text, _, ell_text = arg.partition(",")
-            return ("sqrtexp", float(coeff_text), float(ell_text))
-    except ValueError as exc:
-        raise ValueError(f"malformed m-rule argument in {text!r}") from exc
-    raise ValueError(f"unknown m-rule kind {kind!r} (expected one of {M_RULE_KINDS})")
+    return _parse_rule(text, _M_RULES, "m-rule")
 
 
 def parse_alpha_rule(text: str) -> tuple:
@@ -204,18 +219,16 @@ def parse_alpha_rule(text: str) -> tuple:
     const:a    alpha(N) = a
     invlog:a   alpha(N) = a / log N
     """
-    kind, _, arg = text.partition(":")
-    kind = kind.strip()
-    try:
-        if kind == "const":
-            return ("const", float(arg))
-        if kind == "invlog":
-            return ("invlog", float(arg))
-    except ValueError as exc:
-        raise ValueError(f"malformed alpha-rule argument in {text!r}") from exc
-    raise ValueError(
-        f"unknown alpha-rule kind {kind!r} (expected one of {ALPHA_RULE_KINDS})"
-    )
+    return _parse_rule(text, _ALPHA_RULES, "alpha-rule")
+
+
+def _check_rule(rule: tuple, rules: dict, name: str) -> None:
+    kind, *args = rule
+    if kind not in rules:
+        raise ValueError(f"unknown {name} kind {kind!r}")
+    arity = len(rules[kind][0])
+    if len(args) != arity:
+        raise ValueError(f"{name} {kind!r} takes {arity} argument(s), got {len(args)}")
 
 
 @dataclass(frozen=True)
@@ -227,10 +240,8 @@ class ParamFamily:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.m_rule[0] not in M_RULE_KINDS:
-            raise ValueError(f"unknown m-rule kind {self.m_rule[0]!r}")
-        if self.alpha_rule[0] not in ALPHA_RULE_KINDS:
-            raise ValueError(f"unknown alpha-rule kind {self.alpha_rule[0]!r}")
+        _check_rule(self.m_rule, _M_RULES, "m-rule")
+        _check_rule(self.alpha_rule, _ALPHA_RULES, "alpha-rule")
         if len(self.sizes) == 0:
             raise ValueError("sizes must be non-empty")
         if any(size < 2 for size in self.sizes):
@@ -239,19 +250,10 @@ class ParamFamily:
             raise ValueError("sizes must be strictly increasing")
 
     def m_of(self, size: int) -> int:
-        kind = self.m_rule[0]
-        if kind == "fixed":
-            return int(self.m_rule[1])
-        if kind == "power":
-            return round(size ** self.m_rule[1])
-        coeff, ell = self.m_rule[1], self.m_rule[2]
-        return round(coeff * math.sqrt(size) * math.exp(ell / 2.0))
+        return _M_RULES[self.m_rule[0]][1](size, *self.m_rule[1:])
 
     def alpha_of(self, size: int) -> float:
-        kind = self.alpha_rule[0]
-        if kind == "const":
-            return float(self.alpha_rule[1])
-        return float(self.alpha_rule[1]) / math.log(size)
+        return _ALPHA_RULES[self.alpha_rule[0]][1](size, *self.alpha_rule[1:])
 
     def instances(self) -> list[ModelParams]:
         return [

@@ -18,20 +18,15 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .model import CapacityError, InitialState, ModelParams
-from .dist import survival
+from .dist import _log_comb, survival
 from .bounds import coupling_union_bound
 
 BRUTE_FORCE_LIMIT = 10**6
 CHI_SQUARE_MAX_BALLS = 10
 SLACK_TOL = -1e-12
-
-
-def _log_comb(n: int, k) -> float:
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
 def mean_z(params: ModelParams, t: float) -> float:
@@ -211,9 +206,7 @@ def verify_negative_dependence(
         )
     min_slack = min(row.slack for row in rows)
     return NegDepReport(
-        total_balls=params.total_balls,
-        heavy_count=params.heavy_count,
-        heavy_rate=params.heavy_rate,
+        **asdict(params),
         t=t,
         rows=tuple(rows),
         min_slack=min_slack,

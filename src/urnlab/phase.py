@@ -98,10 +98,8 @@ def mixing_time(
             evaluations=evaluations,
         )
     times = predicted_times(params)
-    scale = max(
-        times.regular_cutoff,
-        times.heavy_cutoff if math.isfinite(times.heavy_cutoff) else 0.0,
-    )
+    # heavy_cutoff is -inf only when m = 0, and regular_cutoff is positive
+    scale = max(times.regular_cutoff, times.heavy_cutoff)
     ceiling = NO_CROSSING_FACTOR * scale
     lo, value_lo = 0.0, at_zero
     hi = value_hi = None
@@ -339,9 +337,7 @@ def classify(
     instances = family.instances()
     samples = tuple(
         FamilySample(
-            total_balls=p.total_balls,
-            heavy_count=p.heavy_count,
-            heavy_rate=p.heavy_rate,
+            **asdict(p),
             beta=p.beta,
             gamma=gamma(p),
             tilde_gamma=tilde_gamma(p),
@@ -384,8 +380,7 @@ def classify(
     obs_label = observable_regime(gamma_inf, ell, ell_div)
     chain_label = chain_regime(tilde_inf, m_div)
 
-    ratio_value = None
-    ratio_size = None
+    ratio_value = ratio_size = None
     if ratio == "auto":
         for candidate in reversed(instances):
             try:

@@ -15,6 +15,7 @@ from urnlab.bounds import (
     l2_upper_bound,
     product_chain_upper_bound,
 )
+from urnlab import bounds as bounds_module
 from urnlab.dist import chain_tv, observed_tv
 
 
@@ -134,7 +135,7 @@ class TestLowerBounds:
 
 class TestBoundCurve:
     def test_kinds_catalogue(self):
-        assert set(CURVE_KINDS) == {
+        assert CURVE_KINDS == (
             "coupling_ub",
             "l2_ub",
             "chain_l2_ub",
@@ -142,7 +143,7 @@ class TestBoundCurve:
             "kolmogorov_lb",
             "clt_lb",
             "exact",
-        }
+        )
 
     def test_coupling_curve_keeps_raw(self):
         curve = bound_curve(SMALL, "coupling_ub", [0.0, 1.0, 4.0])
@@ -169,6 +170,26 @@ class TestBoundCurve:
     def test_exact_kind_not_evaluated_here(self):
         with pytest.raises(ValueError):
             bound_curve(SMALL, "exact", [1.0])
+
+    @pytest.mark.parametrize("kind", ["exact", "nope"])
+    def test_unevaluated_kind_message(self, kind):
+        with pytest.raises(ValueError) as err:
+            bound_curve(SMALL, kind, [1.0])
+        assert str(err.value) == f"bound_curve cannot evaluate kind {kind!r}"
+
+    def test_dispatch_sees_wrapped_module_attribute(self, monkeypatch):
+        """A wrapper set on the module attribute, as a tracer installs one,
+        is what bound_curve calls."""
+        calls = []
+
+        def counting(params, t):
+            calls.append(t)
+            return l2_upper_bound(params, t)
+
+        monkeypatch.setattr(bounds_module, "l2_upper_bound", counting)
+        curve = bound_curve(SMALL, "l2_ub", [0.5, 2.0])
+        assert calls == [0.5, 2.0]
+        assert curve.values == tuple(l2_upper_bound(SMALL, t) for t in (0.5, 2.0))
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):

@@ -404,6 +404,12 @@ class TestClassify:
         assert payload["mode"] == "declared"
         assert payload["observable_regime"] == "DelayedCutoff"
         assert payload["config"]["ell"] == "inf"
+        assert list(payload["config"].items())[-4:] == [
+            ("gamma_inf", 1.5),
+            ("tilde_gamma_inf", 0.55),
+            ("m_diverges", True),
+            ("ell", "inf"),
+        ]
 
     def test_declared_contradiction_exits_65(self, capsys):
         code, _, err = run_cli(

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urnlab.model import (
+    ALPHA_RULE_KINDS,
+    M_RULE_KINDS,
     InitialState,
     ModelParams,
     ParamFamily,
@@ -150,6 +152,79 @@ class TestFamilies:
     def test_parse_alpha_rule_rejects(self, text):
         with pytest.raises(ValueError):
             parse_alpha_rule(text)
+
+    def test_parse_unknown_kind_messages(self):
+        with pytest.raises(ValueError) as m_err:
+            parse_m_rule("cubic:2")
+        assert str(m_err.value) == (
+            "unknown m-rule kind 'cubic' (expected one of ('fixed', 'power', 'sqrtexp'))"
+        )
+        with pytest.raises(ValueError) as alpha_err:
+            parse_alpha_rule("lin:0.2")
+        assert str(alpha_err.value) == (
+            "unknown alpha-rule kind 'lin' (expected one of ('const', 'invlog'))"
+        )
+
+    @pytest.mark.parametrize(
+        "parse, text, name",
+        [
+            (parse_m_rule, "fixed:5,3", "m-rule"),
+            (parse_m_rule, "power:1,2", "m-rule"),
+            (parse_m_rule, "sqrtexp:1,2,3", "m-rule"),
+            (parse_m_rule, "sqrtexp:1", "m-rule"),
+            (parse_m_rule, "fixed", "m-rule"),
+            (parse_alpha_rule, "const:1,2", "alpha-rule"),
+        ],
+    )
+    def test_parse_wrong_argument_count_is_malformed(self, parse, text, name):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert str(err.value) == f"malformed {name} argument in {text!r}"
+
+    def test_parse_strips_the_kind(self):
+        assert parse_m_rule(" power :0.5") == ("power", 0.5)
+
+    def test_rule_kind_catalogues(self):
+        assert M_RULE_KINDS == ("fixed", "power", "sqrtexp")
+        assert ALPHA_RULE_KINDS == ("const", "invlog")
+
+    @pytest.mark.parametrize(
+        "rule, size, expected",
+        [
+            (("fixed", 5), 1000, 5),
+            (("power", 0.3), 1000, 8),
+            (("sqrtexp", 2.5, -1.0), 1000, 48),
+        ],
+    )
+    def test_m_of_every_kind(self, rule, size, expected):
+        fam = ParamFamily(rule, ("const", 0.5), (size,))
+        value = fam.m_of(size)
+        assert value == expected and isinstance(value, int)
+
+    @pytest.mark.parametrize(
+        "rule, size, expected",
+        [
+            (("const", 0.2), 1000, 0.2),
+            (("invlog", 1.0), 10000, 0.10857362047581294),
+            (("invlog", 2.0), 1000, 0.2895296546021679),
+        ],
+    )
+    def test_alpha_of_every_kind(self, rule, size, expected):
+        fam = ParamFamily(("fixed", 1), rule, (size,))
+        assert fam.alpha_of(size) == expected
+
+    @pytest.mark.parametrize(
+        "m_rule, alpha_rule, message",
+        [
+            (("fixed", 5, 9), ("const", 0.5), "m-rule 'fixed' takes 1 argument(s), got 2"),
+            (("sqrtexp", 1.0), ("const", 0.5), "m-rule 'sqrtexp' takes 2 argument(s), got 1"),
+            (("fixed", 5), ("invlog",), "alpha-rule 'invlog' takes 1 argument(s), got 0"),
+        ],
+    )
+    def test_family_rejects_wrong_rule_arity(self, m_rule, alpha_rule, message):
+        with pytest.raises(ValueError) as err:
+            ParamFamily(m_rule, alpha_rule, (100,))
+        assert str(err.value) == message
 
     def test_rule_evaluation(self):
         fam = ParamFamily(
