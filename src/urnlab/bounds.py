@@ -144,7 +144,7 @@ class BoundCurve:
             raise ValueError("times and values must have equal length")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        if any(t < 0.0 for t in self.times):
+        if not all(t >= 0.0 for t in self.times):
             raise ValueError("times must be non-negative")
 
 

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(config: dict, columns: list[str], rows: list[list]) -> str:
+def _csv_text(config: dict, columns: list[str], rows) -> str:
     lines = [f"# urnlab {__version__}"]
     lines += [f"# {key} = {_fmt(value)}" for key, value in config.items()]
     lines.append(",".join(columns))
@@ -87,6 +87,18 @@ def _json_safe(obj):
 
 def _json_text(payload: dict) -> str:
     return json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n"
+
+
+def _table_text(args, schema: str, config: dict, columns: list[str], rows) -> str:
+    if args.format == "csv":
+        return _csv_text(config, columns, rows)
+    table = {"schema": schema, "config": config, "columns": columns, "rows": rows}
+    return _json_text(table)
+
+
+def _report_text(report, config: dict) -> str:
+    body = report.to_json_dict()
+    return _json_text({"schema": body.pop("schema"), "config": config, **body})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -121,13 +133,15 @@ def _parse_initial(text: str):
 def _time_grid(args) -> list[float]:
     if args.t_points < 1:
         raise ValueError("--t-points must be at least 1")
-    if args.t_start < 0.0:
+    if not args.t_start >= 0.0:
         raise ValueError("--t-start must be non-negative")
     if args.t_points == 1:
+        if args.t_stop is not None:
+            raise ValueError("--t-stop needs --t-points > 1 (one point is --t-start)")
         return [float(args.t_start)]
     if args.t_stop is None:
         raise ValueError("--t-stop is required when --t-points > 1")
-    if args.t_stop <= args.t_start:
+    if not args.t_stop > args.t_start:
         raise ValueError("--t-stop must exceed --t-start")
     if args.t_spacing == "geometric":
         if args.t_start <= 0.0:
@@ -145,21 +159,11 @@ def _time_grid(args) -> list[float]:
     return grid
 
 
-def _grid_config(args, grid: list[float]) -> dict:
-    return {
-        "t_start": grid[0],
-        "t_stop": grid[-1],
-        "t_points": len(grid),
-        "t_spacing": args.t_spacing,
-    }
-
-
-def _model_config(params: ModelParams) -> dict:
-    return {
-        "n_balls": params.total_balls,
-        "heavy": params.heavy_count,
-        "alpha": params.heavy_rate,
-    }
+def _config(args, **resolved) -> dict:
+    """The header: every flag but --format and --out, in declaration order."""
+    skip = ("format", "out", "handler")
+    flags = {key: value for key, value in vars(args).items() if key not in skip}
+    return {**flags, **resolved}  # a resolved value keeps its flag's place
 
 
 # ---------------------------------------------------------------------------
@@ -171,55 +175,37 @@ def cmd_curve(args) -> str:
     params = ModelParams(args.n_balls, args.heavy, args.alpha)
     strategy = _parse_initial(args.initial)
     grid = _time_grid(args)
-    config = {
-        "subcommand": "curve",
-        **_model_config(params),
-        "initial": args.initial,
-        **_grid_config(args, grid),
-        "chain": args.chain,
-    }
     columns = ["t", "D_obs"] + (["D_chain"] if args.chain else [])
     targets = ["observable", "chain"] if args.chain else ["observable"]
     curves = [dist.distance_curve(params, target, strategy) for target in targets]
     rows = [[t, *(curve(t) for curve in curves)] for t in grid]
-    if args.format == "json":
-        return _json_text(
-            {"schema": "curve/1", "config": config, "columns": columns, "rows": rows}
-        )
-    return _csv_text(config, columns, rows)
+    config = _config(args, t_stop=grid[-1])
+    return _table_text(args, "curve/1", config, columns, rows)
 
 
 def cmd_bounds(args) -> str:
     params = ModelParams(args.n_balls, args.heavy, args.alpha)
     strategy = _parse_initial(args.initial)
     grid = _time_grid(args)
-    config = {
-        "subcommand": "bounds",
-        **_model_config(params),
-        "initial": args.initial,
-        **_grid_config(args, grid),
-        "exact": args.exact,
-    }
-    columns = ["t", "lb_cheb", "lb_kolm", "lb_clt"]
-    if args.exact:
-        columns.append("exact")
-    columns += ["ub_l2", "ub_coupling_raw"]
-    # Lower bounds certify the all-right start; comparing them against a
-    # user-pinned different start would be meaningless, so the sandwich
-    # check on that side needs a dominating strategy.
-    lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
     cheb, kolm, clt, l2, coupling = (
         bounds_mod.bound_curve(params, kind, grid)
         for kind in ("chebyshev_lb", "kolmogorov_lb", "clt_lb", "l2_ub", "coupling_ub")
     )
+    table = {
+        "t": grid,
+        "lb_cheb": cheb.values,
+        "lb_kolm": kolm.values,
+        "lb_clt": clt.values,
+    }
     # only under --exact: building the curve resolves the guarded starts
     if args.exact:
         exact_curve = dist.distance_curve(params, "observable", strategy)
-    rows = []
-    for i, t in enumerate(grid):
-        row = [t, cheb.values[i], kolm.values[i], clt.values[i]]
-        if args.exact:
-            exact = exact_curve(t)
+        table["exact"] = [exact_curve(t) for t in grid]
+        # Lower bounds certify the all-right start; comparing them against a
+        # user-pinned different start would be meaningless, so the sandwich
+        # check on that side needs a dominating strategy.
+        lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
+        for i, (t, exact) in enumerate(zip(grid, table["exact"])):
             lower = max(cheb.values[i], kolm.values[i])
             upper = min(l2.values[i], coupling.values[i])
             if exact > upper + SANDWICH_TOL or (
@@ -229,14 +215,11 @@ def cmd_bounds(args) -> str:
                     f"bound sandwich broken at t={t:.17g}: exact={exact:.17g} "
                     f"outside [{lower:.17g}, {upper:.17g}]"
                 )
-            row.append(exact)
-        row += [l2.values[i], coupling.raw_values[i]]
-        rows.append(row)
-    if args.format == "json":
-        return _json_text(
-            {"schema": "bounds/1", "config": config, "columns": columns, "rows": rows}
-        )
-    return _csv_text(config, columns, rows)
+    table["ub_l2"] = l2.values
+    table["ub_coupling_raw"] = coupling.raw_values
+    config = _config(args, t_stop=grid[-1])
+    rows = list(zip(*table.values()))
+    return _table_text(args, "bounds/1", config, list(table), rows)
 
 
 def cmd_classify(args) -> str:
@@ -262,51 +245,33 @@ def cmd_classify(args) -> str:
         ratio=args.ratio,
         ratio_epsilon=args.epsilon,
     )
-    config = {
-        "subcommand": "classify",
-        "m_rule": args.m_rule,
-        "alpha_rule": args.alpha_rule,
-        "sizes": list(family.sizes),
-        "mode": args.mode,
-        "ratio": args.ratio,
-        "epsilon": args.epsilon,
-    }
-    if declared is not None:
-        config.update(asdict(declared))
-    body = report.to_json_dict()
-    return _json_text(
-        {"schema": body.pop("schema"), "config": config, **body}
-    )
+    config = _config(args, sizes=list(family.sizes))
+    if declared is None:  # the limits echo only in declared mode
+        for field in fields(phase.DeclaredLimits):
+            del config[field.name]
+    return _report_text(report, config)
 
 
 def cmd_negdep(args) -> str:
     params = ModelParams(args.n_balls, args.heavy, args.alpha)
-    if args.t_start < 0.0:
+    if not args.t >= 0.0:
         raise ValueError("--t-start must be non-negative")
     max_size = args.max_size if args.max_size is not None else params.total_balls
     report = negdep.verify_negative_dependence(
-        params, args.t_start, max_size, brute_force=args.brute
+        params, args.t, max_size, brute_force=args.brute
     )
     if not report.passed:
         raise InvariantViolation(
             "negative dependence failed: min slack "
             f"{report.min_slack:.17g} below {negdep.SLACK_TOL:.17g} "
-            f"(joint moment exceeded the product moment at t={args.t_start:.17g})"
+            f"(joint moment exceeded the product moment at t={args.t:.17g})"
         )
     if report.brute_max_error is not None and report.brute_max_error > BRUTE_MATCH_TOL:
         raise InvariantViolation(
             "closed-form and brute-force joint moments disagree by "
             f"{report.brute_max_error:.17g} (> {BRUTE_MATCH_TOL:.17g})"
         )
-    config = {
-        "subcommand": "negdep",
-        **_model_config(params),
-        "t": args.t_start,
-        "max_size": max_size,
-        "brute": args.brute,
-    }
-    body = report.to_json_dict()
-    return _json_text({"schema": body.pop("schema"), "config": config, **body})
+    return _report_text(report, _config(args, max_size=max_size))
 
 
 def cmd_simulate(args) -> str:
@@ -314,37 +279,24 @@ def cmd_simulate(args) -> str:
     init = _parse_initial(args.initial)
     if not isinstance(init, InitialState):
         raise ValueError("simulate needs an explicit --initial r,h start state")
-    if args.t_start < 0.0:
+    if not args.t >= 0.0:
         raise ValueError("--t-start must be non-negative")
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     batch = mc.sample_batch(
-        params, init, args.t_start, args.samples, args.seed, sampler=args.sampler
+        params, init, args.t, args.samples, args.seed, sampler=args.sampler
     )
-    config = {
-        "subcommand": "simulate",
-        **_model_config(params),
-        "initial": args.initial,
-        "t": args.t_start,
-        "samples": args.samples,
-        "seed": args.seed,
-        "sampler": args.sampler,
-    }
+    config = _config(args)
+    totals = batch.outcomes.sum(axis=1)
     if args.format == "csv":
         columns = ["index", "regular_left", "heavy_left", "total_left"]
+        parts = [np.arange(batch.count), batch.outcomes, totals]
         if batch.event_counts is not None:
             columns.append("events")
-        rows = []
-        for i in range(batch.count):
-            r, h = int(batch.outcomes[i, 0]), int(batch.outcomes[i, 1])
-            row = [i, r, h, r + h]
-            if batch.event_counts is not None:
-                row.append(int(batch.event_counts[i]))
-            rows.append(row)
-        return _csv_text(config, columns, rows)
-    totals = batch.outcomes.sum(axis=1)
+            parts.append(batch.event_counts)
+        return _csv_text(config, columns, np.column_stack(parts).tolist())
     empirical = mc.empirical_pmf(batch, projection="total")
-    exact = dist.observed_law(params, init, args.t_start)
+    exact = dist.observed_law(params, init, args.t)
     payload = {
         "schema": "simulate-summary/1",
         "config": config,
@@ -439,20 +391,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-rule", required=True, help="'const:a' or 'invlog:a'")
     p.add_argument("--sizes", required=True, help="comma-separated ball counts")
     p.add_argument("--mode", choices=("extrapolate", "declared"), default="extrapolate")
-    p.add_argument("--gamma-inf", type=float, default=None)
-    p.add_argument("--tilde-gamma-inf", type=float, default=None)
-    p.add_argument("--ell", type=float, default=None, help="finite value or 'inf'")
-    p.add_argument("--m-diverges", action="store_true")
     p.add_argument("--ratio", choices=("auto", "never"), default="auto")
     p.add_argument(
         "--epsilon", type=float, default=0.25, help="mixing threshold for the ratio"
     )
+    # declared limits in DeclaredLimits field order: the header echoes this order
+    p.add_argument("--gamma-inf", type=float, default=None)
+    p.add_argument("--tilde-gamma-inf", type=float, default=None)
+    p.add_argument("--m-diverges", action="store_true")
+    p.add_argument("--ell", type=float, default=None, help="finite value or 'inf'")
     _add_output_flags(p, formats=())
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("negdep", help="negative-dependence certificate table")
     _add_model_flags(p)
-    p.add_argument("--t-start", type=float, required=True, help="evaluation time")
+    p.add_argument(
+        "--t-start", dest="t", metavar="T_START", type=float, required=True,
+        help="evaluation time",
+    )
     p.add_argument(
         "--max-size", type=int, default=None, help="largest subset size (default N)"
     )
@@ -463,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo draws or summary")
     _add_model_flags(p)
     p.add_argument("--initial", default="0,0", help="start state 'r,h'")
-    p.add_argument("--t-start", type=float, required=True, help="evaluation time")
+    p.add_argument(
+        "--t-start", dest="t", metavar="T_START", type=float, required=True,
+        help="evaluation time",
+    )
     p.add_argument("--samples", type=int, required=True, help="number of draws")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=("coupled", "ctmc"), default="coupled")

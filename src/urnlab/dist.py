@@ -144,7 +144,7 @@ def _flip(rate: float, t: float) -> float:
 
 
 def survival(params: ModelParams, t: float) -> SurvivalPair:
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be non-negative")
     return SurvivalPair(
         heavy_survival=math.exp(-params.heavy_rate * t),
@@ -167,7 +167,7 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
         raise ValueError(f"ones_initial must lie in [0, {count}], got {ones_initial}")
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be non-negative")
     flip = _flip(rate, t)
     keep = 1.0 - flip

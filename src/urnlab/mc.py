@@ -97,7 +97,7 @@ def sample_ctmc(
     sample_coupled.
     """
     init.validate(params)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be non-negative")
     r_left, h_left, _ = _ctmc_draw(params, init, t, rng)
     return r_left, h_left
@@ -137,7 +137,7 @@ def sample_batch(
         raise ValueError(f"unknown sampler {sampler!r} (expected one of {_SAMPLERS})")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be non-negative")
     init.validate(params)
     outcomes = np.empty((count, 2), dtype=np.int64)

@@ -61,7 +61,7 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
     """
     if not 1 <= size <= params.total_balls:
         raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be non-negative")
     support, log_weights = _hypergeometric_log_weights(params, size)
     log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
@@ -234,7 +234,7 @@ def exact_chi_square(params: ModelParams, init: InitialState, t: float) -> float
             f"got {params.total_balls}"
         )
     init.validate(params)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be non-negative")
     n_balls = params.total_balls
     ones = init.total_left

@@ -185,7 +185,7 @@ def cutoff_profile(
         raise ValueError("window_unit must be positive")
     curve = dist.distance_curve(params, target)
     times = tuple(center_time + window_unit * float(o) for o in offsets)
-    if any(t < 0.0 for t in times):
+    if not all(t >= 0.0 for t in times):
         raise ValueError("every sampled time must be non-negative")
     return BoundCurve(
         kind="exact",
@@ -275,6 +275,9 @@ def chain_regime(tilde_gamma_inf: float | None, m_diverges: bool) -> str:
 
 def validate_declared(limits: DeclaredLimits) -> None:
     """Reject declared limits that violate an always-true implication."""
+    values = (limits.gamma_inf, limits.tilde_gamma_inf, limits.ell)
+    if any(v is not None and math.isnan(v) for v in values):
+        raise ValueError("declared limits must not be NaN")
     if limits.tilde_gamma_inf < 0.0 <= limits.gamma_inf:
         raise ContradictionError(
             "violated implication: tilde_gamma_inf < 0 forces gamma_inf < 0 "

@@ -200,6 +200,12 @@ class TestBoundCurve:
             BoundCurve("l2_ub", "observable", (-1.0, 1.0), (0.5, 0.5))
         with pytest.raises(ValueError):
             BoundCurve("l2_ub", "observable", (0.0, 1.0), (0.5,))
+        with pytest.raises(ValueError, match="non-negative"):
+            BoundCurve("l2_ub", "observable", (math.nan,), (0.5,))
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError):
+            bound_curve(SMALL, "l2_ub", [math.nan])
 
 
 class TestSandwich:

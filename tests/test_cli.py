@@ -172,6 +172,16 @@ class TestCurveErrors:
         assert out == ""
         assert all(flag in err for flag in ("--t-points", "--t-start", "--t-stop"))
 
+    @pytest.mark.parametrize("subcommand", ["curve", "bounds"])
+    def test_single_point_grid_refuses_t_stop(self, subcommand, capsys):
+        # one point evaluates --t-start only, so a --t-stop would be ignored
+        code, out, err = run_cli(
+            [subcommand, *MODEL, "--t-start", "1", "--t-stop", "5"], capsys
+        )
+        assert code == 64
+        assert out == ""
+        assert "--t-stop" in err and "--t-points" in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(["curve", *MODEL, "--bogus", "1"], capsys)
         assert code == 64
@@ -649,6 +659,86 @@ class TestSimulate:
         code, _, err = run_cli([*self.ARGS, "--initial", "corners"], capsys)
         assert code == 64
         assert "r,h" in err
+
+
+DECLARED = ["--mode", "declared", "--gamma-inf", "1.5", "--tilde-gamma-inf", "0.55"]
+FAMILY = ["--m-rule", "power:0.75", "--alpha-rule", "const:0.2", "--sizes", "100,1000"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["negdep", *MODEL, "--t-start", "nan"],
+        ["simulate", *MODEL, "--t-start", "nan", "--samples", "5"],
+        ["curve", *MODEL, "--t-start", "nan"],
+        ["bounds", *MODEL, "--t-start", "nan"],
+        ["curve", *MODEL, "--t-start", "1", "--t-stop", "nan", "--t-points", "3"],
+        ["classify", *FAMILY, "--mode", "declared", "--gamma-inf", "nan",
+         "--tilde-gamma-inf", "nan"],
+        ["classify", *FAMILY, *DECLARED, "--m-diverges", "--ell", "nan"],
+    ],
+    ids=[
+        "negdep", "simulate", "curve", "bounds", "t-stop", "declared-gamma",
+        "declared-ell",
+    ],
+)
+def test_nan_input_is_a_usage_error(argv, capsys):
+    # NaN fails every comparison, so it must not reach a result or a verdict
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("urnlab: error:")
+
+
+def _config_keys(out):
+    if out.startswith("{"):
+        return list(json.loads(out)["config"])
+    return [line[2:].split(" = ")[0] for line in out.splitlines()[1:] if line[:2] == "# "]
+
+
+MODEL_KEYS = ["n_balls", "heavy", "alpha"]
+GRID_KEYS = ["initial", "t_start", "t_stop", "t_points", "t_spacing"]
+CLASSIFY_KEYS = ["m_rule", "alpha_rule", "sizes", "mode", "ratio", "epsilon"]
+SIMULATE = ["simulate", *MODEL, "--t-start", "1", "--samples", "3"]
+SIMULATE_KEYS = [*MODEL_KEYS, "initial", "t", "samples", "seed", "sampler"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["curve", *MODEL], [*MODEL_KEYS, *GRID_KEYS, "chain"]),
+        (["bounds", *MODEL, "--format", "json"], [*MODEL_KEYS, *GRID_KEYS, "exact"]),
+        (["classify", "--ratio", "never", *FAMILY], CLASSIFY_KEYS),
+        (
+            ["classify", "--ratio", "never", *FAMILY, *DECLARED, "--m-diverges",
+             "--ell", "inf"],
+            [*CLASSIFY_KEYS, "gamma_inf", "tilde_gamma_inf", "m_diverges", "ell"],
+        ),
+        (["negdep", *MODEL, "--t-start", "1"], [*MODEL_KEYS, "t", "max_size", "brute"]),
+        (SIMULATE, SIMULATE_KEYS),
+        ([*SIMULATE, "--format", "json"], SIMULATE_KEYS),
+    ],
+    ids=[
+        "curve-csv", "bounds-json", "classify-extrapolate", "classify-declared",
+        "negdep", "simulate-csv", "simulate-json",
+    ],
+)
+def test_header_key_order(argv, keys, capsys):
+    # the header echoes the flags in declaration order; a reordered or added
+    # flag shows here
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert _config_keys(out) == ["subcommand", *keys]
+
+
+def test_header_holds_resolved_values(capsys):
+    _, out, _ = run_cli(["curve", *MODEL, "--t-start", "2"], capsys)
+    assert "# t_stop = 2" in out.splitlines()
+    _, out, _ = run_cli(["negdep", *MODEL, "--t-start", "1"], capsys)
+    assert json.loads(out)["config"]["max_size"] == 10
+    family = [*FAMILY[:4], "--sizes", "100, 1000,"]
+    _, out, _ = run_cli(["classify", "--ratio", "never", *family], capsys)
+    assert json.loads(out)["config"]["sizes"] == [100, 1000]
 
 
 class TestOutputFile:

@@ -197,6 +197,13 @@ class TestSurvival:
         with pytest.raises(ValueError):
             survival(ModelParams(10, 3, 0.5), -0.1)
 
+    def test_nan_time_rejected(self):
+        # a NaN time passes every `t < 0` test, so it must be refused as input
+        with pytest.raises(ValueError, match="non-negative"):
+            survival(ModelParams(10, 3, 0.5), math.nan)
+        with pytest.raises(ValueError, match="non-negative"):
+            coordinate_law(5, 2, 1.0, math.nan)
+
     def test_values(self):
         pair = survival(ModelParams(10, 3, 0.25), 2.0)
         assert pair.heavy_survival == pytest.approx(math.exp(-0.5), rel=1e-15)

@@ -52,6 +52,12 @@ class TestSamplers:
         with pytest.raises(ValueError):
             sample_ctmc(SMALL, CORNER, -1.0, draw_stream(0, 0))
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_ctmc(SMALL, CORNER, float("nan"), draw_stream(0, 0))
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_batch(SMALL, CORNER, float("nan"), 5, seed=0)
+
     def test_init_validated(self):
         with pytest.raises(ValueError):
             sample_coupled(SMALL, InitialState(5, 0), 1.0, draw_stream(0, 0))

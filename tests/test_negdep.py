@@ -64,6 +64,13 @@ class TestJointMoment:
         with pytest.raises(ValueError):
             joint_moment(p, 1.0, 7)
 
+    def test_nan_time_rejected(self):
+        p = ModelParams(6, 2, 0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            joint_moment(p, math.nan, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            exact_chi_square(p, InitialState(1, 1), math.nan)
+
     def test_brute_force_capacity_guard(self):
         with pytest.raises(CapacityError):
             brute_force_joint_moment(ModelParams(40, 20, 0.5), 1.0, 2)

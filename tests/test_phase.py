@@ -122,6 +122,8 @@ class TestCutoffProfile:
     def test_negative_sample_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             cutoff_profile(CLASSICAL, 1.0, (-2.0, 0.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            cutoff_profile(CLASSICAL, math.nan, (0.0,))
 
     def test_nonpositive_window_unit_rejected(self):
         with pytest.raises(ValueError, match="window_unit"):
@@ -182,6 +184,21 @@ class TestValidateDeclared:
             validate_declared(
                 DeclaredLimits(gamma_inf=0.5, tilde_gamma_inf=0.1, m_diverges=True, ell=-0.5)
             )
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            DeclaredLimits(gamma_inf=math.nan, tilde_gamma_inf=math.nan, m_diverges=True),
+            DeclaredLimits(gamma_inf=-1.0, tilde_gamma_inf=math.nan, m_diverges=False),
+            DeclaredLimits(gamma_inf=1.0, tilde_gamma_inf=0.5, m_diverges=True, ell=math.nan),
+        ],
+        ids=["gamma", "tilde_gamma", "ell"],
+    )
+    def test_nan_limit_is_a_usage_error(self, limits):
+        # ValueError, not ContradictionError: NaN is bad input, not a contradiction
+        with pytest.raises(ValueError, match="NaN") as info:
+            validate_declared(limits)
+        assert not isinstance(info.value, ContradictionError)
 
     def test_missing_ell_with_nonnegative_gamma(self):
         with pytest.raises(ValueError, match="requires a declared ell"):
