@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InitialState, ModelParams
+from .model import InitialState, ModelParams, check_time
 from .dist import observable_mean_variance, observed_law, stationary_observed, survival
 
 _SQRT2 = math.sqrt(2.0)
@@ -89,6 +89,12 @@ def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
     Each half-line event is a single event, so the maximum gap is a certified
     lower bound on total variation, and it dominates the Chebyshev value
     because the latter certifies one particular half-line.
+
+    It is the exact distance dist.observed_tv(params, t, InitialState(0, 0)):
+    both factor laws lie below their stationary binomials in likelihood-ratio
+    order, which convolution of log-concave laws keeps (Shaked & Shanthikumar,
+    Stochastic Orders, 1.C), so p_t - pi changes sign once and the largest
+    CDF gap is the total variation.
     """
     law = observed_law(params, InitialState(0, 0), t)
     target = stationary_observed(params)
@@ -144,8 +150,8 @@ class BoundCurve:
             raise ValueError("times and values must have equal length")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        if not all(t >= 0.0 for t in self.times):
-            raise ValueError("times must be non-negative")
+        for t in self.times:
+            check_time(t, "times")
 
 
 def bound_curve(params: ModelParams, kind: str, times) -> BoundCurve:

@@ -29,6 +29,7 @@ from .model import (
     InitialState,
     ModelParams,
     ParamFamily,
+    check_time,
     parse_alpha_rule,
     parse_m_rule,
 )
@@ -133,14 +134,14 @@ def _parse_initial(text: str):
 def _time_grid(args) -> list[float]:
     if args.t_points < 1:
         raise ValueError("--t-points must be at least 1")
-    if not args.t_start >= 0.0:
-        raise ValueError("--t-start must be non-negative")
+    check_time(args.t_start, "--t-start")
     if args.t_points == 1:
         if args.t_stop is not None:
             raise ValueError("--t-stop needs --t-points > 1 (one point is --t-start)")
         return [float(args.t_start)]
     if args.t_stop is None:
         raise ValueError("--t-stop is required when --t-points > 1")
+    check_time(args.t_stop, "--t-stop")
     if not args.t_stop > args.t_start:
         raise ValueError("--t-stop must exceed --t-start")
     if args.t_spacing == "geometric":
@@ -203,7 +204,9 @@ def cmd_bounds(args) -> str:
         table["exact"] = [exact_curve(t) for t in grid]
         # Lower bounds certify the all-right start; comparing them against a
         # user-pinned different start would be meaningless, so the sandwich
-        # check on that side needs a dominating strategy.
+        # check on that side needs a dominating strategy.  lb_kolm is the exact
+        # distance from the all-right start, which such a strategy covers, so
+        # that side cross-checks two reductions of one law (CDF gap and TV).
         lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
         for i, (t, exact) in enumerate(zip(grid, table["exact"])):
             lower = max(cheb.values[i], kolm.values[i])
@@ -239,11 +242,7 @@ def cmd_classify(args) -> str:
             **{f.name: getattr(args, f.name) for f in fields(phase.DeclaredLimits)}
         )
     report = phase.classify(
-        family,
-        mode=args.mode,
-        declared=declared,
-        ratio=args.ratio,
-        ratio_epsilon=args.epsilon,
+        family, declared=declared, ratio=args.ratio, ratio_epsilon=args.epsilon
     )
     config = _config(args, sizes=list(family.sizes))
     if declared is None:  # the limits echo only in declared mode
@@ -254,8 +253,7 @@ def cmd_classify(args) -> str:
 
 def cmd_negdep(args) -> str:
     params = ModelParams(args.n_balls, args.heavy, args.alpha)
-    if not args.t >= 0.0:
-        raise ValueError("--t-start must be non-negative")
+    check_time(args.t, "--t-start")
     max_size = args.max_size if args.max_size is not None else params.total_balls
     report = negdep.verify_negative_dependence(
         params, args.t, max_size, brute_force=args.brute
@@ -279,10 +277,7 @@ def cmd_simulate(args) -> str:
     init = _parse_initial(args.initial)
     if not isinstance(init, InitialState):
         raise ValueError("simulate needs an explicit --initial r,h start state")
-    if not args.t >= 0.0:
-        raise ValueError("--t-start must be non-negative")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+    check_time(args.t, "--t-start")
     batch = mc.sample_batch(
         params, init, args.t, args.samples, args.seed, sampler=args.sampler
     )

@@ -17,7 +17,7 @@ from itertools import groupby
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from .model import CapacityError, InitialState, ModelParams, corners
+from .model import CapacityError, InitialState, ModelParams, check_time, corners
 
 FULL_SCAN_LIMIT = 100_000
 
@@ -144,8 +144,7 @@ def _flip(rate: float, t: float) -> float:
 
 
 def survival(params: ModelParams, t: float) -> SurvivalPair:
-    if not t >= 0.0:
-        raise ValueError("time must be non-negative")
+    check_time(t)
     return SurvivalPair(
         heavy_survival=math.exp(-params.heavy_rate * t),
         regular_survival=math.exp(-t),
@@ -167,8 +166,7 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
         raise ValueError(f"ones_initial must lie in [0, {count}], got {ones_initial}")
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    if not t >= 0.0:
-        raise ValueError("time must be non-negative")
+    check_time(t)
     flip = _flip(rate, t)
     keep = 1.0 - flip
     return convolve(

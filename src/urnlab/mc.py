@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialState, ModelParams
+from .model import CapacityError, InitialState, ModelParams, check_time
 from .dist import Pmf, stationary_observed, survival, tv
 
 _SAMPLERS = ("coupled", "ctmc")
+CTMC_EVENT_LIMIT = 10**8
 
 
 def draw_stream(seed: int, index: int) -> np.random.Generator:
@@ -86,6 +87,15 @@ def _ctmc_draw(
     return r_left, h_left, events
 
 
+def _check_event_budget(params: ModelParams, t: float, draws: int) -> None:
+    """Refuse an event-driven run expecting more than CTMC_EVENT_LIMIT events."""
+    expected = (params.regular_count + params.heavy_count * params.heavy_rate) * t
+    if expected * draws > CTMC_EVENT_LIMIT:
+        raise CapacityError(
+            f"{expected * draws:.3g} expected ctmc events exceed the {CTMC_EVENT_LIMIT} guard"
+        )
+
+
 def sample_ctmc(
     params: ModelParams, init: InitialState, t: float, rng: np.random.Generator
 ) -> tuple[int, int]:
@@ -93,12 +103,12 @@ def sample_ctmc(
 
     Exponential holding times at total rate n + m alpha; each event redraws
     the side of a uniformly chosen ball of the selected species.  Costs
-    O((n + m alpha) t) per draw; serves as the physical oracle for
-    sample_coupled.
+    O((n + m alpha) t) per draw, guarded at CTMC_EVENT_LIMIT expected
+    events; serves as the physical oracle for sample_coupled.
     """
     init.validate(params)
-    if not t >= 0.0:
-        raise ValueError("time must be non-negative")
+    check_time(t)
+    _check_event_budget(params, t, 1)
     r_left, h_left, _ = _ctmc_draw(params, init, t, rng)
     return r_left, h_left
 
@@ -131,14 +141,16 @@ def sample_batch(
     """Draw `count` independent states, one keyed stream per draw.
 
     sampler "ctmc" additionally records per-draw event counts (their mean
-    should match (n + m alpha) t).
+    should match (n + m alpha) t); it is guarded at CTMC_EVENT_LIMIT expected
+    events over the batch.
     """
     if sampler not in _SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r} (expected one of {_SAMPLERS})")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not t >= 0.0:
-        raise ValueError("time must be non-negative")
+    check_time(t)
+    if sampler == "ctmc":
+        _check_event_budget(params, t, count)
     init.validate(params)
     outcomes = np.empty((count, 2), dtype=np.int64)
     events = np.empty(count, dtype=np.int64) if sampler == "ctmc" else None

@@ -19,6 +19,12 @@ class CapacityError(RuntimeError):
     """Raised when an exact computation would exceed its guarded size budget."""
 
 
+def check_time(t: float, name: str = "time") -> None:
+    """Refuse a NaN, infinite or negative time (NaN fails every comparison)."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"{name} must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable parameter triple (total_balls, heavy_count, heavy_rate).

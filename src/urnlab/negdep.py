@@ -20,12 +20,11 @@ from itertools import combinations
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import CapacityError, InitialState, ModelParams
+from .model import CapacityError, ModelParams, check_time
 from .dist import _log_comb, survival
 from .bounds import coupling_union_bound
 
 BRUTE_FORCE_LIMIT = 10**6
-CHI_SQUARE_MAX_BALLS = 10
 SLACK_TOL = -1e-12
 
 
@@ -61,8 +60,7 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
     """
     if not 1 <= size <= params.total_balls:
         raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
-    if not t >= 0.0:
-        raise ValueError("time must be non-negative")
+    check_time(t)
     support, log_weights = _hypergeometric_log_weights(params, size)
     log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
     # Scalar left-to-right sum: np.sum's pairwise order would move the last bits.
@@ -215,39 +213,29 @@ def verify_negative_dependence(
     )
 
 
-def exact_chi_square(params: ModelParams, init: InitialState, t: float) -> float:
+def exact_chi_square(params: ModelParams, t: float) -> float:
     """Chi-square of the coupled law against the uniform law on {0,1}^N.
 
-    The coupled configuration keeps coordinate i at its initial value where
-    the survival indicator fires and resamples it fairly otherwise.  With the
-    initial pattern held fixed (r + h ones; exchangeability makes the
-    positions irrelevant) and the heavy placement averaged uniformly, the law
-    is a uniform mixture of product measures.  Enumerates all C(N, m)
-    placements and the full 2^N cube, so it is guarded at N <= 10.
-
-    At alpha = 1 the indicators are independent and the result equals
-    (1 + mean_z^2)^N - 1 exactly; for alpha < 1 it sits strictly below.
+    The coupled configuration keeps coordinate i at its start where the
+    survival indicator fires and resamples it fairly otherwise, so its law is
+    the uniform mixture over heavy placements p of product laws mu_p, and
+    2^N sum_x mu_p(x) mu_q(x) = prod_i (1 + k_p(i) k_q(i)) whatever the start,
+    k the survival of the species at i.  The overlap j = |p & q| has the
+    hypergeometric weights w_j, so with x, y the heavy and regular survivals
+        chi^2 = sum_j w_j [(1 + x^2)^j (1 + xy)^(2(m - j)) (1 + y^2)^(N - 2m + j) - 1],
+    non-negative terms summed in log space (math.inf past the float range).
+    At alpha = 1 it equals (1 + mean_z^2)^N - 1; for alpha < 1 it sits below.
     """
-    if params.total_balls > CHI_SQUARE_MAX_BALLS:
-        raise CapacityError(
-            f"chi-square enumeration needs N <= {CHI_SQUARE_MAX_BALLS}, "
-            f"got {params.total_balls}"
-        )
-    init.validate(params)
-    if not t >= 0.0:
-        raise ValueError("time must be non-negative")
-    n_balls = params.total_balls
-    ones = init.total_left
     pair = survival(params, t)
-    accumulated = np.zeros(2**n_balls)
-    placements = list(combinations(range(n_balls), params.heavy_count))
-    for placement in placements:
-        heavy_positions = set(placement)
-        law = np.ones(1)
-        for i in range(n_balls):
-            keep = pair.heavy_survival if i in heavy_positions else pair.regular_survival
-            on = (1.0 + keep) / 2.0 if i < ones else (1.0 - keep) / 2.0
-            law = np.kron(law, np.array([1.0 - on, on]))
-        accumulated += law
-    mixture = accumulated / len(placements)
-    return float(2**n_balls * (mixture @ mixture) - 1.0)
+    x, y = pair.heavy_survival, pair.regular_survival
+    n_balls, m = params.total_balls, params.heavy_count
+    overlap, log_weights = _hypergeometric_log_weights(params, m)
+    exponents = (
+        overlap * math.log1p(x * x)
+        + 2 * (m - overlap) * math.log1p(x * y)
+        + (n_balls - 2 * m + overlap) * math.log1p(y * y)
+    )
+    # log expm1(e) = e + log(-expm1(-e)): exact at both ends, -inf at e = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        log_terms = log_weights + exponents + np.log(-np.expm1(-exponents))
+        return float(np.exp(logsumexp(log_terms)))

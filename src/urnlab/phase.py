@@ -185,8 +185,6 @@ def cutoff_profile(
         raise ValueError("window_unit must be positive")
     curve = dist.distance_curve(params, target)
     times = tuple(center_time + window_unit * float(o) for o in offsets)
-    if not all(t >= 0.0 for t in times):
-        raise ValueError("every sampled time must be non-negative")
     return BoundCurve(
         kind="exact",
         target=target,
@@ -317,24 +315,22 @@ def _finite_n_ell(params: ModelParams) -> float:
 
 def classify(
     family: ParamFamily,
-    mode: str = "extrapolate",
     declared: DeclaredLimits | None = None,
     ratio: str = "auto",
     ratio_epsilon: float = 0.25,
 ) -> RegimeReport:
     """Classify a parameter family into its observable and chain regimes.
 
-    extrapolate mode estimates the limits from the two largest sizes: an
-    exponent whose values disagree by more than 5% (relative, with an
-    absolute floor of 1) is Undetermined; ell is declared divergent when it
-    grows by more than 20% between the two largest sizes.  declared mode
-    takes the limits as given, after checking them for contradictions.
+    Without `declared` (extrapolate mode) the limits are estimated from the
+    two largest sizes: an exponent whose values disagree by more than 5%
+    (relative, with an absolute floor of 1) is Undetermined; ell is declared
+    divergent when it grows by more than 20% between the two largest sizes.
+    With `declared` (declared mode) the limits are taken as given, after
+    checking them for contradictions.
 
     ratio: "auto" computes the product-condition ratio at the largest size
     whose chain state space fits the capacity guard, "never" skips it.
     """
-    if mode not in ("extrapolate", "declared"):
-        raise ValueError(f"unknown mode {mode!r}")
     if ratio not in ("auto", "never"):
         raise ValueError(f"unknown ratio policy {ratio!r}")
     instances = family.instances()
@@ -350,9 +346,7 @@ def classify(
     )
     largest = instances[-1]
 
-    if mode == "declared":
-        if declared is None:
-            raise ValueError("declared mode needs a DeclaredLimits value")
+    if declared is not None:
         validate_declared(declared)
         gamma_inf = declared.gamma_inf
         tilde_inf = declared.tilde_gamma_inf
@@ -394,7 +388,7 @@ def classify(
                 continue
 
     return RegimeReport(
-        mode=mode,
+        mode="extrapolate" if declared is None else "declared",
         samples=samples,
         gamma_inf=gamma_inf,
         tilde_gamma_inf=tilde_inf,

@@ -2,8 +2,8 @@
 
 Everything here recomputes model quantities through a different route than
 the package (matrix exponential of the explicit generator, direct bit-level
-enumeration in plain floats), so agreement is evidence rather than the same
-code tested against itself.
+enumeration in plain floats, 40-digit arithmetic), so agreement is evidence
+rather than the same code tested against itself.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.stats import norm
@@ -124,6 +125,28 @@ def chi_square_mixture(n_balls: int, m: int, alpha: float, ones: int, t: float) 
             mass[config] += prob
     mu = mass / len(placements)
     return float(2**n_balls * np.dot(mu, mu) - 1.0)
+
+
+def chi_square_overlap_mp(n_balls: int, m: int, alpha: float, t: float) -> float:
+    """The overlap sum of negdep.exact_chi_square in 40-digit arithmetic.
+
+    Same formula, so it checks rounding, not the derivation (the bit-level
+    chi_square_mixture checks that): exact binomial weights of the overlap j
+    of two heavy placements, each term a plain product of powers minus 1.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.exp(-mpmath.mpf(alpha) * t)
+        y = mpmath.exp(-mpmath.mpf(t))
+        total = mpmath.mpf(0)
+        for j in range(max(0, 2 * m - n_balls), m + 1):
+            weight = mpmath.binomial(m, j) * mpmath.binomial(n_balls - m, m - j)
+            power = (
+                (1 + x * x) ** j
+                * (1 + x * y) ** (2 * (m - j))
+                * (1 + y * y) ** (n_balls - 2 * m + j)
+            )
+            total += weight * (power - 1)
+        return float(total / mpmath.binomial(n_balls, m))
 
 
 def subset_survival_moment(n_balls: int, m: int, alpha: float, t: float, size: int) -> float:

@@ -262,18 +262,16 @@ def test_criterion_6_no_cutoff_window(acceptance):
 
 def test_criterion_7_chi_square_equality_case(acceptance):
     """The chi-square identity is tight for iid species, strict otherwise."""
-    init = InitialState(4, 2)
-
     iid = ModelParams(6, 2, 1.0)
     z = math.exp(-1.0)
     product_form = (1.0 + z * z) ** 6 - 1.0
-    equality_gap = abs(negdep.exact_chi_square(iid, init, 1.0) - product_form)
+    equality_gap = abs(negdep.exact_chi_square(iid, 1.0) - product_form)
 
     mixed = ModelParams(6, 2, 0.5)
     s_reg = math.exp(-1.0)
     s_heavy = math.exp(-0.5)
     bound = (1.0 + s_heavy**2) ** 2 * (1.0 + s_reg**2) ** 4 - 1.0
-    strict_gap = bound - negdep.exact_chi_square(mixed, init, 1.0)
+    strict_gap = bound - negdep.exact_chi_square(mixed, 1.0)
 
     ok = equality_gap <= 1e-10 and strict_gap >= 1e-6
     acceptance(

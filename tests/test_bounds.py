@@ -119,6 +119,22 @@ class TestLowerBounds:
         for t in (0.0, 1.0, 2.5, 5.0):
             assert kolmogorov_lower_bound(p, t) <= observed_tv(p, t) + 1e-12
 
+    def test_kolmogorov_equals_distance_from_all_right_start(self):
+        """Both factor laws sit below stationarity in likelihood-ratio order,
+        so the CDF gap of the all-right start is its total variation."""
+        all_right = InitialState(0, 0)
+        for p in [
+            ModelParams(10, 3, 0.5),
+            ModelParams(50, 10, 0.2),
+            ModelParams(100, 1, 1.0),
+            ModelParams(1000, 100, 0.3),
+            ModelParams(2000, 1000, 0.7),
+            ModelParams(10_000, 100, 0.1),
+        ]:
+            for t in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0):
+                exact = observed_tv(p, t, all_right)
+                assert abs(kolmogorov_lower_bound(p, t) - exact) <= 2e-12
+
     def test_clt_value(self):
         # c = 5 at t = 0 for N = 100: 2 Phi(5) - 1
         p = ModelParams(100, 20, 0.5)
@@ -202,10 +218,13 @@ class TestBoundCurve:
             BoundCurve("l2_ub", "observable", (0.0, 1.0), (0.5,))
         with pytest.raises(ValueError, match="non-negative"):
             BoundCurve("l2_ub", "observable", (math.nan,), (0.5,))
+        with pytest.raises(ValueError, match="non-negative"):
+            BoundCurve("l2_ub", "observable", (1.0, math.inf), (0.5, 0.5))
 
     def test_nan_time_rejected(self):
-        with pytest.raises(ValueError):
-            bound_curve(SMALL, "l2_ub", [math.nan])
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                bound_curve(SMALL, "l2_ub", [t])
 
 
 class TestSandwich:

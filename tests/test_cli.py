@@ -6,6 +6,7 @@ streams can be asserted exactly.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -660,6 +661,15 @@ class TestSimulate:
         assert code == 64
         assert "r,h" in err
 
+    def test_ctmc_past_event_guard_is_refused(self, capsys):
+        argv = ["simulate", *MODEL, "--t-start", "1e300", "--samples", "1",
+                "--sampler", "ctmc"]
+        started = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("urnlab: capacity guard:")
+
 
 DECLARED = ["--mode", "declared", "--gamma-inf", "1.5", "--tilde-gamma-inf", "0.55"]
 FAMILY = ["--m-rule", "power:0.75", "--alpha-rule", "const:0.2", "--sizes", "100,1000"]
@@ -676,14 +686,22 @@ FAMILY = ["--m-rule", "power:0.75", "--alpha-rule", "const:0.2", "--sizes", "100
         ["classify", *FAMILY, "--mode", "declared", "--gamma-inf", "nan",
          "--tilde-gamma-inf", "nan"],
         ["classify", *FAMILY, *DECLARED, "--m-diverges", "--ell", "nan"],
+        ["negdep", *MODEL, "--t-start", "inf"],
+        ["simulate", *MODEL, "--t-start", "inf", "--samples", "5"],
+        ["simulate", *MODEL, "--t-start", "inf", "--samples", "1", "--sampler", "ctmc"],
+        ["curve", *MODEL, "--t-start", "inf"],
+        ["bounds", *MODEL, "--t-start", "inf"],
+        ["curve", *MODEL, "--t-start", "1", "--t-stop", "inf", "--t-points", "3"],
     ],
     ids=[
         "negdep", "simulate", "curve", "bounds", "t-stop", "declared-gamma",
-        "declared-ell",
+        "declared-ell", "negdep-inf", "simulate-inf", "simulate-ctmc-inf",
+        "curve-inf", "bounds-inf", "t-stop-inf",
     ],
 )
 def test_nan_input_is_a_usage_error(argv, capsys):
-    # NaN fails every comparison, so it must not reach a result or a verdict
+    # NaN fails every comparison and an infinite time has no law, so neither
+    # may reach a result or a verdict
     code, out, err = run_cli(argv, capsys)
     assert code == 64
     assert out == ""

@@ -199,10 +199,11 @@ class TestSurvival:
 
     def test_nan_time_rejected(self):
         # a NaN time passes every `t < 0` test, so it must be refused as input
-        with pytest.raises(ValueError, match="non-negative"):
-            survival(ModelParams(10, 3, 0.5), math.nan)
-        with pytest.raises(ValueError, match="non-negative"):
-            coordinate_law(5, 2, 1.0, math.nan)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                survival(ModelParams(10, 3, 0.5), t)
+            with pytest.raises(ValueError, match="non-negative"):
+                coordinate_law(5, 2, 1.0, t)
 
     def test_values(self):
         pair = survival(ModelParams(10, 3, 0.25), 2.0)

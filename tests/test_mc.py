@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
-from urnlab.model import InitialState, ModelParams
+from urnlab.model import CapacityError, InitialState, ModelParams
 from urnlab import dist
 from urnlab.mc import (
+    CTMC_EVENT_LIMIT,
     draw_stream,
     empirical_pmf,
     estimate_observed_tv,
@@ -53,10 +56,22 @@ class TestSamplers:
             sample_ctmc(SMALL, CORNER, -1.0, draw_stream(0, 0))
 
     def test_nan_time_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            sample_ctmc(SMALL, CORNER, float("nan"), draw_stream(0, 0))
-        with pytest.raises(ValueError, match="non-negative"):
-            sample_batch(SMALL, CORNER, float("nan"), 5, seed=0)
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-negative"):
+                sample_ctmc(SMALL, CORNER, t, draw_stream(0, 0))
+            with pytest.raises(ValueError, match="non-negative"):
+                sample_batch(SMALL, CORNER, t, 5, seed=0)
+
+    def test_ctmc_event_guard(self):
+        # SMALL runs at total rate 4 + 2 * 0.5 = 5 events per unit time
+        started = time.perf_counter()
+        with pytest.raises(CapacityError):
+            sample_ctmc(SMALL, CORNER, 1e300, draw_stream(0, 0))
+        with pytest.raises(CapacityError):
+            sample_batch(SMALL, CORNER, CTMC_EVENT_LIMIT / 50.0, 11, 0, sampler="ctmc")
+        assert time.perf_counter() - started < 1.0
+        # the coupled sampler is O(1) per draw and needs no guard
+        assert sample_batch(SMALL, CORNER, 1e300, 2, 0).count == 2
 
     def test_init_validated(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from urnlab.model import (
     InitialState,
     ModelParams,
     ParamFamily,
+    check_time,
     corners,
     gamma,
     parse_alpha_rule,
@@ -16,6 +17,18 @@ from urnlab.model import (
     predicted_times,
     tilde_gamma,
 )
+
+
+class TestCheckTime:
+    def test_accepts_finite_non_negative(self):
+        for t in (0.0, 1e-300, 2.5, 1e300):
+            check_time(t)
+
+    @pytest.mark.parametrize("t", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_with_the_given_name(self, t):
+        message = "^--t-stop must be finite and non-negative$"
+        with pytest.raises(ValueError, match=message):
+            check_time(t, "--t-stop")
 
 
 class TestModelParams:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from urnlab.model import CapacityError, InitialState, ModelParams
+from urnlab.model import CapacityError, ModelParams
 from urnlab.negdep import (
     BRUTE_FORCE_LIMIT,
     SLACK_TOL,
@@ -66,10 +66,11 @@ class TestJointMoment:
 
     def test_nan_time_rejected(self):
         p = ModelParams(6, 2, 0.5)
-        with pytest.raises(ValueError, match="non-negative"):
-            joint_moment(p, math.nan, 2)
-        with pytest.raises(ValueError, match="non-negative"):
-            exact_chi_square(p, InitialState(1, 1), math.nan)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                joint_moment(p, t, 2)
+            with pytest.raises(ValueError, match="non-negative"):
+                exact_chi_square(p, t)
 
     def test_brute_force_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -212,40 +213,72 @@ class TestExactChiSquare:
             (6, 3, 0.8, 3, 0, 2.0),
         ]:
             p = ModelParams(n, m, alpha)
-            ours = exact_chi_square(p, InitialState(r, h), t)
+            ours = exact_chi_square(p, t)
             reference = oracles.chi_square_mixture(n, m, alpha, r + h, t)
             assert ours == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_enumeration_oracle_from_every_start(self, n):
+        """The value does not depend on the start: the bit-level oracle,
+        which fixes `ones` initial ones, agrees for every one of them."""
+        for m in range(n + 1):
+            for alpha in (0.25, 0.5, 1.0):
+                for t in (0.1, 0.5, 1.0, 3.0):
+                    ours = exact_chi_square(ModelParams(n, m, alpha), t)
+                    for ones in range(n + 1):
+                        reference = oracles.chi_square_mixture(n, m, alpha, ones, t)
+                        assert ours == pytest.approx(reference, rel=1e-12)
+
+    def test_matches_forty_digit_sum(self):
+        # rel 1e-11: the log-gamma overlap weights carry up to ~2.5e-12 at N = 1000
+        for n in (2, 3, 6, 40, 200, 1000):
+            for m in sorted({1, n // 10, n // 2, n - 1}):
+                for alpha in (0.1, 0.5, 1.0):
+                    for t in (0.0, 0.5, 2.0, 8.0):
+                        reference = oracles.chi_square_overlap_mp(n, m, alpha, t)
+                        ours = exact_chi_square(ModelParams(n, m, alpha), t)
+                        assert ours == pytest.approx(reference, rel=1e-11)
 
     def test_single_rate_equality(self):
         """With one clock rate the coordinates are independent and the
         chi-square factorises into (1 + z^2)^N - 1 exactly."""
         p = ModelParams(6, 2, 1.0)
         t = 1.0
-        chi = exact_chi_square(p, InitialState(4, 2), t)
+        chi = exact_chi_square(p, t)
         z = mean_z(p, t)
         assert chi == pytest.approx((1 + z * z) ** 6 - 1.0, abs=1e-10)
 
     def test_two_rates_strictly_below_product_form(self):
         p = ModelParams(6, 2, 0.5)
         t = 1.0
-        chi = exact_chi_square(p, InitialState(4, 2), t)
+        chi = exact_chi_square(p, t)
         z = mean_z(p, t)
         assert (1 + z * z) ** 6 - 1.0 - chi >= 1e-6
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            exact_chi_square(ModelParams(11, 2, 0.5), InitialState(0, 0), 1.0)
+    def test_large_instances_are_finite(self):
+        # N = 11 was past the old enumeration's guard; N = 10^6 sums 10^4 + 1 terms
+        for p, t in [(ModelParams(11, 2, 0.5), 1.0), (ModelParams(10**6, 10**4, 0.2), 30.0)]:
+            assert 0.0 < exact_chi_square(p, t) < math.inf
+
+    @pytest.mark.parametrize("m", [1000, 20])
+    def test_past_float_range_is_inf(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_chi_square(ModelParams(2000, m, 0.5), 0.0) == math.inf
+
+    def test_no_cancellation_at_late_times(self):
+        # the enumeration's 2^N sum(mu^2) - 1 rounds to 0.0 here (about 4e-18)
+        value = exact_chi_square(ModelParams(10, 3, 0.5), 40.0)
+        assert value > 0.0
+        assert value == pytest.approx(
+            oracles.chi_square_overlap_mp(10, 3, 0.5, 40.0), rel=1e-12
+        )
 
     def test_rejects_bad_arguments(self):
-        p = ModelParams(6, 2, 0.5)
         with pytest.raises(ValueError):
-            exact_chi_square(p, InitialState(5, 0), 1.0)
-        with pytest.raises(ValueError):
-            exact_chi_square(p, InitialState(0, 0), -1.0)
+            exact_chi_square(ModelParams(6, 2, 0.5), -1.0)
 
     def test_decreasing_in_time(self):
         p = ModelParams(6, 2, 0.5)
-        values = [
-            exact_chi_square(p, InitialState(4, 2), t) for t in (0.5, 1.0, 2.0, 4.0)
-        ]
+        values = [exact_chi_square(p, t) for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(values, values[1:]))

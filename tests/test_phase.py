@@ -124,6 +124,8 @@ class TestCutoffProfile:
             cutoff_profile(CLASSICAL, 1.0, (-2.0, 0.0))
         with pytest.raises(ValueError, match="non-negative"):
             cutoff_profile(CLASSICAL, math.nan, (0.0,))
+        with pytest.raises(ValueError, match="non-negative"):
+            cutoff_profile(CLASSICAL, math.inf, (0.0,))
 
     def test_nonpositive_window_unit_rejected(self):
         with pytest.raises(ValueError, match="window_unit"):
@@ -327,12 +329,6 @@ class TestClassifyExtrapolate:
         assert report.ratio_size == 100
         assert report.product_condition_ratio is not None
 
-    @pytest.mark.parametrize("bad", ["guess", "", "declared "])
-    def test_unknown_mode(self, bad):
-        family = ParamFamily(("fixed", 1), ("const", 1.0), (100, 1000))
-        with pytest.raises(ValueError, match="unknown mode"):
-            classify(family, mode=bad)
-
     def test_unknown_ratio_policy(self):
         family = ParamFamily(("fixed", 1), ("const", 1.0), (100, 1000))
         with pytest.raises(ValueError, match="ratio policy"):
@@ -346,7 +342,7 @@ class TestClassifyDeclared:
         declared = DeclaredLimits(
             gamma_inf=1.5, tilde_gamma_inf=0.55, m_diverges=True, ell=math.inf
         )
-        report = classify(self.FAMILY, mode="declared", declared=declared, ratio="never")
+        report = classify(self.FAMILY, declared=declared, ratio="never")
         assert report.observable_regime == "DelayedCutoff"
         assert report.chain_regime == "DelayedCutoff"
         assert report.ell is None
@@ -357,7 +353,7 @@ class TestClassifyDeclared:
         declared = DeclaredLimits(
             gamma_inf=0.3, tilde_gamma_inf=0.2, m_diverges=True, ell=2.0
         )
-        report = classify(self.FAMILY, mode="declared", declared=declared, ratio="never")
+        report = classify(self.FAMILY, declared=declared, ratio="never")
         assert report.observable_regime == "NoCutoff"
         assert report.chain_regime == "DelayedCutoff"
         assert report.ell == 2.0
@@ -365,7 +361,7 @@ class TestClassifyDeclared:
 
     def test_negative_limits_give_insensitivity(self):
         declared = DeclaredLimits(gamma_inf=-1.0, tilde_gamma_inf=-0.4, m_diverges=False)
-        report = classify(self.FAMILY, mode="declared", declared=declared, ratio="never")
+        report = classify(self.FAMILY, declared=declared, ratio="never")
         assert report.observable_regime == "Insensitivity"
         assert report.chain_regime == "Insensitivity"
         assert report.ell is None
@@ -376,8 +372,14 @@ class TestClassifyDeclared:
             gamma_inf=0.5, tilde_gamma_inf=-0.1, m_diverges=True, ell=math.inf
         )
         with pytest.raises(ContradictionError):
-            classify(self.FAMILY, mode="declared", declared=declared, ratio="never")
+            classify(self.FAMILY, declared=declared, ratio="never")
 
-    def test_declared_mode_needs_limits(self):
-        with pytest.raises(ValueError, match="DeclaredLimits"):
-            classify(self.FAMILY, mode="declared", ratio="never")
+    def test_mode_follows_the_declared_limits(self):
+        declared = DeclaredLimits(1.5, 0.55, True, 2.0)
+        report = classify(self.FAMILY, declared=declared, ratio="never")
+        assert report.mode == "declared"
+        assert report.observable_regime == "NoCutoff"
+        # the same family extrapolated sees ell grow and calls it delayed
+        report = classify(self.FAMILY, ratio="never")
+        assert report.mode == "extrapolate"
+        assert report.observable_regime == "DelayedCutoff"
