@@ -7,12 +7,16 @@ simulation (physical, O(events)).  Agreement between the two validates both.
 
 Randomness contract: draw j of a batch uses its own counter-based stream
 keyed by (seed, j), so regenerating any draw, any subset, in any order, on
-any machine with the same numpy yields identical outcomes.
+any machine with the same numpy yields identical outcomes.  A batch builds
+one Philox generator and, before draw j, re-keys it to (seed, j) with a zero
+counter and an empty buffer: Philox is counter-based, so that is the stream
+a fresh `draw_stream(seed, j)` yields, which reproduces draw j on its own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +28,43 @@ _SAMPLERS = ("coupled", "ctmc")
 CTMC_EVENT_LIMIT = 10**8
 
 
+def _check_key(seed: int, index: int) -> None:
+    """Refuse a Philox key (seed, index) that would not fit two uint64 words."""
+    for name, value in (("seed", seed), ("draw index", index)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= int(value) < 2**64:
+            raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+
+
 def draw_stream(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one draw; pure function of (seed, index)."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if index < 0:
-        raise ValueError("draw index must be non-negative")
+    _check_key(seed, index)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _coupled_species(
+    params: ModelParams, init: InitialState, t: float
+) -> tuple[tuple[int, int, float], ...]:
+    """Per species (count, initially left, survival) at time t, regular first."""
+    pair = survival(params, t)
+    return (
+        (params.regular_count, init.regular_left, pair.regular_survival),
+        (params.heavy_count, init.heavy_left, pair.heavy_survival),
+    )
+
+
+def _coupled_draw(
+    species: tuple[tuple[int, int, float], ...], rng: np.random.Generator
+) -> tuple[int, int]:
+    counts = []
+    for side_count, initially_left, keep_prob in species:
+        left_survivors = rng.binomial(initially_left, keep_prob)
+        right_survivors = rng.binomial(side_count - initially_left, keep_prob)
+        undecided = side_count - left_survivors - right_survivors
+        counts.append(int(left_survivors) + int(rng.binomial(undecided, 0.5)))
+    return counts[0], counts[1]
 
 
 def sample_coupled(
@@ -44,17 +77,7 @@ def sample_coupled(
     indicators into binomials keeps the draw exact and O(1).
     """
     init.validate(params)
-    pair = survival(params, t)
-    counts = []
-    for side_count, initially_left, keep_prob in (
-        (params.regular_count, init.regular_left, pair.regular_survival),
-        (params.heavy_count, init.heavy_left, pair.heavy_survival),
-    ):
-        left_survivors = rng.binomial(initially_left, keep_prob)
-        right_survivors = rng.binomial(side_count - initially_left, keep_prob)
-        undecided = side_count - left_survivors - right_survivors
-        counts.append(int(left_survivors) + int(rng.binomial(undecided, 0.5)))
-    return counts[0], counts[1]
+    return _coupled_draw(_coupled_species(params, init, t), rng)
 
 
 def _ctmc_draw(
@@ -140,6 +163,10 @@ def sample_batch(
 ) -> SampleBatch:
     """Draw `count` independent states, one keyed stream per draw.
 
+    One generator serves the batch: before draw j it is re-keyed to
+    (seed, j) with its counter and buffer reset, the state of a fresh
+    `draw_stream(seed, j)`, so draw j equals what that stream alone yields.
+
     sampler "ctmc" additionally records per-draw event counts (their mean
     should match (n + m alpha) t); it is guarded at CTMC_EVENT_LIMIT expected
     events over the batch.
@@ -148,16 +175,30 @@ def sample_batch(
         raise ValueError(f"unknown sampler {sampler!r} (expected one of {_SAMPLERS})")
     if count < 1:
         raise ValueError("count must be at least 1")
+    _check_key(seed, count - 1)
     check_time(t)
     if sampler == "ctmc":
         _check_event_budget(params, t, count)
     init.validate(params)
+    species = _coupled_species(params, init, t)
     outcomes = np.empty((count, 2), dtype=np.int64)
     events = np.empty(count, dtype=np.int64) if sampler == "ctmc" else None
+    rng = draw_stream(seed, 0)
+    bit_generator = rng.bit_generator
+    key = [int(seed), 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for index in range(count):
-        rng = draw_stream(seed, index)
+        key[1] = index
+        bit_generator.state = fresh
         if sampler == "coupled":
-            outcomes[index] = sample_coupled(params, init, t, rng)
+            outcomes[index] = _coupled_draw(species, rng)
         else:
             r_left, h_left, n_events = _ctmc_draw(params, init, t, rng)
             outcomes[index] = (r_left, h_left)

@@ -2,8 +2,9 @@
 
 Everything here recomputes model quantities through a different route than
 the package (matrix exponential of the explicit generator, direct bit-level
-enumeration in plain floats, 40-digit arithmetic), so agreement is evidence
-rather than the same code tested against itself.
+enumeration in plain floats, 40-digit arithmetic, one freshly built
+generator per Monte Carlo draw), so agreement is evidence rather than the
+same code tested against itself.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.stats import norm
+
+from urnlab import mc
 
 ORACLE_STATE_LIMIT = 20_000
 
@@ -184,3 +187,23 @@ def no_cutoff_profile(n_balls: int, m: int, c: float) -> float:
     """
     shift = m / math.sqrt(n_balls) * math.exp(-c)
     return float(2.0 * norm.cdf(shift / 2.0) - 1.0)
+
+
+def sample_batch_per_draw(params, init, t: float, count: int, seed: int, sampler: str):
+    """(outcomes, event_counts) of a batch, one fresh draw_stream(seed, j) per draw.
+
+    The route sample_batch took before it re-keyed one generator per batch:
+    draw j builds its own Philox stream and goes through the public
+    sample_coupled or the event-driven draw.  event_counts is None for the
+    coupled sampler.
+    """
+    outcomes = np.empty((count, 2), dtype=np.int64)
+    events = np.empty(count, dtype=np.int64) if sampler == "ctmc" else None
+    for index in range(count):
+        rng = mc.draw_stream(seed, index)
+        if sampler == "coupled":
+            outcomes[index] = mc.sample_coupled(params, init, t, rng)
+        else:
+            r_left, h_left, events[index] = mc._ctmc_draw(params, init, t, rng)
+            outcomes[index] = (r_left, h_left)
+    return outcomes, events

@@ -2,7 +2,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import sample_batch_per_draw
 from urnlab.model import CapacityError, InitialState, ModelParams
 from urnlab import dist
 from urnlab.mc import (
@@ -17,6 +19,20 @@ from urnlab.mc import (
 
 SMALL = ModelParams(6, 2, 0.5)
 CORNER = InitialState(0, 0)
+SEED_EDGES = (0, 2**63 + 5, 2**64 - 1)
+
+
+@st.composite
+def _batch_cases(draw):
+    """Small params, any valid start, t from 0, seeds up to 2^64 - 1."""
+    total = draw(st.integers(2, 12))
+    params = ModelParams(total, draw(st.integers(0, total)), draw(st.floats(0.05, 1.0)))
+    init = InitialState(
+        draw(st.integers(0, params.regular_count)), draw(st.integers(0, params.heavy_count))
+    )
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    seed = draw(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1)))
+    return params, init, t, draw(st.integers(1, 300)), seed
 
 
 class TestDrawStream:
@@ -37,6 +53,15 @@ class TestDrawStream:
             draw_stream(2**64, 0)
         with pytest.raises(ValueError):
             draw_stream(0, -1)
+        with pytest.raises(ValueError):
+            draw_stream(0, 2**64)
+
+    @pytest.mark.parametrize("seed", [0.5, 1.0, True, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw_stream(seed, 0)
+        with pytest.raises(ValueError, match="draw index must be an integer"):
+            draw_stream(0, seed)
 
 
 class TestSamplers:
@@ -119,6 +144,34 @@ class TestBatch:
             sample_batch(SMALL, CORNER, -0.5, 5, seed=0)
         with pytest.raises(ValueError):
             sample_batch(SMALL, CORNER, 0.5, 5, seed=0, sampler="magic")
+
+    @pytest.mark.parametrize("sampler", ["coupled", "ctmc"])
+    def test_seed_validation(self, sampler):
+        for seed in (0.5, True, -1, 2**64):
+            with pytest.raises(ValueError, match="seed must"):
+                sample_batch(SMALL, CORNER, 0.5, 5, seed=seed, sampler=sampler)
+        # the last draw index must fit too; refused before anything is allocated
+        with pytest.raises(ValueError, match="draw index must fit"):
+            sample_batch(SMALL, CORNER, 0.5, 2**64 + 1, seed=0, sampler=sampler)
+
+    def test_numpy_integer_seed(self):
+        a = sample_batch(SMALL, CORNER, 0.8, 20, seed=np.uint64(2**64 - 1))
+        b = sample_batch(SMALL, CORNER, 0.8, 20, seed=2**64 - 1)
+        np.testing.assert_array_equal(a.outcomes, b.outcomes)
+
+    @pytest.mark.parametrize("sampler", ["coupled", "ctmc"])
+    @given(case=_batch_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_draw_streams(self, sampler, case):
+        """The re-keyed batch generator yields every draw's own stream."""
+        params, init, t, count, seed = case
+        batch = sample_batch(params, init, t, count, seed, sampler=sampler)
+        outcomes, events = sample_batch_per_draw(params, init, t, count, seed, sampler)
+        assert np.array_equal(batch.outcomes, outcomes)
+        if sampler == "ctmc":
+            assert np.array_equal(batch.event_counts, events)
+        else:
+            assert batch.event_counts is None
 
 
 class TestEmpirical:
