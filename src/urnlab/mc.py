@@ -1,16 +1,24 @@
 """Monte Carlo cross-validation samplers.
 
-Two independent routes to the same laws: `sample_coupled` draws the
+Two independent routes to the same laws: the coupled sampler draws the
 time-t state in O(1) from the per-ball survival construction (exact, no time
-discretisation), while `sample_ctmc` runs the event-driven continuous-time
-simulation (physical, O(events)).  Agreement between the two validates both.
+discretisation), while the ctmc sampler runs the event-driven jump process
+(physical, O(events)).  Agreement between the two validates both.  Each is
+one block kernel that draws a whole chunk per numpy call; `sample_coupled`
+and `sample_ctmc` run the same kernels on one draw.
 
-Randomness contract: draw j of a batch uses its own counter-based stream
-keyed by (seed, j), so regenerating any draw, any subset, in any order, on
-any machine with the same numpy yields identical outcomes.  A batch builds
-one Philox generator and, before draw j, re-keys it to (seed, j) with a zero
-counter and an empty buffer: Philox is counter-based, so that is the stream
-a fresh `draw_stream(seed, j)` yields, which reproduces draw j on its own.
+Randomness contract: draw j of a batch lies in block b = j // BLOCK and
+reads its variates from Philox substreams keyed by (seed, b, kind): key
+[seed, 16 b + kind], counter starting at top word 1.  Kinds 0-5 are, for the
+regular then the heavy species, the coupled sampler's left survivors, right
+survivors and fair coins; kinds 6-9 are the ctmc sampler's event counts and
+its species, ball and coin uniforms.  Within a block each substream is read
+in draw order, so draw j depends only on (seed, j): a batch is a prefix of
+any longer batch with the same seed, on any machine with the same numpy, and
+its bytes do not depend on the chunk size the kernels work in.
+`draw_stream(seed, j)` keeps counter top word 0, so it never overlaps a
+batch substream and no longer reproduces batch draw j.  Batch bytes changed
+when the block substreams replaced one `draw_stream(seed, j)` per draw.
 """
 
 from __future__ import annotations
@@ -26,6 +34,11 @@ from .dist import Pmf, stationary_observed, survival, tv
 
 _SAMPLERS = ("coupled", "ctmc")
 CTMC_EVENT_LIMIT = 10**8
+BLOCK = 65_536
+_KINDS_PER_BLOCK = 16
+_COUPLED_KINDS = range(0, 6)
+_CTMC_KINDS = range(6, 10)
+_CHUNK = 8_192  # draws (coupled) or events (ctmc) per numpy call
 
 
 def _check_key(seed: int, index: int) -> None:
@@ -37,11 +50,25 @@ def _check_key(seed: int, index: int) -> None:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
 
-def draw_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one draw; pure function of (seed, index)."""
+def _philox(seed: int, index: int, counter_top: int) -> np.random.Generator:
     _check_key(seed, index)
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    counter = np.array([0, 0, 0, counter_top], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def draw_stream(seed: int, index: int) -> np.random.Generator:
+    """Counter-based stream keyed by (seed, index), a pure function of both.
+
+    Its counter starts at top word 0, so it is disjoint from every batch
+    substream; it does not reproduce draw `index` of `sample_batch`.
+    """
+    return _philox(seed, index, 0)
+
+
+def _substreams(seed: int, block: int, kinds: range) -> tuple[np.random.Generator, ...]:
+    """Batch substreams of `block`, one per kind, counter top word 1."""
+    return tuple(_philox(seed, block * _KINDS_PER_BLOCK + kind, 1) for kind in kinds)
 
 
 def _coupled_species(
@@ -55,16 +82,24 @@ def _coupled_species(
     )
 
 
-def _coupled_draw(
-    species: tuple[tuple[int, int, float], ...], rng: np.random.Generator
-) -> tuple[int, int]:
-    counts = []
-    for side_count, initially_left, keep_prob in species:
-        left_survivors = rng.binomial(initially_left, keep_prob)
-        right_survivors = rng.binomial(side_count - initially_left, keep_prob)
-        undecided = side_count - left_survivors - right_survivors
-        counts.append(int(left_survivors) + int(rng.binomial(undecided, 0.5)))
-    return counts[0], counts[1]
+def _coupled_kernel(
+    species: tuple[tuple[int, int, float], ...],
+    streams: tuple[np.random.Generator, ...],
+    outcomes: np.ndarray,
+) -> None:
+    """Fill `outcomes` (draws x 2) with coupled draws, _CHUNK draws at a time.
+
+    Species s reads its left survivors, right survivors and coins from
+    streams[3s], streams[3s + 1] and streams[3s + 2], each in draw order.
+    """
+    for lo in range(0, len(outcomes), _CHUNK):
+        size = min(_CHUNK, len(outcomes) - lo)
+        for column, (side_count, initially_left, keep_prob) in enumerate(species):
+            left_rng, right_rng, coin_rng = streams[3 * column : 3 * column + 3]
+            left = left_rng.binomial(initially_left, keep_prob, size)
+            right = right_rng.binomial(side_count - initially_left, keep_prob, size)
+            coins = coin_rng.binomial(side_count - left - right, 0.5)
+            outcomes[lo : lo + size, column] = left + coins
 
 
 def sample_coupled(
@@ -74,40 +109,67 @@ def sample_coupled(
 
     Per species: balls that have not been redrawn (binomial survivors on each
     side) stay put, the rest land on fair coins.  Aggregating the per-ball
-    indicators into binomials keeps the draw exact and O(1).
+    indicators into binomials keeps the draw exact and O(1).  This is the
+    batch kernel on one draw with every kind read from `rng`, in the order
+    regular survivors left, right, coins, then the same for heavy.
     """
     init.validate(params)
-    return _coupled_draw(_coupled_species(params, init, t), rng)
+    outcome = np.empty((1, 2), dtype=np.int64)
+    _coupled_kernel(_coupled_species(params, init, t), (rng,) * 6, outcome)
+    return int(outcome[0, 0]), int(outcome[0, 1])
 
 
-def _ctmc_draw(
-    params: ModelParams, init: InitialState, t: float, rng: np.random.Generator
-) -> tuple[int, int, int]:
+def _ctmc_kernel(
+    params: ModelParams,
+    init: InitialState,
+    t: float,
+    streams: tuple[np.random.Generator, ...],
+    outcomes: np.ndarray,
+    events: np.ndarray,
+) -> None:
+    """Fill `outcomes` (draws x 2) and `events` with event-driven draws.
+
+    Draw j makes K_j ~ Poisson((n + m alpha) t) events (streams[0]).  Each
+    event, in draw-major order, takes one uniform each for its species
+    (heavy below the heavy share of the rate, streams[1]), its ball (ball
+    floor(u count) of that species, streams[2]; balls below the start's left
+    count start left) and its coin (left below 1/2, streams[3]).  A ball
+    ends on the side its last event's coin chose.  Event counts come _CHUNK
+    draws at a time and events _CHUNK at a time; the last events of a draw
+    cut by a chunk edge are carried into the next chunk, so temporaries stay
+    O(_CHUNK + N) however many events one draw makes.
+    """
     n, m = params.regular_count, params.heavy_count
     heavy_rate_total = m * params.heavy_rate
     total_rate = n + heavy_rate_total
-    r_left, h_left = init.regular_left, init.heavy_left
-    events = 0
-    if total_rate <= 0.0:
-        return r_left, h_left, events
-    clock = 0.0
     heavy_share = heavy_rate_total / total_rate
-    while True:
-        clock += rng.exponential(1.0 / total_rate)
-        if clock > t:
-            break
-        events += 1
-        if rng.random() < heavy_share:
-            if rng.random() * m < h_left:
-                h_left -= 1
-            if rng.random() < 0.5:
-                h_left += 1
-        else:
-            if rng.random() * n < r_left:
-                r_left -= 1
-            if rng.random() < 0.5:
-                r_left += 1
-    return r_left, h_left, events
+    count_rng, species_rng, ball_rng, coin_rng = streams
+    empty = np.empty(0, dtype=np.int64)
+    outcomes[:] = (init.regular_left, init.heavy_left)
+    for lo in range(0, len(outcomes), _CHUNK):
+        counts = count_rng.poisson(total_rate * t, min(_CHUNK, len(outcomes) - lo))
+        events[lo : lo + counts.size] = counts
+        ends = np.cumsum(counts)
+        carried = (empty, empty, empty)
+        for first in range(0, int(ends[-1]), _CHUNK):
+            stop = min(first + _CHUNK, int(ends[-1]))
+            draw = np.searchsorted(ends, np.arange(first, stop), side="right")
+            heavy = species_rng.random(stop - first) < heavy_share
+            ball = (ball_rng.random(stop - first) * np.where(heavy, m, n)).astype(np.int64)
+            ball += heavy * n
+            coin = (coin_rng.random(stop - first) < 0.5).astype(np.int64)
+            draw, ball, coin = (np.concatenate(pair) for pair in zip(carried, (draw, ball, coin)))
+            keys = draw * (n + m) + ball
+            _, from_end = np.unique(keys[::-1], return_index=True)
+            last = keys.size - 1 - from_end  # each (draw, ball)'s last event, by key
+            draw, ball, coin = draw[last], ball[last], coin[last]
+            open_draw = draw[-1]
+            cut = np.searchsorted(draw, open_draw) if ends[open_draw] > stop else draw.size
+            carried = (draw[cut:], ball[cut:], coin[cut:])
+            draw, ball, coin = draw[:cut], ball[:cut], coin[:cut]
+            is_heavy = ball >= n
+            started_left = np.where(is_heavy, ball - n < init.heavy_left, ball < init.regular_left)
+            np.add.at(outcomes, (lo + draw, is_heavy.astype(np.intp)), coin - started_left)
 
 
 def _check_event_budget(params: ModelParams, t: float, draws: int) -> None:
@@ -124,16 +186,19 @@ def sample_ctmc(
 ) -> tuple[int, int]:
     """One draw via the event-driven simulation of the jump process.
 
-    Exponential holding times at total rate n + m alpha; each event redraws
-    the side of a uniformly chosen ball of the selected species.  Costs
+    Poisson((n + m alpha) t) events, each redrawing the side of a uniformly
+    chosen ball of a species picked in proportion to its rate.  Costs
     O((n + m alpha) t) per draw, guarded at CTMC_EVENT_LIMIT expected
-    events; serves as the physical oracle for sample_coupled.
+    events; serves as the physical oracle for sample_coupled.  This is the
+    batch kernel on one draw with every kind read from `rng`, so past
+    _CHUNK events its bytes depend on the chunk size (batches' do not).
     """
     init.validate(params)
     check_time(t)
     _check_event_budget(params, t, 1)
-    r_left, h_left, _ = _ctmc_draw(params, init, t, rng)
-    return r_left, h_left
+    outcome, events = np.empty((1, 2), dtype=np.int64), np.empty(1, dtype=np.int64)
+    _ctmc_kernel(params, init, t, (rng,) * 4, outcome, events)
+    return int(outcome[0, 0]), int(outcome[0, 1])
 
 
 @dataclass(frozen=True)
@@ -161,11 +226,11 @@ def sample_batch(
     seed: int,
     sampler: str = "coupled",
 ) -> SampleBatch:
-    """Draw `count` independent states, one keyed stream per draw.
+    """Draw `count` independent states through the block kernels.
 
-    One generator serves the batch: before draw j it is re-keyed to
-    (seed, j) with its counter and buffer reset, the state of a fresh
-    `draw_stream(seed, j)`, so draw j equals what that stream alone yields.
+    Block b holds draws b BLOCK to (b + 1) BLOCK - 1 and reads the
+    substreams keyed by (seed, b, kind), so draw j depends only on
+    (seed, j); the module docstring lists the kinds.
 
     sampler "ctmc" additionally records per-draw event counts (their mean
     should match (n + m alpha) t); it is guarded at CTMC_EVENT_LIMIT expected
@@ -183,26 +248,13 @@ def sample_batch(
     species = _coupled_species(params, init, t)
     outcomes = np.empty((count, 2), dtype=np.int64)
     events = np.empty(count, dtype=np.int64) if sampler == "ctmc" else None
-    rng = draw_stream(seed, 0)
-    bit_generator = rng.bit_generator
-    key = [int(seed), 0]
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for index in range(count):
-        key[1] = index
-        bit_generator.state = fresh
+    for block, lo in enumerate(range(0, count, BLOCK)):
+        rows = slice(lo, lo + BLOCK)
         if sampler == "coupled":
-            outcomes[index] = _coupled_draw(species, rng)
+            _coupled_kernel(species, _substreams(seed, block, _COUPLED_KINDS), outcomes[rows])
         else:
-            r_left, h_left, n_events = _ctmc_draw(params, init, t, rng)
-            outcomes[index] = (r_left, h_left)
-            events[index] = n_events
+            streams = _substreams(seed, block, _CTMC_KINDS)
+            _ctmc_kernel(params, init, t, streams, outcomes[rows], events[rows])
     outcomes.setflags(write=False)
     if events is not None:
         events.setflags(write=False)

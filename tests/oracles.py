@@ -2,9 +2,10 @@
 
 Everything here recomputes model quantities through a different route than
 the package (matrix exponential of the explicit generator, direct bit-level
-enumeration in plain floats, 40-digit arithmetic, one freshly built
-generator per Monte Carlo draw), so agreement is evidence rather than the
-same code tested against itself.
+enumeration in plain floats, 40-digit arithmetic, one scalar variate per
+Monte Carlo read from substreams built straight from the documented keys,
+and the count-level event loop the ctmc kernel replaced), so agreement is
+evidence rather than the same code tested against itself.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.stats import norm
 
-from urnlab import mc
+from urnlab import dist
 
 ORACLE_STATE_LIMIT = 20_000
 
@@ -189,21 +190,118 @@ def no_cutoff_profile(n_balls: int, m: int, c: float) -> float:
     return float(2.0 * norm.cdf(shift / 2.0) - 1.0)
 
 
-def sample_batch_per_draw(params, init, t: float, count: int, seed: int, sampler: str):
-    """(outcomes, event_counts) of a batch, one fresh draw_stream(seed, j) per draw.
+BATCH_BLOCK = 65_536
 
-    The route sample_batch took before it re-keyed one generator per batch:
-    draw j builds its own Philox stream and goes through the public
-    sample_coupled or the event-driven draw.  event_counts is None for the
-    coupled sampler.
+
+def batch_substreams(seed: int, block: int, kinds) -> tuple:
+    """The documented batch substreams of one block: Philox key
+    [seed, 16 block + kind] with the counter's top word set to 1."""
+    return tuple(
+        np.random.Generator(
+            np.random.Philox(
+                key=np.array([seed, 16 * block + kind], dtype=np.uint64),
+                counter=np.array([0, 0, 0, 1], dtype=np.uint64),
+            )
+        )
+        for kind in kinds
+    )
+
+
+def coupled_draw(params, init, t: float, streams) -> tuple[int, int]:
+    """One survival-construction draw, one scalar binomial per variate.
+
+    Species s (regular, then heavy) reads its left survivors, right
+    survivors and fair coins from streams[3s], streams[3s + 1] and
+    streams[3s + 2].  Given one generator six times, this is the scalar
+    draw sample_coupled made before it ran the block kernel.
+    """
+    pair = dist.survival(params, t)
+    species = (
+        (params.regular_count, init.regular_left, pair.regular_survival),
+        (params.heavy_count, init.heavy_left, pair.heavy_survival),
+    )
+    counts = []
+    for column, (side_count, initially_left, keep_prob) in enumerate(species):
+        left_rng, right_rng, coin_rng = streams[3 * column : 3 * column + 3]
+        left_survivors = left_rng.binomial(initially_left, keep_prob)
+        right_survivors = right_rng.binomial(side_count - initially_left, keep_prob)
+        undecided = side_count - left_survivors - right_survivors
+        counts.append(int(left_survivors) + int(coin_rng.binomial(undecided, 0.5)))
+    return counts[0], counts[1]
+
+
+def ctmc_ball_draw(params, init, t: float, streams) -> tuple[int, int, int]:
+    """One event-driven draw at ball level, one scalar variate per read.
+
+    streams[0] gives the Poisson((n + m alpha) t) event count; each event
+    reads a species uniform (heavy below the heavy share of the rate,
+    streams[1]), a ball uniform (ball int(u count) of that species,
+    streams[2]) and a coin uniform (left below 1/2, streams[3]), and sets
+    that ball's side.  The first regular_left regular and heavy_left heavy
+    balls start left.  Returns (regular_left, heavy_left, events).
+    """
+    n, m = params.regular_count, params.heavy_count
+    heavy_rate_total = m * params.heavy_rate
+    total_rate = n + heavy_rate_total
+    heavy_share = heavy_rate_total / total_rate
+    regular = [i < init.regular_left for i in range(n)]
+    heavy = [i < init.heavy_left for i in range(m)]
+    events = int(streams[0].poisson(total_rate * t))
+    for _ in range(events):
+        side = heavy if streams[1].random() < heavy_share else regular
+        ball = int(streams[2].random() * len(side))
+        side[ball] = streams[3].random() < 0.5
+    return sum(regular), sum(heavy), events
+
+
+def batch_scalar(params, init, t: float, count: int, seed: int, sampler: str):
+    """(outcomes, event_counts) of sample_batch, element by element.
+
+    Draw j of block j // BATCH_BLOCK goes through coupled_draw (kinds 0-5)
+    or ctmc_ball_draw (kinds 6-9) on that block's substreams, which carry on
+    from draw to draw.  event_counts is None for the coupled sampler.
     """
     outcomes = np.empty((count, 2), dtype=np.int64)
     events = np.empty(count, dtype=np.int64) if sampler == "ctmc" else None
+    kinds = range(0, 6) if sampler == "coupled" else range(6, 10)
     for index in range(count):
-        rng = mc.draw_stream(seed, index)
+        block, offset = divmod(index, BATCH_BLOCK)
+        if offset == 0:
+            streams = batch_substreams(seed, block, kinds)
         if sampler == "coupled":
-            outcomes[index] = mc.sample_coupled(params, init, t, rng)
+            outcomes[index] = coupled_draw(params, init, t, streams)
         else:
-            r_left, h_left, events[index] = mc._ctmc_draw(params, init, t, rng)
+            r_left, h_left, events[index] = ctmc_ball_draw(params, init, t, streams)
             outcomes[index] = (r_left, h_left)
     return outcomes, events
+
+
+def ctmc_count_loop(params, init, t: float, rng) -> tuple[int, int, int]:
+    """The count-level event loop the ctmc kernel replaced, as a physical oracle.
+
+    Exponential holding times at total rate n + m alpha; each event picks a
+    species in proportion to its rate, takes a uniformly chosen ball of it
+    out of its urn and puts it back by a fair coin.  Returns
+    (regular_left, heavy_left, events).
+    """
+    n, m = params.regular_count, params.heavy_count
+    heavy_rate_total = m * params.heavy_rate
+    total_rate = n + heavy_rate_total
+    r_left, h_left = init.regular_left, init.heavy_left
+    heavy_share = heavy_rate_total / total_rate
+    clock, events = 0.0, 0
+    while True:
+        clock += rng.exponential(1.0 / total_rate)
+        if clock > t:
+            return r_left, h_left, events
+        events += 1
+        if rng.random() < heavy_share:
+            if rng.random() * m < h_left:
+                h_left -= 1
+            if rng.random() < 0.5:
+                h_left += 1
+        else:
+            if rng.random() * n < r_left:
+                r_left -= 1
+            if rng.random() < 0.5:
+                r_left += 1

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sample_batch_per_draw
+from oracles import batch_scalar, coupled_draw, ctmc_count_loop
 from urnlab.model import CapacityError, InitialState, ModelParams
-from urnlab import dist
+from urnlab import dist, mc
 from urnlab.mc import (
     CTMC_EVENT_LIMIT,
     draw_stream,
@@ -162,16 +162,100 @@ class TestBatch:
     @pytest.mark.parametrize("sampler", ["coupled", "ctmc"])
     @given(case=_batch_cases())
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_draw_streams(self, sampler, case):
-        """The re-keyed batch generator yields every draw's own stream."""
+    def test_matches_scalar_reference(self, sampler, case):
+        """The block kernel equals a scalar read of the same substreams."""
         params, init, t, count, seed = case
         batch = sample_batch(params, init, t, count, seed, sampler=sampler)
-        outcomes, events = sample_batch_per_draw(params, init, t, count, seed, sampler)
+        outcomes, events = batch_scalar(params, init, t, count, seed, sampler)
         assert np.array_equal(batch.outcomes, outcomes)
         if sampler == "ctmc":
             assert np.array_equal(batch.event_counts, events)
         else:
             assert batch.event_counts is None
+
+
+class TestBlockContract:
+    START = InitialState(7, 4)
+    PARAMS = ModelParams(30, 5, 0.4)
+
+    @pytest.mark.parametrize("sampler, t", [("coupled", 0.8), ("ctmc", 0.05)])
+    def test_scalar_reference_across_block_edge(self, sampler, t):
+        count = mc.BLOCK + 4
+        batch = sample_batch(self.PARAMS, self.START, t, count, 2**64 - 1, sampler=sampler)
+        outcomes, events = batch_scalar(self.PARAMS, self.START, t, count, 2**64 - 1, sampler)
+        assert np.array_equal(batch.outcomes, outcomes)
+        if sampler == "ctmc":
+            assert np.array_equal(batch.event_counts, events)
+
+    @pytest.mark.parametrize("sampler", ["coupled", "ctmc"])
+    def test_prefixes_align_across_block_edge(self, sampler):
+        assert mc.BLOCK == 65_536
+        batches = [
+            sample_batch(SMALL, CORNER, 0.8, count, 5, sampler=sampler)
+            for count in (mc.BLOCK - 1, mc.BLOCK, mc.BLOCK + 1)
+        ]
+        longest = batches[-1]
+        for batch in batches[:-1]:
+            assert np.array_equal(batch.outcomes, longest.outcomes[: batch.count])
+            if sampler == "ctmc":
+                assert np.array_equal(batch.event_counts, longest.event_counts[: batch.count])
+
+    @pytest.mark.parametrize("sampler", ["coupled", "ctmc"])
+    def test_chunk_size_does_not_change_bytes(self, monkeypatch, sampler):
+        default = sample_batch(SMALL, InitialState(3, 1), 0.8, 300, 9, sampler=sampler)
+        monkeypatch.setattr(mc, "_CHUNK", 8)
+        small = sample_batch(SMALL, InitialState(3, 1), 0.8, 300, 9, sampler=sampler)
+        assert np.array_equal(default.outcomes, small.outcomes)
+        if sampler == "ctmc":
+            assert np.array_equal(default.event_counts, small.event_counts)
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_long_ctmc_draws_cross_chunks(self, monkeypatch, count):
+        """SMALL makes 5 events per unit time, so at t = 20 every draw makes
+        about 100 events, more than 4 chunks of 8: the ball states carried
+        over chunk edges must give the default chunk's and the scalar bytes."""
+        default = sample_batch(SMALL, InitialState(3, 1), 20.0, count, 9, sampler="ctmc")
+        monkeypatch.setattr(mc, "_CHUNK", 8)
+        small = sample_batch(SMALL, InitialState(3, 1), 20.0, count, 9, sampler="ctmc")
+        assert small.event_counts.min() > 4 * 8
+        outcomes, events = batch_scalar(SMALL, InitialState(3, 1), 20.0, count, 9, "ctmc")
+        for batch in (default, small):
+            assert np.array_equal(batch.outcomes, outcomes)
+            assert np.array_equal(batch.event_counts, events)
+
+    def test_sample_coupled_keeps_its_bytes(self):
+        """The single-draw kernel reads the variates in the order of the
+        scalar draw it replaced; the values were pinned before it did."""
+        draws = [sample_coupled(self.PARAMS, self.START, 0.8, draw_stream(2**64 - 1, j))
+                 for j in range(12)]
+        assert draws == [(9, 4), (8, 4), (9, 4), (9, 5), (15, 2), (8, 3),
+                         (11, 4), (11, 4), (14, 2), (12, 4), (8, 3), (11, 4)]
+        big = ModelParams(10_000, 1000, 0.2)
+        draws = [sample_coupled(big, CORNER, 3.0, draw_stream(5, j)) for j in range(6)]
+        assert draws == [(4245, 217), (4294, 224), (4304, 247),
+                         (4284, 248), (4284, 219), (4293, 230)]
+
+    @given(case=_batch_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_sample_coupled_is_the_scalar_draw(self, case):
+        params, init, t, count, seed = case
+        index = count - 1
+        expected = coupled_draw(params, init, t, (draw_stream(seed, index),) * 6)
+        assert sample_coupled(params, init, t, draw_stream(seed, index)) == expected
+
+    def test_ctmc_kernel_agrees_with_count_loop_in_law(self):
+        """Two-sample distance and event-count means at 20k draws each,
+        kernel against the exponential-clock loop it replaced."""
+        count, t = 20000, 0.8
+        kernel = sample_batch(SMALL, CORNER, t, count, seed=12, sampler="ctmc")
+        rng = draw_stream(13, 0)
+        loop = np.array([ctmc_count_loop(SMALL, CORNER, t, rng) for _ in range(count)])
+        totals = np.bincount(loop[:, 0] + loop[:, 1], minlength=SMALL.total_balls + 1)
+        gap = dist.tv(empirical_pmf(kernel), dist.Pmf(totals / count))
+        assert gap < 0.02
+        expected = (4 + 2 * 0.5) * t
+        tolerance = 4.0 * (2.0 * expected / count) ** 0.5
+        assert abs(kernel.event_counts.mean() - loop[:, 2].mean()) <= tolerance
 
 
 class TestEmpirical:
@@ -201,7 +285,7 @@ class TestEmpirical:
 class TestAgainstExactLaws:
     def test_coupled_matches_observed_law(self):
         """20k draws of the O(1) sampler against the exact law; the frozen
-        seed keeps the observed 0.0022 gap reproducible."""
+        seed keeps the observed 0.0038 gap (block substreams) reproducible."""
         batch = sample_batch(SMALL, CORNER, 0.8, 20000, seed=11)
         gap = dist.tv(empirical_pmf(batch), dist.observed_law(SMALL, CORNER, 0.8))
         assert gap < 0.015
