@@ -16,7 +16,6 @@ from .model import (
     ModelParams,
     ParamFamily,
     PredictedTimes,
-    corners,
     gamma,
     parse_alpha_rule,
     parse_m_rule,

@@ -113,8 +113,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _parse_initial(text: str):
     """Map the --initial flag onto a start-state strategy.
 
-    "corners" and "scan" select the extreme-start maximum and the guarded
-    full scan; "r,h" pins one state.
+    "corners" and "scan" select the default starts (dist.distance_curve) and
+    the guarded full scan; "r,h" pins one state.
     """
     if text == "corners":
         return "corners"

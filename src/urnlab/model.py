@@ -112,28 +112,6 @@ class InitialState:
         return self.regular_left + self.heavy_left
 
 
-def corners(params: ModelParams) -> list[InitialState]:
-    """The four extreme initial states; the distances maximise over them by default,
-    evaluating one of each mirror pair.  They are the maximisers only empirically.
-
-    Audited against a full scan of every start for both the observable and the
-    chain distance on 108 instances: N in {50, 100, 200, 300, 400}, m from
-    1 to 300 (2 %, 10 %, 25 %, 50 % and 75 % of N, and sqrt N), alpha in
-    {0.1, 0.3, 0.6, 1}, at six times from 0.2 to 3 times the cutoff scale
-    max(log n, log m / alpha) / 2.  No start beat the corners.  The largest
-    scan-minus-corners gaps, up to 2.8e-13 (chain) and 3.0e-14 (observable),
-    are rounding: recomputed in 40-digit arithmetic, the twelve largest chain
-    gaps are exact ties and the ten largest observable gaps favour the corners.
-    """
-    n, m = params.regular_count, params.heavy_count
-    seen: list[InitialState] = []
-    for r, h in ((0, 0), (n, 0), (0, m), (n, m)):
-        state = InitialState(r, h)
-        if state not in seen:
-            seen.append(state)
-    return seen
-
-
 def gamma(params: ModelParams) -> float:
     """Observable delay exponent (2*beta - 1) / alpha - 1.
 

@@ -33,6 +33,13 @@ def mean_z(params: ModelParams, t: float) -> float:
     return coupling_union_bound(params, t) / params.total_balls
 
 
+def _check_size(params: ModelParams, size: int) -> None:
+    """Refuse a subset size that is a bool, not an integer or outside [1, N]."""
+    is_int = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
+    if not (is_int and 1 <= size <= params.total_balls):
+        raise ValueError(f"size must be an integer in [1, {params.total_balls}], got {size!r}")
+
+
 def _hypergeometric_log_weights(
     params: ModelParams, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -58,8 +65,7 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
     with x, y the heavy and regular survivals.  Weights are evaluated with
     log-gamma so the formula stays usable at large N.
     """
-    if not 1 <= size <= params.total_balls:
-        raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
+    _check_size(params, size)
     check_time(t)
     support, log_weights = _hypergeometric_log_weights(params, size)
     log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
@@ -76,8 +82,7 @@ def brute_force_joint_moment(params: ModelParams, t: float, size: int) -> float:
     Exponential in the instance size, so guarded at C(N, m) <= 10^6
     placements.  Used as the independent cross-check for joint_moment.
     """
-    if not 1 <= size <= params.total_balls:
-        raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
+    _check_size(params, size)
     placements = math.comb(params.total_balls, params.heavy_count)
     if placements > BRUTE_FORCE_LIMIT:
         raise CapacityError(
@@ -127,10 +132,9 @@ def mgf_compare(params: ModelParams, u: float, size: int) -> tuple[float, float]
     binomial side dominates (same negative-dependence content as the
     factorial moments).  A side past the float range is math.inf.
     """
-    if u <= 0.0:
-        raise ValueError("u must be positive")
-    if not 1 <= size <= params.total_balls:
-        raise ValueError(f"size must lie in [1, {params.total_balls}], got {size}")
+    if not (math.isfinite(u) and u > 0.0):
+        raise ValueError("u must be finite and positive")
+    _check_size(params, size)
     frac = params.heavy_count / params.total_balls
     try:
         binom_side = math.exp(size * math.log1p(frac * (u - 1.0)))

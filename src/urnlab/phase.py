@@ -65,9 +65,9 @@ def mixing_time(
 ) -> MixingTimeResult:
     """Locate the first time the distance drops to epsilon.
 
-    The distance is dist.distance_curve(params, target): the maximum over
-    the four corner starts (one of each mirror pair evaluated), which are
-    the maximisers only empirically.
+    The distance is dist.distance_curve(params, target): for the chain the
+    distance from (0, 0), the proved worst start; for the observable the
+    maximum over (0, 0) and (0, m), the maximisers only empirically.
 
     Scans a geometric grid seeded by the predicted cutoff times for the first
     point below epsilon, then bisects that bracket down to width
@@ -152,9 +152,9 @@ def product_condition_ratio(params: ModelParams, epsilon: float = 0.25) -> float
 
     Guarded on the chain state count (n + 1)(m + 1), which also decides the
     largest family size classify reports the ratio for.  The search builds
-    the stationary tables once; each evaluation builds one regular table
-    (shared by the evaluated corners) and one heavy table per corner, plus
-    O((n + m) log m) per corner in dist.tv_product.
+    the stationary tables once; each evaluation builds one regular and one
+    heavy table from the worst start (0, 0), plus O((n + m) log m) in one
+    dist.tv_product.
     """
     states = (params.regular_count + 1) * (params.heavy_count + 1)
     if states > RATIO_STATE_LIMIT:

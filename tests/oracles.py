@@ -106,6 +106,32 @@ def tv_product_blocked(xr, xh, yr, yh) -> float:
     return min(1.0, 0.5 * total)
 
 
+CONFIGURATION_BALL_LIMIT = 12
+
+
+def configuration_tv(n: int, m: int, alpha: float, t: float) -> float:
+    """Total variation of the time-t configuration law on {0,1}^N from uniform.
+
+    From the all-right configuration ball i is left at time t with chance
+    (1 - e^{-r_i t}) / 2, independently of the others (r_i = 1 for the n
+    regular balls, alpha for the m heavy ones).  Half the L1 distance of that
+    product law from 2^-N, enumerated configuration by configuration in
+    plain floats.
+    """
+    balls = n + m
+    if balls > CONFIGURATION_BALL_LIMIT:
+        raise ValueError(f"oracle enumeration would need 2^{balls} configurations")
+    flips = [(1.0 - math.exp(-t)) / 2.0] * n + [(1.0 - math.exp(-alpha * t)) / 2.0] * m
+    uniform = 0.5**balls
+    total = 0.0
+    for config in range(2**balls):
+        prob = 1.0
+        for i, flip in enumerate(flips):
+            prob *= flip if (config >> i) & 1 else 1.0 - flip
+        total += abs(prob - uniform)
+    return 0.5 * total
+
+
 def chi_square_mixture(n_balls: int, m: int, alpha: float, ones: int, t: float) -> float:
     """Chi-square of the kept-or-resampled configuration law vs uniform.
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from urnlab import dist as dist_module
-from urnlab.model import CapacityError, InitialState, ModelParams, corners
+from urnlab.model import CapacityError, InitialState, ModelParams
 from urnlab.dist import (
     _initial_states,
     Pmf,
@@ -27,6 +27,11 @@ from urnlab.dist import (
     tv,
     tv_product,
 )
+
+
+def _corners(p: ModelParams) -> set[InitialState]:
+    """The extreme starts (r, h), r in {0, n} and h in {0, m}."""
+    return {InitialState(r, h) for r in (0, p.regular_count) for h in (0, p.heavy_count)}
 
 
 class TestPmf:
@@ -156,7 +161,7 @@ class TestConvolve:
     @settings(max_examples=30, deadline=None)
     def test_matches_dense_on_time_zero_corner_laws(self, total, heavy_share, alpha):
         p = ModelParams(total, round(heavy_share * total), alpha)
-        for init in corners(p):
+        for init in _corners(p):
             _assert_convolve_matches_dense(*chain_law(p, init, 0.0))
 
     def test_matches_dense_at_large_sizes(self):
@@ -370,7 +375,7 @@ class TestTvProduct:
     def test_point_mass_corners_match_blocked(self, total, heavy_share, alpha):
         p = ModelParams(total, round(heavy_share * total), alpha)
         target = stationary_chain(p)
-        for init in corners(p):
+        for init in _corners(p):
             law = chain_law(p, init, 0.0)
             assert tv_product(law, target) == pytest.approx(
                 _blocked(law, target), rel=0, abs=1e-14
@@ -413,14 +418,11 @@ class TestTvProduct:
 
     def test_readme_chain_instance_matches_blocked(self):
         """chain_tv at the README curve --chain instance against the blocked
-        half-sum maximised over the same two starts, (0, 0) and (0, m)."""
+        half-sum from the same start, the worst start (0, 0)."""
         p = ModelParams(10_000, 1_000, 0.2)
         target = stationary_chain(p)
         for t in (5.0, 17.0, 30.0):
-            expected = max(
-                _blocked(chain_law(p, init, t), target)
-                for init in (InitialState(0, 0), InitialState(0, 1_000))
-            )
+            expected = _blocked(chain_law(p, InitialState(0, 0), t), target)
             assert chain_tv(p, t) == pytest.approx(expected, rel=0, abs=1e-14)
 
 
@@ -462,7 +464,7 @@ class TestWorstCase:
     def test_full_scan_is_max_over_every_start(self, p):
         n, m = p.regular_count, p.heavy_count
         every = [InitialState(r, h) for r in range(n + 1) for h in range(m + 1)]
-        kept = set(_initial_states(p, "full_scan"))
+        kept = set(_initial_states(p, "chain", "full_scan"))
         mirrors = {InitialState(n - s.regular_left, m - s.heavy_left) for s in kept}
         assert kept | mirrors == set(every)
         assert len(kept) == math.ceil(len(every) / 2)
@@ -470,6 +472,28 @@ class TestWorstCase:
             for fn in (observed_tv, chain_tv):
                 single = max(fn(p, t, s) for s in every)
                 assert fn(p, t, "full_scan") == pytest.approx(single, rel=0, abs=1e-13)
+
+    @given(
+        total=st.integers(2, oracles.CONFIGURATION_BALL_LIMIT),
+        heavy_share=st.floats(0.0, 1.0),
+        alpha=st.floats(0.05, 1.0),
+        t=st.floats(0.0, 6.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_chain_distance_is_the_configuration_distance(self, total, heavy_share, alpha, t):
+        """Why the chain needs one start: the configuration walk on Z_2^N is
+        equally far from uniform from every start, the pair state is a
+        sufficient statistic of its law from a corner, and from any other
+        start the pair law is a projection of it.  So chain_tv equals the
+        configuration oracle, every corner ties, and the full scan finds no
+        farther start."""
+        p = ModelParams(total, round(heavy_share * total), alpha)
+        d = chain_tv(p, t)
+        oracle = oracles.configuration_tv(p.regular_count, p.heavy_count, alpha, t)
+        assert d == pytest.approx(oracle, rel=0, abs=1e-13)
+        for init in _corners(p):
+            assert chain_tv(p, t, init) == pytest.approx(d, rel=0, abs=1e-13)
+        assert chain_tv(p, t, "full_scan") == pytest.approx(d, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize(
         "total, heavy, alpha, c",
@@ -491,19 +515,53 @@ class TestWorstCase:
         for fn in (observed_tv, chain_tv):
             assert fn(p, t, "full_scan") <= fn(p, t) + 1e-12
 
-    @pytest.mark.parametrize("fn", [observed_tv, chain_tv])
-    def test_corners_evaluate_one_start_per_mirror_pair(self, fn, monkeypatch):
-        """The evaluated corners (0, 0) and (0, m) share one regular table
-        and build one heavy table each: three tables, not four."""
-        calls = []
+    @pytest.mark.parametrize(
+        "fn, tables, products",
+        [
+            (observed_tv, [(90, 0, 1.0), (10, 0, 0.5), (10, 10, 0.5)], 0),
+            (chain_tv, [(90, 0, 1.0), (10, 0, 0.5)], 1),
+        ],
+        ids=["observed_tv", "chain_tv"],
+    )
+    def test_corners_evaluate_one_start_per_mirror_pair(
+        self, fn, tables, products, monkeypatch
+    ):
+        """Per time, the observable's corners (0, 0) and (0, m) share one
+        regular table and build one heavy table each: three tables, not four.
+        The chain's corners all tie, so it evaluates (0, 0) alone: two tables
+        and one tv_product call."""
+        calls, product_calls = [], []
 
         def counting_coordinate_law(count, ones_initial, rate, t):
             calls.append((count, ones_initial, rate))
             return coordinate_law(count, ones_initial, rate, t)
 
+        def counting_tv_product(x, y):
+            product_calls.append(x)
+            return tv_product(x, y)
+
         monkeypatch.setattr(dist_module, "coordinate_law", counting_coordinate_law)
-        fn(ModelParams(100, 10, 0.5), 3.0)
-        assert calls == [(90, 0, 1.0), (10, 0, 0.5), (10, 10, 0.5)]
+        monkeypatch.setattr(dist_module, "tv_product", counting_tv_product)
+        times = (0.5, 3.0, 9.0)
+        for t in times:
+            fn(ModelParams(100, 10, 0.5), t)
+        assert calls == tables * len(times)
+        assert len(product_calls) == products * len(times)
+
+    @pytest.mark.parametrize(
+        "p, observable",
+        [
+            (ModelParams(10, 3, 0.5), [InitialState(0, 0), InitialState(0, 3)]),
+            (ModelParams(10, 0, 0.5), [InitialState(0, 0)]),
+            (ModelParams(10, 10, 0.5), [InitialState(0, 0)]),
+        ],
+        ids=["general", "no-heavies", "no-regulars"],
+    )
+    def test_corners_resolve_per_target(self, p, observable):
+        """"corners" is the one start (0, 0) for the chain, and for the
+        observable one start of each mirror pair of the extreme starts."""
+        assert _initial_states(p, "chain", "corners") == [InitialState(0, 0)]
+        assert _initial_states(p, "observable", "corners") == observable
 
     def test_full_scan_capacity_guard(self):
         p = ModelParams(2 * 10**6, 3, 0.7)
@@ -539,20 +597,27 @@ class TestDistanceCurve:
         p = ModelParams(12, 4, 0.4)
         observable = distance_curve(p, "observable", strategy)
         chain = distance_curve(p, "chain", strategy)
-        starts = _initial_states(p, strategy)
+        observable_starts = _initial_states(p, "observable", strategy)
+        chain_starts = _initial_states(p, "chain", strategy)
         for t in (0.0, 0.3, 1.1, 4.0):
             per_start_observable = max(
-                tv(observed_law(p, s, t), stationary_observed(p)) for s in starts
+                tv(observed_law(p, s, t), stationary_observed(p)) for s in observable_starts
             )
             per_start_chain = max(
-                tv_product(chain_law(p, s, t), stationary_chain(p)) for s in starts
+                tv_product(chain_law(p, s, t), stationary_chain(p)) for s in chain_starts
             )
             assert observable(t) == observed_tv(p, t, strategy) == per_start_observable
             assert chain(t) == chain_tv(p, t, strategy) == per_start_chain
 
     def test_unknown_target(self):
-        with pytest.raises(ValueError, match="unknown target"):
-            distance_curve(ModelParams(10, 3, 0.5), "pair")
+        """The target is checked before the starts are resolved: a guarded
+        full scan reports the unknown target, not a CapacityError."""
+        for p, strategy in [
+            (ModelParams(10, 3, 0.5), "corners"),
+            (ModelParams(2 * 10**6, 3, 0.7), "full_scan"),
+        ]:
+            with pytest.raises(ValueError, match="unknown target"):
+                distance_curve(p, "pair", strategy)
 
     @pytest.mark.parametrize(
         "target, stationary",

@@ -10,7 +10,6 @@ from urnlab.model import (
     ModelParams,
     ParamFamily,
     check_time,
-    corners,
     gamma,
     parse_alpha_rule,
     parse_m_rule,
@@ -127,21 +126,6 @@ class TestInitialState:
 
     def test_total_left(self):
         assert InitialState(4, 2).total_left == 6
-
-    def test_corners_general(self):
-        p = ModelParams(10, 3, 0.5)
-        assert corners(p) == [
-            InitialState(0, 0),
-            InitialState(7, 0),
-            InitialState(0, 3),
-            InitialState(7, 3),
-        ]
-
-    def test_corners_collapse_without_heavies(self):
-        assert corners(ModelParams(10, 0, 0.5)) == [
-            InitialState(0, 0),
-            InitialState(10, 0),
-        ]
 
 
 class TestFamilies:

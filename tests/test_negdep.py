@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +64,11 @@ class TestJointMoment:
             joint_moment(p, 1.0, 0)
         with pytest.raises(ValueError):
             joint_moment(p, 1.0, 7)
+        for size in (2.5, 2.0, True):
+            for fn, x in ((joint_moment, 1.0), (brute_force_joint_moment, 1.0), (mgf_compare, 2.0)):
+                with pytest.raises(ValueError, match="integer"):
+                    fn(p, x, size)
+        assert joint_moment(p, 1.0, np.int64(2)) == joint_moment(p, 1.0, 2)
 
     def test_nan_time_rejected(self):
         p = ModelParams(6, 2, 0.5)
@@ -130,6 +136,9 @@ class TestMomentComparisons:
             binom, hyper = mgf_compare(ModelParams(3000, 1500, 0.5), 2.3, 3000)
         assert binom == math.inf
         assert hyper == math.inf
+        for u in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                mgf_compare(ModelParams(10, 3, 0.5), u, 4)
 
     def test_mgf_large_finite_values_pinned(self):
         with warnings.catch_warnings():
