@@ -12,16 +12,16 @@ on.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import CapacityError, ModelParams, check_time
-from .dist import _log_comb, survival
+from .dist import _log_dbinom, survival
 from .bounds import coupling_union_bound
 
 BRUTE_FORCE_LIMIT = 10**6
@@ -33,27 +33,50 @@ def mean_z(params: ModelParams, t: float) -> float:
     return coupling_union_bound(params, t) / params.total_balls
 
 
-def _check_size(params: ModelParams, size: int) -> None:
-    """Refuse a subset size that is a bool, not an integer or outside [1, N]."""
-    is_int = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
-    if not (is_int and 1 <= size <= params.total_balls):
-        raise ValueError(f"size must be an integer in [1, {params.total_balls}], got {size!r}")
+def _check_integer(name: str, value, low: int, high: float) -> None:
+    """Refuse a value that is a bool, not an integer or outside [low, high]."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+@functools.lru_cache(maxsize=4)
+def _log_half_binomial(count: int) -> np.ndarray:
+    """log Binomial(count, 1/2) pmf at 0..count, i.e. log C(count, j) - count log 2;
+    built once per count, from its lower half and the symmetry j -> count - j,
+    and read-only, since callers share it."""
+    half = _log_dbinom(0, count // 2, count, 0.5)
+    table = np.concatenate((half, half[: (count + 1) // 2][::-1]))
+    table.setflags(write=False)
+    return table
+
+
+def _log_sum_exp(values: np.ndarray) -> float:
+    """log sum exp(values), -inf when every value is -inf."""
+    top = float(values.max())
+    if top == -math.inf:
+        return top
+    return top + math.log(float(np.exp(values - top).sum()))
 
 
 def _hypergeometric_log_weights(
     params: ModelParams, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Heavy-member counts a of a size-subset with nonzero weight, and their
-    log weights log C(m, a) + log C(n, size - a) - log C(N, size)."""
-    support = np.arange(
-        max(0, size - params.regular_count), min(size, params.heavy_count) + 1
+    log weights log C(m, a) + log C(n, size - a) - log C(N, size).
+
+    The tables hold log C(c, j) - c log 2, whose powers of 2 cancel between
+    the three factors (m + n = N), and log C(N, size) is taken as the log of
+    the weights' own sum (Vandermonde), so the weights sum to 1 in rounding.
+    """
+    m, n = params.heavy_count, params.regular_count
+    first, last = max(0, size - n), min(size, m)
+    support = np.arange(first, last + 1)
+    log_terms = (
+        _log_half_binomial(m)[first : last + 1]
+        + _log_half_binomial(n)[size - last : size - first + 1][::-1]
     )
-    log_weights = (
-        _log_comb(params.heavy_count, support)
-        + _log_comb(params.regular_count, size - support)
-        - _log_comb(params.total_balls, size)
-    )
-    return support, log_weights
+    return support, log_terms - _log_sum_exp(log_terms)
 
 
 def joint_moment(params: ModelParams, t: float, size: int) -> float:
@@ -62,10 +85,11 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
     Conditioning on how many of the subset's members are heavy (a
     hypergeometric count) gives
         sum_a C(m, a) C(n, size - a) / C(N, size) * x^a y^(size - a)
-    with x, y the heavy and regular survivals.  Weights are evaluated with
-    log-gamma so the formula stays usable at large N.
+    with x, y the heavy and regular survivals.  Weights are evaluated in log
+    space from Loader's binomial tables (dist._log_dbinom), so the formula
+    stays usable at large N.
     """
-    _check_size(params, size)
+    _check_integer("size", size, 1, params.total_balls)
     check_time(t)
     support, log_weights = _hypergeometric_log_weights(params, size)
     log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
@@ -82,7 +106,7 @@ def brute_force_joint_moment(params: ModelParams, t: float, size: int) -> float:
     Exponential in the instance size, so guarded at C(N, m) <= 10^6
     placements.  Used as the independent cross-check for joint_moment.
     """
-    _check_size(params, size)
+    _check_integer("size", size, 1, params.total_balls)
     placements = math.comb(params.total_balls, params.heavy_count)
     if placements > BRUTE_FORCE_LIMIT:
         raise CapacityError(
@@ -109,10 +133,8 @@ def factorial_moment_comparison(
     The binomial side dominates for every k, which is the moment form of the
     negative dependence.  Both are 0 for k > size.
     """
-    if size < 0 or k < 0:
-        raise ValueError("size and k must be non-negative")
-    if size > params.total_balls:
-        raise ValueError("size cannot exceed the number of balls")
+    _check_integer("size", size, 0, params.total_balls)
+    _check_integer("k", k, 0, math.inf)
     if k > size:
         return 0.0, 0.0
     falling = float(math.perm(size, k))
@@ -134,7 +156,7 @@ def mgf_compare(params: ModelParams, u: float, size: int) -> tuple[float, float]
     """
     if not (math.isfinite(u) and u > 0.0):
         raise ValueError("u must be finite and positive")
-    _check_size(params, size)
+    _check_integer("size", size, 1, params.total_balls)
     frac = params.heavy_count / params.total_balls
     try:
         binom_side = math.exp(size * math.log1p(frac * (u - 1.0)))
@@ -142,7 +164,7 @@ def mgf_compare(params: ModelParams, u: float, size: int) -> tuple[float, float]
         binom_side = math.inf
     support, log_weights = _hypergeometric_log_weights(params, size)
     with np.errstate(over="ignore"):
-        hyper_side = float(np.exp(logsumexp(log_weights + support * math.log(u))))
+        hyper_side = float(np.exp(_log_sum_exp(log_weights + support * math.log(u))))
     return binom_side, hyper_side
 
 
@@ -242,4 +264,4 @@ def exact_chi_square(params: ModelParams, t: float) -> float:
     # log expm1(e) = e + log(-expm1(-e)): exact at both ends, -inf at e = 0
     with np.errstate(divide="ignore", over="ignore"):
         log_terms = log_weights + exponents + np.log(-np.expm1(-exponents))
-        return float(np.exp(logsumexp(log_terms)))
+        return float(np.exp(_log_sum_exp(log_terms)))

@@ -16,6 +16,7 @@ import math
 import mpmath
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import norm
 
 from urnlab import dist
@@ -81,6 +82,54 @@ def total_variation(p, q) -> float:
     pp[: p.size] = p
     qq[: q.size] = q
     return 0.5 * float(np.abs(pp - qq).sum())
+
+
+def binomial_pmf_log_gamma(trials: int, p: float) -> np.ndarray:
+    """Binomial(trials, p) over the full table through log-gamma, the route
+    dist.binomial_pmf replaced: about 1e-11 relative at 10^4 trials and 1e-9
+    at 10^6, but every entry evaluated, so its zero pattern is the reference
+    for the Chernoff window."""
+    k = np.arange(trials + 1, dtype=float)
+    log_comb = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
+    return np.exp(log_comb + xlogy(k, p) + xlog1py(trials - k, -p))
+
+
+def binomial_pmf_mp(trials: int, p: float, k: int):
+    """Binomial(trials, p) pmf at k in 40-digit arithmetic, p taken as the
+    exact binary value of the float."""
+    with mpmath.workdps(40):
+        prob = mpmath.mpf(p)
+        return mpmath.binomial(trials, k) * prob**k * (1 - prob) ** (trials - k)
+
+
+def chain_tv_mp(n: int, m: int, alpha: float, r: int, h: int, t: float) -> float:
+    """Pair-chain distance from the start (r, h) in 40-digit arithmetic:
+    each factor law convolved from its two binomials, then one half of the
+    L1 distance of the outer products from Binomial(n, 1/2) x Binomial(m, 1/2)."""
+    with mpmath.workdps(40):
+
+        def binomial(trials, prob):
+            return [mpmath.binomial(trials, k) * prob**k * (1 - prob) ** (trials - k)
+                    for k in range(trials + 1)]
+
+        def factor(count, left, rate):
+            flip = -mpmath.expm1(-mpmath.mpf(rate) * t) / 2
+            a, b = binomial(left, 1 - flip), binomial(count - left, flip)
+            out = [mpmath.mpf(0)] * (count + 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        regular, heavy = factor(n, r, 1), factor(m, h, alpha)
+        half = mpmath.mpf(1) / 2
+        regular_eq, heavy_eq = binomial(n, half), binomial(m, half)
+        total = mpmath.fsum(
+            abs(x * y - u * v)
+            for x, u in zip(regular, regular_eq)
+            for y, v in zip(heavy, heavy_eq)
+        )
+        return float(total / 2)
 
 
 def convolve_dense(a, b) -> np.ndarray:

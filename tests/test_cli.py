@@ -6,7 +6,11 @@ streams can be asserted exactly.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -783,3 +787,15 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["mixup"], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize("module", ["urnlab", "urnlab.cli"])
+    def test_import_loads_no_scipy(self, module):
+        """scipy is a test-only oracle; importing scipy.special alone costs
+        about 0.3 s of every CLI start.  A fresh interpreter must not load it."""
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "[]"

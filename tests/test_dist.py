@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from urnlab import dist as dist_module
@@ -72,6 +72,51 @@ class TestBinomialPmf:
         ours = binomial_pmf(trials, prob).probs
         reference = scipy.stats.binom.pmf(np.arange(trials + 1), trials, prob)
         np.testing.assert_allclose(ours, reference, rtol=1e-11, atol=1e-300)
+
+    # (trials, p): the README and benchmark sizes, and one p whose n p is not
+    # a float (at 10^6 its rounding alone moves entries 30 sd out by 1.7e-12)
+    ORACLE_CASES = [
+        (1000, 0.115), (9000, 0.36), (10**4, 0.5), (10**5, 0.5),
+        (10**6, 0.31), (10**6, 0.4765969541523558),
+    ]
+
+    @pytest.mark.parametrize("trials, prob", ORACLE_CASES)
+    def test_matches_forty_digits(self, trials, prob):
+        """Within 1e-12 relative of 40-digit arithmetic at the mode, 3, 9 and
+        20 standard deviations out and the end points (an end point past the
+        float range must read 0.0 or its nearest subnormal)."""
+        table = binomial_pmf(trials, prob).probs
+        mean, sd = trials * prob, math.sqrt(trials * prob * (1.0 - prob))
+        points = {0, trials, int((trials + 1) * prob)}
+        points |= {round(mean + z * sd) for z in (-20, -9, -3, 3, 9, 20)}
+        for k in sorted(points):
+            reference = oracles.binomial_pmf_mp(trials, prob, k)
+            assert abs(table[k] - reference) <= 1e-12 * reference + 5e-324, k
+
+    @pytest.mark.parametrize("trials, prob", ORACLE_CASES)
+    def test_nonzero_span_is_the_full_evaluation(self, trials, prob):
+        ours = binomial_pmf(trials, prob).probs
+        reference = oracles.binomial_pmf_log_gamma(trials, prob)
+        span, reference_span = np.flatnonzero(ours), np.flatnonzero(reference)
+        assert (span[0], span[-1]) == (reference_span[0], reference_span[-1])
+
+    @given(
+        trials=st.integers(min_value=0, max_value=3000),
+        prob=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=1e-300, max_value=1e-3),
+        ),
+    )
+    @example(trials=3, prob=1.0 - 2.0**-53)  # n - n p would read 4e-16, not 3e-16
+    @example(trials=3, prob=5e-324)  # k / (n p) overflows
+    @settings(max_examples=200, deadline=None)
+    def test_window_keeps_the_zero_pattern(self, trials, prob):
+        """The Chernoff window drops only entries that the full log-gamma
+        evaluation rounds to 0.0, and keeps every one it does not."""
+        ours = binomial_pmf(trials, prob).probs
+        reference = oracles.binomial_pmf_log_gamma(trials, prob)
+        assert np.array_equal(ours > 0.0, reference > 0.0)
+        np.testing.assert_allclose(ours, reference, rtol=1e-10, atol=1e-300)
 
     def test_degenerate_probs(self):
         assert binomial_pmf(5, 0.0).probs[0] == 1.0
@@ -427,6 +472,16 @@ class TestTvProduct:
 
 
 class TestWorstCase:
+    def test_tied_start_matches_forty_digits(self):
+        """From (56, 0) at ModelParams(400, 100, 0.1), t = 11.5, the chain
+        distance ties the worst start (0, 0) to 40 digits.  With log-gamma
+        tables (0, 0) read 2.7e-13 below the exact value, so a non-worst
+        start printed above the worst one."""
+        p, t = ModelParams(400, 100, 0.1), 11.5
+        exact = oracles.chain_tv_mp(300, 100, 0.1, 56, 0, t)
+        assert chain_tv(p, t, InitialState(56, 0)) == pytest.approx(exact, rel=0, abs=1e-14)
+        assert chain_tv(p, t) == pytest.approx(exact, rel=0, abs=1e-14)
+
     def test_observed_tv_corner_dominates_single_start(self):
         p = ModelParams(12, 4, 0.4)
         t = 1.3

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ import oracles
 from urnlab.model import CapacityError, ModelParams
 from urnlab.negdep import (
     BRUTE_FORCE_LIMIT,
+    _hypergeometric_log_weights,
     SLACK_TOL,
     brute_force_joint_moment,
     exact_chi_square,
@@ -69,6 +71,10 @@ class TestJointMoment:
                 with pytest.raises(ValueError, match="integer"):
                     fn(p, x, size)
         assert joint_moment(p, 1.0, np.int64(2)) == joint_moment(p, 1.0, 2)
+        for size, k in ((True, 1), (2.5, 1), (2, 1.5), (2, True), (-1, 1), (7, 1), (2, -1)):
+            with pytest.raises(ValueError, match="integer"):
+                factorial_moment_comparison(p, size, k)
+        assert factorial_moment_comparison(p, np.int64(0), np.int64(0)) == (1.0, 1.0)
 
     def test_nan_time_rejected(self):
         p = ModelParams(6, 2, 0.5)
@@ -99,6 +105,25 @@ class TestJointMoment:
         p = ModelParams(n, m, alpha)
         slack = mean_z(p, t) ** size - joint_moment(p, t, size)
         assert slack >= SLACK_TOL
+
+
+class TestHypergeometricWeights:
+    @pytest.mark.parametrize(
+        "total, heavy, size",
+        [(1000, 100, 1), (1000, 100, 50), (1000, 100, 500), (1000, 100, 999), (3000, 1500, 100)],
+    )
+    def test_rows_match_forty_digits(self, total, heavy, size):
+        """Every weight C(m, a) C(n, size - a) / C(N, size) above e^-700 within
+        1e-12 relative (2.4e-13 measured; log-gamma carried up to 4.4e-12)."""
+        support, log_weights = _hypergeometric_log_weights(ModelParams(total, heavy, 0.5), size)
+        with mpmath.workdps(40):
+            for a, log_weight in zip(support.tolist(), log_weights.tolist()):
+                exact = mpmath.log(
+                    mpmath.binomial(heavy, a) * mpmath.binomial(total - heavy, size - a)
+                    / mpmath.binomial(total, size)
+                )
+                if exact > -700:
+                    assert abs(mpmath.expm1(log_weight - exact)) <= 1e-12, a
 
 
 class TestMomentComparisons:
@@ -145,7 +170,10 @@ class TestMomentComparisons:
             warnings.simplefilter("error")
             binom, hyper = mgf_compare(ModelParams(3000, 1500, 0.5), 2.3, 100)
         assert binom == 5.602661980034415e21
-        assert hyper == 4.331009022463609e21
+        # 40 digits at the float u = 2.3: 4.331009022456965200092928e21 (this
+        # pin is 4.9e-14 off it; the log-gamma weights gave 4.331009022463609e21,
+        # 1.5e-12 off)
+        assert hyper == 4.331009022457177e21
 
     def test_mgf_at_one(self):
         binom, hyper = mgf_compare(ModelParams(9, 3, 0.5), 1.0, 5)
@@ -239,7 +267,8 @@ class TestExactChiSquare:
                         assert ours == pytest.approx(reference, rel=1e-12)
 
     def test_matches_forty_digit_sum(self):
-        # rel 1e-11: the log-gamma overlap weights carry up to ~2.5e-12 at N = 1000
+        # rel 1e-11: on this grid the largest error measured is 8.0e-14 (2.5e-12
+        # with log-gamma weights, at N = 1000, m = 1, t = 0)
         for n in (2, 3, 6, 40, 200, 1000):
             for m in sorted({1, n // 10, n // 2, n - 1}):
                 for alpha in (0.1, 0.5, 1.0):

@@ -1,4 +1,4 @@
-"""Benchmark record for the Monte Carlo samplers, at two levels.
+"""Benchmark record for the samplers, binomial tables and negdep, at two levels.
 
 Measures one or two checkouts of urnlab and writes one JSON record:
 
@@ -11,10 +11,13 @@ as "parent" with the same commands.  Every measurement runs in a fresh
 interpreter that imports urnlab from that checkout's src/, parent and change
 in turn, so machine noise falls on both.
 
-Per layer: the best of 5 `mc.sample_batch` times at fixed sizes (CASES).
-End to end: the Tier-1 suite's wall time and criterion 8's call time (one
-pytest run, read from its JUnit report), and the last stdout line of
-`perfbench/run.py` for each workload at --seed and --seconds.
+Per layer: the first and the best of 5 calls of `mc.sample_batch`,
+`dist.binomial_pmf` and `negdep.verify_negative_dependence` at fixed sizes
+(CASES; the first call pays what a process builds once, such as negdep's
+cached tables), and the best of 5 `import urnlab` times, each in a fresh
+interpreter.  End to end: the Tier-1 suite's wall time and criterion 8's call
+time (one pytest run, read from its JUnit report), and the last stdout line
+of `perfbench/run.py` for each workload at --seed and --seconds.
 """
 
 from __future__ import annotations
@@ -33,34 +36,56 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/1"
+SCHEMA = "urnlab-bench-mc/2"
 REPEATS = 5
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
 
-# name: (sampler, (total_balls, heavy_count, heavy_rate), t, draws)
+# name: (call, arguments); model parameters are (total_balls, heavy_count, heavy_rate)
 CASES = {
-    "coupled_N1e4_t12_20k": ("coupled", (10_000, 1000, 0.2), 12.0, 20_000),
-    "coupled_N500_t3_1M": ("coupled", (500, 50, 0.3), 3.0, 1_000_000),
-    "ctmc_N500_t3_200": ("ctmc", (500, 50, 0.3), 3.0, 200),
-    "ctmc_N6_t0.8_200k": ("ctmc", (6, 2, 0.5), 0.8, 200_000),
+    "coupled_N1e4_t12_20k": ("sample_batch", ("coupled", (10_000, 1000, 0.2), 12.0, 20_000)),
+    "coupled_N500_t3_1M": ("sample_batch", ("coupled", (500, 50, 0.3), 3.0, 1_000_000)),
+    "ctmc_N500_t3_200": ("sample_batch", ("ctmc", (500, 50, 0.3), 3.0, 200)),
+    "ctmc_N6_t0.8_200k": ("sample_batch", ("ctmc", (6, 2, 0.5), 0.8, 200_000)),
+    "binomial_N1000_p0.115": ("binomial_pmf", (1000, 0.115)),
+    "binomial_N9000_p0.36": ("binomial_pmf", (9000, 0.36)),
+    "binomial_N1e5_p0.5": ("binomial_pmf", (100_000, 0.5)),
+    "binomial_N1e6_p0.31": ("binomial_pmf", (1_000_000, 0.31)),
+    "negdep_N1000_m100_t1_1000rows": ("verify_negative_dependence", ((1000, 100, 0.2), 1.0, 1000)),
+}
+ARGUMENT_NAMES = {
+    "sample_batch": ("sampler", "params", "t", "draws"),
+    "binomial_pmf": ("trials", "success_prob"),
+    "verify_negative_dependence": ("params", "t", "max_size"),
 }
 
-# Runs in the measured checkout's interpreter; prints {case: best seconds}.
+# Runs in the measured checkout's interpreter; prints {case: [seconds per call]}.
+# Repeat i of a sample_batch case uses seed i.
 _LAYER_SCRIPT = """
 import json, sys, time
-from urnlab import InitialState, ModelParams, mc
+from urnlab import InitialState, ModelParams, dist, mc, negdep
+calls = {
+    "sample_batch": lambda seed, sampler, params, t, draws: mc.sample_batch(
+        ModelParams(*params), InitialState(0, 0), t, draws, seed, sampler=sampler),
+    "binomial_pmf": lambda seed, trials, prob: dist.binomial_pmf(trials, prob),
+    "verify_negative_dependence": lambda seed, params, t, max_size:
+        negdep.verify_negative_dependence(ModelParams(*params), t, max_size),
+}
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
-best = {}
-for name, (sampler, params, t, draws) in cases.items():
-    times = []
+times = {}
+for name, (call, arguments) in cases.items():
+    times[name] = []
     for seed in range(repeats):
         started = time.perf_counter()
-        mc.sample_batch(ModelParams(*params), InitialState(0, 0), t, draws, seed,
-                        sampler=sampler)
-        times.append(time.perf_counter() - started)
-    best[name] = min(times)
-print(json.dumps(best))
+        calls[call](seed, *arguments)
+        times[name].append(time.perf_counter() - started)
+print(json.dumps(times))
+"""
+_IMPORT_SCRIPT = """
+import time
+started = time.perf_counter()
+import urnlab
+print(time.perf_counter() - started)
 """
 
 
@@ -86,7 +111,12 @@ def _git(checkout: Path) -> dict:
 
 def per_layer(checkout: Path) -> dict:
     out = _run(checkout, [sys.executable, "-c", _LAYER_SCRIPT, json.dumps(CASES), str(REPEATS)])
-    return {name: {"best_s": seconds, "of": REPEATS} for name, seconds in json.loads(out).items()}
+    record = {name: {"first_s": times[0], "best_s": min(times), "of": REPEATS}
+              for name, times in json.loads(out).items()}
+    command = [sys.executable, "-c", _IMPORT_SCRIPT]
+    imports = [float(_run(checkout, command)) for _ in range(REPEATS)]
+    record["import_urnlab"] = {"best_s": min(imports), "of": REPEATS}
+    return record
 
 
 def tier1(checkout: Path) -> dict:
@@ -147,8 +177,8 @@ def main() -> int:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "perfbench": {"seed": args.seed, "seconds": args.seconds},
-        "cases": {name: dict(zip(("sampler", "params", "t", "draws"), case))
-                  for name, case in CASES.items()},
+        "cases": {name: {"call": call, **dict(zip(ARGUMENT_NAMES[call], arguments))}
+                  for name, (call, arguments) in CASES.items()},
         "checkouts": results,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
