@@ -231,6 +231,8 @@ def cmd_classify(args) -> str:
         alpha_rule=parse_alpha_rule(args.alpha_rule),
         sizes=tuple(int(s) for s in args.sizes.split(",") if s.strip()),
     )
+    # each DeclaredLimits field has a like-named flag
+    limits = {f.name: getattr(args, f.name) for f in fields(phase.DeclaredLimits)}
     declared = None
     if args.mode == "declared":
         if args.gamma_inf is None or args.tilde_gamma_inf is None:
@@ -238,16 +240,20 @@ def cmd_classify(args) -> str:
                 "declared mode needs --gamma-inf and --tilde-gamma-inf "
                 "(and --ell when gamma_inf >= 0)"
             )
-        declared = phase.DeclaredLimits(  # each field has a like-named flag
-            **{f.name: getattr(args, f.name) for f in fields(phase.DeclaredLimits)}
-        )
+        declared = phase.DeclaredLimits(**limits)
+    else:
+        # `is`, not `in`: a declared 0.0 equals False
+        given = [name for name, v in limits.items() if v is not None and v is not False]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"declared limits need --mode declared, got {flags}")
     report = phase.classify(
         family, declared=declared, ratio=args.ratio, ratio_epsilon=args.epsilon
     )
     config = _config(args, sizes=list(family.sizes))
     if declared is None:  # the limits echo only in declared mode
-        for field in fields(phase.DeclaredLimits):
-            del config[field.name]
+        for name in limits:
+            del config[name]
     return _report_text(report, config)
 
 

@@ -17,7 +17,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .model import CapacityError, InitialState, ModelParams, check_time
+from .model import CapacityError, InitialState, ModelParams, check_integer, check_time
 
 FULL_SCAN_LIMIT = 100_000
 
@@ -257,10 +257,7 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     points, from 10^3 to 9 x 10^6 trials (log-gamma lost 1.0e-11 at 10^4,
     1.1e-10 at 10^5 and 1.6e-9 at 10^6).
     """
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise ValueError("trials must be an integer")
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
+    check_integer("trials", trials, 0, math.inf)
     p = float(success_prob)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability {p} outside [0, 1]")
@@ -330,10 +327,8 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
     left urn.  Each starter stays counted with probability (1 + s) / 2 and
     each non-starter joins with probability (1 - s) / 2, s = exp(-rate t).
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if not 0 <= ones_initial <= count:
-        raise ValueError(f"ones_initial must lie in [0, {count}], got {ones_initial}")
+    check_integer("count", count, 0, math.inf)
+    check_integer("ones_initial", ones_initial, 0, count)
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     check_time(t)

@@ -17,19 +17,17 @@ in draw order, so draw j depends only on (seed, j): a batch is a prefix of
 any longer batch with the same seed, on any machine with the same numpy, and
 its bytes do not depend on the chunk size the kernels work in.
 `draw_stream(seed, j)` keeps counter top word 0, so it never overlaps a
-batch substream and no longer reproduces batch draw j.  Batch bytes changed
-when the block substreams replaced one `draw_stream(seed, j)` per draw.
+batch substream and does not reproduce batch draw j.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CapacityError, InitialState, ModelParams, check_time
+from .model import CapacityError, InitialState, ModelParams, check_integer, check_time
 from .dist import Pmf, stationary_observed, survival, tv
 
 _SAMPLERS = ("coupled", "ctmc")
@@ -43,11 +41,8 @@ _CHUNK = 8_192  # draws (coupled) or events (ctmc) per numpy call
 
 def _check_key(seed: int, index: int) -> None:
     """Refuse a Philox key (seed, index) that would not fit two uint64 words."""
-    for name, value in (("seed", seed), ("draw index", index)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= int(value) < 2**64:
-            raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+    check_integer("seed", seed, 0, 2**64 - 1)
+    check_integer("draw index", index, 0, 2**64 - 1)
 
 
 def _philox(seed: int, index: int, counter_top: int) -> np.random.Generator:
@@ -238,8 +233,7 @@ def sample_batch(
     """
     if sampler not in _SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r} (expected one of {_SAMPLERS})")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    check_integer("count", count, 1, math.inf)
     _check_key(seed, count - 1)
     check_time(t)
     if sampler == "ctmc":

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 ALPHA_FLOOR = 1e-12
 
 
@@ -25,6 +27,14 @@ def check_time(t: float, name: str = "time") -> None:
         raise ValueError(f"{name} must be finite and non-negative")
 
 
+def check_integer(name: str, value, low: int, high: float) -> None:
+    """Refuse a bool, a non-integer (2.0 included) or a value outside [low, high];
+    Python and numpy integers pass.  Every count, size, start and key is checked here."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable parameter triple (total_balls, heavy_count, heavy_rate).
@@ -33,7 +43,9 @@ class ModelParams:
     would overflow any practical time grid long before that point.
     Degenerate configurations (heavy_count in {0, N} or heavy_rate == 1)
     collapse to the single-species urn; they are accepted because they make
-    handy cross-checks, but they are flagged via `out_of_range`.
+    handy cross-checks, but they are flagged via `out_of_range`.  Counts are
+    stored as Python ints: the exact rational arithmetic in the binomial
+    tables would overflow on a numpy integer.
     """
 
     total_balls: int
@@ -41,16 +53,10 @@ class ModelParams:
     heavy_rate: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.total_balls, int) or isinstance(self.total_balls, bool):
-            raise ValueError("total_balls must be an integer")
-        if not isinstance(self.heavy_count, int) or isinstance(self.heavy_count, bool):
-            raise ValueError("heavy_count must be an integer")
-        if self.total_balls < 2:
-            raise ValueError("need at least 2 balls")
-        if not 0 <= self.heavy_count <= self.total_balls:
-            raise ValueError(
-                f"heavy_count must lie in [0, {self.total_balls}], got {self.heavy_count}"
-            )
+        check_integer("total_balls", self.total_balls, 2, math.inf)
+        check_integer("heavy_count", self.heavy_count, 0, self.total_balls)
+        object.__setattr__(self, "total_balls", int(self.total_balls))
+        object.__setattr__(self, "heavy_count", int(self.heavy_count))
         a = float(self.heavy_rate)
         if not math.isfinite(a) or a <= 0.0 or a > 1.0:
             raise ValueError("heavy_rate must lie in (0, 1]")
@@ -96,15 +102,8 @@ class InitialState:
     heavy_left: int
 
     def validate(self, params: ModelParams) -> "InitialState":
-        if not 0 <= self.regular_left <= params.regular_count:
-            raise ValueError(
-                f"regular_left must lie in [0, {params.regular_count}], "
-                f"got {self.regular_left}"
-            )
-        if not 0 <= self.heavy_left <= params.heavy_count:
-            raise ValueError(
-                f"heavy_left must lie in [0, {params.heavy_count}], got {self.heavy_left}"
-            )
+        check_integer("regular_left", self.regular_left, 0, params.regular_count)
+        check_integer("heavy_left", self.heavy_left, 0, params.heavy_count)
         return self
 
     @property
@@ -228,8 +227,8 @@ class ParamFamily:
         _check_rule(self.alpha_rule, _ALPHA_RULES, "alpha-rule")
         if len(self.sizes) == 0:
             raise ValueError("sizes must be non-empty")
-        if any(size < 2 for size in self.sizes):
-            raise ValueError("every size must be at least 2")
+        for size in self.sizes:
+            check_integer("size", size, 2, math.inf)
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
 

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import CapacityError, ModelParams, check_time
+from .model import CapacityError, ModelParams, check_integer, check_time
 from .dist import _log_dbinom, survival
 from .bounds import coupling_union_bound
 
@@ -31,13 +31,6 @@ SLACK_TOL = -1e-12
 def mean_z(params: ModelParams, t: float) -> float:
     """Mean survival of a uniformly placed ball: (m e^{-alpha t} + n e^{-t}) / N."""
     return coupling_union_bound(params, t) / params.total_balls
-
-
-def _check_integer(name: str, value, low: int, high: float) -> None:
-    """Refuse a value that is a bool, not an integer or outside [low, high]."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (is_int and low <= value <= high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -89,7 +82,7 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
     space from Loader's binomial tables (dist._log_dbinom), so the formula
     stays usable at large N.
     """
-    _check_integer("size", size, 1, params.total_balls)
+    check_integer("size", size, 1, params.total_balls)
     check_time(t)
     support, log_weights = _hypergeometric_log_weights(params, size)
     log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
@@ -106,7 +99,7 @@ def brute_force_joint_moment(params: ModelParams, t: float, size: int) -> float:
     Exponential in the instance size, so guarded at C(N, m) <= 10^6
     placements.  Used as the independent cross-check for joint_moment.
     """
-    _check_integer("size", size, 1, params.total_balls)
+    check_integer("size", size, 1, params.total_balls)
     placements = math.comb(params.total_balls, params.heavy_count)
     if placements > BRUTE_FORCE_LIMIT:
         raise CapacityError(
@@ -133,8 +126,8 @@ def factorial_moment_comparison(
     The binomial side dominates for every k, which is the moment form of the
     negative dependence.  Both are 0 for k > size.
     """
-    _check_integer("size", size, 0, params.total_balls)
-    _check_integer("k", k, 0, math.inf)
+    check_integer("size", size, 0, params.total_balls)
+    check_integer("k", k, 0, math.inf)
     if k > size:
         return 0.0, 0.0
     falling = float(math.perm(size, k))
@@ -156,7 +149,7 @@ def mgf_compare(params: ModelParams, u: float, size: int) -> tuple[float, float]
     """
     if not (math.isfinite(u) and u > 0.0):
         raise ValueError("u must be finite and positive")
-    _check_integer("size", size, 1, params.total_balls)
+    check_integer("size", size, 1, params.total_balls)
     frac = params.heavy_count / params.total_balls
     try:
         binom_side = math.exp(size * math.log1p(frac * (u - 1.0)))
@@ -202,10 +195,7 @@ def verify_negative_dependence(
     brute_force: "auto" adds the enumeration column when C(N, m) fits the
     guard, "never" skips it, "always" demands it (CapacityError if too big).
     """
-    if not 1 <= max_size <= params.total_balls:
-        raise ValueError(
-            f"max_size must lie in [1, {params.total_balls}], got {max_size}"
-        )
+    check_integer("max_size", max_size, 1, params.total_balls)
     if brute_force not in ("auto", "never", "always"):
         raise ValueError(f"unknown brute_force mode {brute_force!r}")
     use_brute = brute_force == "always" or (

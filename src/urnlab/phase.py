@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .model import (
     CapacityError,
     ModelParams,
@@ -36,6 +38,12 @@ ELL_GROWTH_TOL = 0.20
 BRACKET_WIDTH_FACTOR = 1e-3
 NO_CROSSING_FACTOR = 100.0
 RATIO_STATE_LIMIT = 20_000_000
+
+
+def _check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Refuse a mixing threshold outside (0, 1); NaN fails the comparison."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
 
 
 class NoCrossingError(RuntimeError):
@@ -75,8 +83,7 @@ def mixing_time(
     curve to be non-increasing, so the crossing is unique; the bracket
     endpoints are re-checked and a violation raises.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    _check_epsilon(epsilon)
     curve = dist.distance_curve(params, target)
     evaluations = 0
 
@@ -273,6 +280,8 @@ def chain_regime(tilde_gamma_inf: float | None, m_diverges: bool) -> str:
 
 def validate_declared(limits: DeclaredLimits) -> None:
     """Reject declared limits that violate an always-true implication."""
+    if not isinstance(limits.m_diverges, (bool, np.bool_)):
+        raise ValueError(f"m_diverges must be a bool, got {limits.m_diverges!r}")
     values = (limits.gamma_inf, limits.tilde_gamma_inf, limits.ell)
     if any(v is not None and math.isnan(v) for v in values):
         raise ValueError("declared limits must not be NaN")
@@ -333,6 +342,7 @@ def classify(
     """
     if ratio not in ("auto", "never"):
         raise ValueError(f"unknown ratio policy {ratio!r}")
+    _check_epsilon(ratio_epsilon, "ratio_epsilon")
     instances = family.instances()
     samples = tuple(
         FamilySample(

@@ -469,6 +469,33 @@ class TestClassify:
         assert code == 64
         assert "--gamma-inf" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--gamma-inf", "0"], "declared limits need --mode declared, got --gamma-inf"),
+            (["--tilde-gamma-inf", "0.5"], "declared limits need --mode declared, got "
+             "--tilde-gamma-inf"),
+            (["--m-diverges"], "declared limits need --mode declared, got --m-diverges"),
+            (["--ell", "2.0"], "declared limits need --mode declared, got --ell"),
+            (
+                ["--gamma-inf", "1.0", "--tilde-gamma-inf", "0.5", "--m-diverges",
+                 "--ell", "2.0"],
+                "declared limits need --mode declared, got --gamma-inf, "
+                "--tilde-gamma-inf, --m-diverges, --ell",
+            ),
+            (["--epsilon", "nan"], "ratio_epsilon must lie strictly between 0 and 1"),
+            (["--epsilon", "7"], "ratio_epsilon must lie strictly between 0 and 1"),
+        ],
+        ids=["gamma", "tilde-gamma", "m-diverges", "ell", "all-limits", "epsilon-nan",
+             "epsilon-7"],
+    )
+    def test_refusals_exit_64(self, extra, message, capsys):
+        # declared limits outside declared mode would be dropped unechoed, and an
+        # --epsilon outside (0, 1) under --ratio never would be echoed as a threshold
+        code, _, err = self._classify(capsys, *FAMILY, *extra)
+        assert code == 64
+        assert err == f"urnlab: error: {message}\n"
+
     def test_ratio_auto_reports_size(self, capsys):
         code, out, _ = run_cli(
             [

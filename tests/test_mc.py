@@ -151,7 +151,9 @@ class TestBatch:
             with pytest.raises(ValueError, match="seed must"):
                 sample_batch(SMALL, CORNER, 0.5, 5, seed=seed, sampler=sampler)
         # the last draw index must fit too; refused before anything is allocated
-        with pytest.raises(ValueError, match="draw index must fit"):
+        with pytest.raises(
+            ValueError, match=r"draw index must be an integer in \[0, 18446744073709551615\]"
+        ):
             sample_batch(SMALL, CORNER, 0.5, 2**64 + 1, seed=0, sampler=sampler)
 
     def test_numpy_integer_seed(self):

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from urnlab.dist import binomial_pmf, chain_tv, coordinate_law, observed_tv
+from urnlab.mc import draw_stream, sample_batch
 from urnlab.model import (
     ALPHA_RULE_KINDS,
     M_RULE_KINDS,
@@ -16,6 +19,7 @@ from urnlab.model import (
     predicted_times,
     tilde_gamma,
 )
+from urnlab.negdep import verify_negative_dependence
 
 
 class TestCheckTime:
@@ -253,3 +257,65 @@ class TestFamilies:
             ParamFamily(("fixed", 1), ("const", 0.5), (100, 100))
         with pytest.raises(ValueError):
             ParamFamily(("fixed", 1), ("const", 0.5), (1000, 100))
+
+
+SMALL = ModelParams(10, 3, 0.5)
+# (site, argument name, valid value, highest valid value or None when
+# unbounded, call taking the value)
+INTEGER_SITES = [
+    ("ModelParams", "total_balls", 10, None, lambda v: ModelParams(v, 1, 0.5)),
+    ("ModelParams", "heavy_count", 3, 10, lambda v: ModelParams(10, v, 0.5)),
+    ("InitialState", "regular_left", 7, 7, lambda v: InitialState(v, 0).validate(SMALL)),
+    ("InitialState", "heavy_left", 3, 3, lambda v: InitialState(0, v).validate(SMALL)),
+    ("ParamFamily", "size", 100, None, lambda v: ParamFamily(("fixed", 1), ("const", 0.5), (v,))),
+    ("binomial_pmf", "trials", 4, None, lambda v: binomial_pmf(v, 0.3)),
+    ("coordinate_law", "count", 4, None, lambda v: coordinate_law(v, 0, 1.0, 0.5)),
+    ("coordinate_law", "ones_initial", 2, 4, lambda v: coordinate_law(4, v, 1.0, 0.5)),
+    ("verify_negative_dependence", "max_size", 2, 10,
+     lambda v: verify_negative_dependence(SMALL, 1.0, v)),
+    ("draw_stream", "seed", 7, 2**64 - 1, lambda v: draw_stream(v, 0)),
+    ("draw_stream", "draw index", 5, 2**64 - 1, lambda v: draw_stream(0, v)),
+    ("sample_batch", "count", 3, None,
+     lambda v: sample_batch(SMALL, InitialState(0, 0), 0.5, v, 0)),
+]
+_BAD_INTEGERS = [
+    pytest.param(name, call, bad, id=f"{site}-{name}-{bad!r}")
+    for site, name, _, high, call in INTEGER_SITES
+    for bad in [2.5, 2.0, True, None, "3", -1] + ([] if high is None else [high + 1])
+]
+
+
+class TestIntegerContract:
+    """Every count, size, start and key goes through model.check_integer."""
+
+    @pytest.mark.parametrize("name, call, bad", _BAD_INTEGERS)
+    def test_refuses_non_integers_naming_the_argument(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in "):
+            call(bad)
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint64])
+    @pytest.mark.parametrize(
+        "valid, call",
+        [
+            pytest.param(valid, call, id=f"{site}-{name}")
+            for site, name, valid, _, call in INTEGER_SITES
+        ],
+    )
+    def test_accepts_numpy_integers(self, valid, call, cast):
+        call(cast(valid))
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint64])
+    def test_numpy_integers_give_the_python_int_results(self, cast):
+        assert type(ModelParams(cast(10), 3, 0.5).total_balls) is int
+        assert type(ModelParams(10, cast(3), 0.5).heavy_count) is int
+        params, init = ModelParams(cast(30), cast(5), 0.4), InitialState(cast(7), cast(4))
+        ints, int_init = ModelParams(30, 5, 0.4), InitialState(7, 4)
+        for sampler in ("coupled", "ctmc"):
+            got = sample_batch(params, init, 0.8, cast(300), cast(3), sampler=sampler)
+            want = sample_batch(ints, int_init, 0.8, 300, 3, sampler=sampler)
+            assert got.outcomes.tobytes() == want.outcomes.tobytes()
+        assert observed_tv(params, 0.8, init) == observed_tv(ints, 0.8, int_init)
+        assert chain_tv(params, 0.8, init) == chain_tv(ints, 0.8, int_init)
+        # the default starts come from the stored Python-int counts
+        assert observed_tv(params, 0.8) == observed_tv(ints, 0.8)
+        assert chain_tv(params, 0.8) == chain_tv(ints, 0.8)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from urnlab import (
@@ -162,6 +163,9 @@ class TestValidateDeclared:
         validate_declared(
             DeclaredLimits(gamma_inf=-1.0, tilde_gamma_inf=-0.4, m_diverges=True, ell=-3.0)
         )
+        validate_declared(
+            DeclaredLimits(gamma_inf=0.3, tilde_gamma_inf=0.2, m_diverges=np.bool_(True), ell=2.0)
+        )
 
     def test_chain_exponent_dominates(self):
         with pytest.raises(ContradictionError, match="tilde_gamma_inf < 0"):
@@ -200,6 +204,13 @@ class TestValidateDeclared:
         # ValueError, not ContradictionError: NaN is bad input, not a contradiction
         with pytest.raises(ValueError, match="NaN") as info:
             validate_declared(limits)
+        assert not isinstance(info.value, ContradictionError)
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_m_diverges_must_be_a_bool(self, flag):
+        # "no" is truthy: read as a flag it would declare a diverging count
+        with pytest.raises(ValueError, match="m_diverges must be a bool") as info:
+            validate_declared(DeclaredLimits(1.0, 0.5, flag, 2.0))
         assert not isinstance(info.value, ContradictionError)
 
     def test_missing_ell_with_nonnegative_gamma(self):
@@ -333,6 +344,14 @@ class TestClassifyExtrapolate:
         family = ParamFamily(("fixed", 1), ("const", 1.0), (100, 1000))
         with pytest.raises(ValueError, match="ratio policy"):
             classify(family, ratio="always")
+
+    @pytest.mark.parametrize("ratio", ["auto", "never"])
+    @pytest.mark.parametrize("epsilon", [math.nan, 7.0, 0.0, 1.0, -0.25])
+    def test_ratio_epsilon_outside_unit_interval(self, ratio, epsilon):
+        # refused whether or not the ratio is computed
+        family = ParamFamily(("fixed", 1), ("const", 1.0), (100, 1000))
+        with pytest.raises(ValueError, match="ratio_epsilon must lie strictly between"):
+            classify(family, ratio=ratio, ratio_epsilon=epsilon)
 
 
 class TestClassifyDeclared:
