@@ -95,6 +95,11 @@ def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
     order, which convolution of log-concave laws keeps (Shaked & Shanthikumar,
     Stochastic Orders, 1.C), so p_t - pi changes sign once and the largest
     CDF gap is the total variation.
+
+    It stays a full-convolution CDF-gap reduction on purpose: distance_curve
+    reduces the same law on one interval without convolving, so the lower
+    side of the bounds --exact sandwich checks one reduction against another
+    that shares no search or summation with it.
     """
     law = observed_law(params, InitialState(0, 0), t)
     target = stationary_observed(params)

@@ -222,6 +222,12 @@ def _log_dbinom(lo: int, hi: int, n: int, p: float) -> np.ndarray:
     return out
 
 
+def _first(lo: int, hi: int, predicate) -> int:
+    """First j in [lo, hi) where predicate holds, else hi; predicate must be
+    false up to some j and true from there."""
+    return lo + bisect_left(range(lo, hi), True, key=predicate)
+
+
 def _window(n: int, p: float) -> tuple[int, int]:
     """First and last k with n KL(k/n || p) <= _WINDOW_NATS, 0 < p < 1.
 
@@ -239,9 +245,9 @@ def _window(n: int, p: float) -> tuple[int, int]:
 
     first, last = 0, n  # small tables often lie whole inside the window
     if outside(0):
-        first = bisect_left(range(centre + 1), True, key=lambda k: not outside(k))
+        first = _first(0, centre + 1, lambda k: not outside(k))
     if outside(n):
-        last = centre + bisect_left(range(centre, n + 1), True, key=outside) - 1
+        last = _first(centre, n + 1, outside) - 1
     return first, last
 
 
@@ -271,6 +277,13 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     return Pmf(probs)
 
 
+def _nonzero_window(pmf: Pmf) -> tuple[np.ndarray, int]:
+    """The table from its first to its last non-zero entry, and that first index."""
+    nonzero = np.flatnonzero(pmf.probs)
+    first = int(nonzero[0])
+    return pmf.probs[first : nonzero[-1] + 1], first
+
+
 def convolve(a: Pmf, b: Pmf) -> Pmf:
     """Law of the sum of independent variables with laws a and b.
 
@@ -280,11 +293,8 @@ def convolve(a: Pmf, b: Pmf) -> Pmf:
     full length len(a) + len(b) - 1.  No FFT, so the result carries no
     spectral roundoff and tiny tail masses survive.
     """
-    nonzero_a, nonzero_b = np.flatnonzero(a.probs), np.flatnonzero(b.probs)
-    first_a, first_b = nonzero_a[0], nonzero_b[0]
-    core = np.convolve(
-        a.probs[first_a : nonzero_a[-1] + 1], b.probs[first_b : nonzero_b[-1] + 1]
-    )
+    (core_a, first_a), (core_b, first_b) = _nonzero_window(a), _nonzero_window(b)
+    core = np.convolve(core_a, core_b)
     out = np.zeros(len(a) + len(b) - 1)
     out[first_a + first_b : first_a + first_b + core.size] = core
     return Pmf(out)
@@ -419,6 +429,101 @@ def tv_product(x: tuple[Pmf, Pmf], y: tuple[Pmf, Pmf]) -> float:
     return min(1.0, max(0.0, positive - 0.5 * drift))
 
 
+# Where both laws exceed this floor a point value is a sum of terms above
+# 1e-280 / span, none lost to underflow, so ratios of point values are accurate.
+# Below it the interval search does not look; what that can misplace is under
+# N * 1e-280.
+_SEARCH_FLOOR = 1e-280
+
+
+def _interval_distance(
+    regular: Pmf, heavy: Pmf, pi: np.ndarray, pi_cdf: np.ndarray, pi_lo: int, pi_hi: int
+) -> float:
+    """Total-variation distance of p, the law of the sum of two independent
+    factor tables, from pi = Binomial(N, 1/2) with cumulative sums pi_cdf,
+    pi > _SEARCH_FLOOR exactly on [pi_lo, pi_hi].  No convolution.
+
+    p is a Poisson-binomial law, so by Newton's inequalities p / pi is
+    log-concave (Hardy, Littlewood & Polya, Inequalities, 2.22) and
+    I = {p > pi} is one interval.  The search stays where both laws exceed
+    the floor, an interval because both are log-concave, with p's edges
+    bisected from p's mode, within 1 of p's mean (Darroch, 1964).  There a
+    ternary search finds the mode of p / pi, and a bisection on each side of
+    it the sign change of p - pi.  Past pi's floor window p > pi wherever p
+    has mass above the floor, so there I runs on to 0 or N.  A point value
+    p(j) is one dot product over the shorter factor's non-zero window, and a
+    CDF value the same against the cumulative sums of the longer.  Then
+    (1/2) sum |p - pi| = p(I) - pi(I) - (1/2) (sum p - sum pi), keeping the
+    allowed mass drift in as tv does, clamped to [0, 1] as tv_product is.
+    """
+    (short, s0), (long, l0) = sorted(
+        (_nonzero_window(regular), _nonzero_window(heavy)), key=lambda w: w[0].size
+    )
+    offset, size = s0 + l0, long.size
+    last = offset + short.size + size - 2
+    long_cdf = np.cumsum(long)
+    short_cdf = np.cumsum(short)
+    # reversed copies: the long index j - s runs down as the short index s runs up
+    long_reversed, cdf_reversed = long[::-1].copy(), long_cdf[::-1].copy()
+
+    def dot(reversed_table: np.ndarray, k: int) -> float:
+        """sum over s of short[s] * table[k - s], table the long window or its CDF."""
+        a, b = max(0, k - size + 1), min(short.size - 1, k)
+        if a > b:
+            return 0.0
+        return float(short[a : b + 1] @ reversed_table[size - 1 - k + a : size - k + b])
+
+    def p(j: int) -> float:
+        return dot(long_reversed, j - offset)
+
+    def p_cdf(j: int) -> float:
+        k = j - offset
+        if k < 0:
+            return 0.0
+        below = min(k - size + 1, short.size)  # short entries whose long window lies <= j
+        head = float(short_cdf[below - 1] * long_cdf[-1]) if below > 0 else 0.0
+        return head + dot(cdf_reversed, k)
+
+    def pi_at_most(j: int) -> float:
+        return float(pi_cdf[j]) if j >= 0 else 0.0
+
+    mean = (
+        offset
+        + float(np.arange(short.size) @ short) / float(short_cdf[-1])
+        + float(np.arange(size) @ long) / float(long_cdf[-1])
+    )
+    centre = int(mean)
+    mode = max(range(max(centre - 1, offset), min(centre + 2, last) + 1), key=p)
+    p_lo = _first(offset, mode, lambda j: p(j) > _SEARCH_FLOOR)
+    p_hi = _first(mode, last + 1, lambda j: p(j) <= _SEARCH_FLOOR) - 1
+    lo_edge, hi_edge = max(p_lo, pi_lo), min(p_hi, pi_hi)
+    # I = [lo, hi), empty until found, and placed where the run-on below reaches it
+    lo = hi = hi_edge + 1 if p_hi > pi_hi else lo_edge
+    if lo_edge <= hi_edge:
+        # Ternary search for the mode of p / pi.  Table entries carry up to
+        # about 1e-13 relative noise, which flips the sign of the one-step
+        # difference of the log ratio once the distance nears 1e-12; points a
+        # third of the interval apart see the ratio's slope over that distance.
+        top, bottom = lo_edge, hi_edge
+        while top < bottom:
+            third = (bottom - top) // 3
+            a, b = top + third, bottom - third
+            if p(a) / pi[a] < p(b) / pi[b]:
+                top = a + 1
+            else:
+                bottom = b - 1
+        if p(top) > pi[top]:
+            lo = _first(lo_edge, top, lambda j: p(j) > pi[j])
+            hi = _first(top, hi_edge + 1, lambda j: p(j) <= pi[j])
+    if p_lo < pi_lo:
+        lo = 0
+    if p_hi > pi_hi:
+        hi = pi.size
+    positive = p_cdf(hi - 1) - p_cdf(lo - 1) - (pi_at_most(hi - 1) - pi_at_most(lo - 1))
+    drift = float(short_cdf[-1] * long_cdf[-1]) - float(pi_cdf[-1])
+    return min(1.0, max(0.0, positive - 0.5 * drift))
+
+
 def _initial_states(params: ModelParams, target: str, strategy) -> list[InitialState]:
     """Starts the target's distance maximises over, one of each mirror pair:
     an explicit InitialState as given, else as distance_curve documents."""
@@ -467,6 +572,13 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
     observable "corners" is (0, 0) and (0, m), the maximisers only
     empirically (audited, not proved).
 
+    Per start, the chain distance is tv_product of the two factor tables.  The
+    observable distance needs no convolution of them: from any start W is a
+    sum of N independent Bernoullis, so by Newton's inequalities its law over
+    Binomial(N, 1/2) is log-concave, the set where it exceeds the stationary
+    law is one interval I, and the distance is P_t(I) - pi(I), from two CDF
+    values per law at edges found by bisection (_interval_distance).
+
     Starts and stationary tables are built here, once.  An evaluation builds
     one regular table per regular_left (the starts come grouped by it) and one
     heavy table per start, and keeps at most one of each alive.
@@ -474,13 +586,18 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
     if target not in ("observable", "chain"):
         raise ValueError(f"unknown target {target!r}")
     starts = _initial_states(params, target, strategy)
-    stationary = stationary_chain(params) if target == "chain" else stationary_observed(params)
     n, m, rate = params.regular_count, params.heavy_count, params.heavy_rate
+    if target == "chain":
+        stationary = stationary_chain(params)
+    else:
+        pi = stationary_observed(params).probs
+        above = np.flatnonzero(pi > _SEARCH_FLOOR)
+        stationary = (pi, np.cumsum(pi), int(above[0]), int(above[-1]))
 
     def distance(regular: Pmf, heavy: Pmf) -> float:
         if target == "chain":
             return tv_product((regular, heavy), stationary)
-        return tv(convolve(regular, heavy), stationary)
+        return _interval_distance(regular, heavy, *stationary)
 
     def largest_from(regular: Pmf, group, t: float) -> float:
         return max(distance(regular, coordinate_law(m, s.heavy_left, rate, t)) for s in group)

@@ -212,6 +212,8 @@ def _check_rule(rule: tuple, rules: dict, name: str) -> None:
     arity = len(rules[kind][0])
     if len(args) != arity:
         raise ValueError(f"{name} {kind!r} takes {arity} argument(s), got {len(args)}")
+    if not all(math.isfinite(arg) for arg in args if isinstance(arg, float)):
+        raise ValueError(f"{name} {kind!r} arguments must be finite, got {tuple(args)}")
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,11 @@ class ParamFamily:
             check_integer("size", size, 2, math.inf)
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
+        for size in self.sizes:  # finite arguments can still overflow, as exp(1000) does
+            try:
+                self.m_of(size)
+            except OverflowError as exc:
+                raise ValueError(f"m-rule {self.m_rule} overflows at size {size}") from exc
 
     def m_of(self, size: int) -> int:
         return _M_RULES[self.m_rule[0]][1](size, *self.m_rule[1:])

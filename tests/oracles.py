@@ -4,7 +4,8 @@ Everything here recomputes model quantities through a different route than
 the package (matrix exponential of the explicit generator, direct bit-level
 enumeration in plain floats, 40-digit arithmetic, one scalar variate per
 Monte Carlo read from substreams built straight from the documented keys,
-and the count-level event loop the ctmc kernel replaced), so agreement is
+the count-level event loop the ctmc kernel replaced, and the full
+convolution the observable's interval reduction replaced), so agreement is
 evidence rather than the same code tested against itself.
 """
 
@@ -130,6 +131,25 @@ def chain_tv_mp(n: int, m: int, alpha: float, r: int, h: int, t: float) -> float
             for y, v in zip(heavy, heavy_eq)
         )
         return float(total / 2)
+
+
+def observable_distance_convolved(params, strategy, t: float) -> float:
+    """The observable distance by the route dist.distance_curve took before
+    its interval reduction: for each start the two coordinate tables
+    convolved in full, then one half of the L1 distance of that law from
+    Binomial(N, 1/2), maximised over the starts of `strategy`."""
+    n, m, rate = params.regular_count, params.heavy_count, params.heavy_rate
+    stationary = dist.stationary_observed(params)
+    return max(
+        dist.tv(
+            dist.convolve(
+                dist.coordinate_law(n, s.regular_left, 1.0, t),
+                dist.coordinate_law(m, s.heavy_left, rate, t),
+            ),
+            stationary,
+        )
+        for s in dist._initial_states(params, "observable", strategy)
+    )
 
 
 def convolve_dense(a, b) -> np.ndarray:

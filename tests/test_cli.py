@@ -739,6 +739,21 @@ def test_nan_input_is_a_usage_error(argv, capsys):
     assert err.startswith("urnlab: error:")
 
 
+@pytest.mark.parametrize(
+    "m_rule",
+    ["sqrtexp:1,2000", "power:inf"],
+    ids=["overflow", "infinite"],
+)
+def test_family_rule_overflow_is_a_usage_error(m_rule, capsys):
+    # the rule, not the program, is at fault: exit 64, never the invariant exit 3
+    argv = ["classify", "--m-rule", m_rule, "--alpha-rule", "const:0.5",
+            "--sizes", "100,1000", "--ratio", "never"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("urnlab: error: m-rule")
+
+
 def _config_keys(out):
     if out.startswith("{"):
         return list(json.loads(out)["config"])

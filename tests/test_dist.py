@@ -648,7 +648,9 @@ class TestDistanceCurve:
     @pytest.mark.parametrize("strategy", ["corners", "full_scan", InitialState(3, 1)])
     def test_equals_the_single_time_functions(self, strategy):
         """The curve, observed_tv, chain_tv and the per-start maximum over
-        observed_law / chain_law all agree bit for bit."""
+        chain_law agree bit for bit; the observable's interval reduction sums
+        in another order than the per-start tv of observed_law, so that pair
+        agrees to rounding."""
         p = ModelParams(12, 4, 0.4)
         observable = distance_curve(p, "observable", strategy)
         chain = distance_curve(p, "chain", strategy)
@@ -661,7 +663,8 @@ class TestDistanceCurve:
             per_start_chain = max(
                 tv_product(chain_law(p, s, t), stationary_chain(p)) for s in chain_starts
             )
-            assert observable(t) == observed_tv(p, t, strategy) == per_start_observable
+            assert observable(t) == observed_tv(p, t, strategy)
+            assert observable(t) == pytest.approx(per_start_observable, rel=0, abs=1e-15)
             assert chain(t) == chain_tv(p, t, strategy) == per_start_chain
 
     def test_unknown_target(self):
@@ -728,6 +731,113 @@ class TestDistanceCurve:
         distance_curve(p, target, "full_scan")(1.0)
         assert peak == {1.0: 1, 0.4: 1}
         assert live == {1.0: 0, 0.4: 0}
+
+
+def _pinned_or_corners(data, p: ModelParams):
+    if data.draw(st.booleans()):
+        return "corners"
+    return InitialState(
+        data.draw(st.integers(0, p.regular_count)), data.draw(st.integers(0, p.heavy_count))
+    )
+
+
+_TIMES = st.one_of(st.sampled_from([0.0, 1e-12, 1e3]), st.floats(0.0, 60.0))
+
+
+class TestIntervalDistance:
+    """The observable distance on one interval against the full convolution
+    it replaced (oracles.observable_distance_convolved), within 1e-13."""
+
+    @given(
+        data=st.data(),
+        total=st.integers(2, 3000),
+        heavy_share=st.floats(0.0, 1.0),
+        alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        t=_TIMES,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_convolution_route(self, data, total, heavy_share, alpha, t):
+        p = ModelParams(total, round(heavy_share * total), alpha)
+        strategy = _pinned_or_corners(data, p)
+        expected = oracles.observable_distance_convolved(p, strategy, t)
+        got = distance_curve(p, "observable", strategy)(t)
+        assert got == pytest.approx(expected, rel=0, abs=1e-13)
+
+    @given(
+        total=st.integers(2, 30),
+        heavy_share=st.floats(0.0, 1.0),
+        alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        t=_TIMES,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_full_scan_matches_the_convolution_route(self, total, heavy_share, alpha, t):
+        p = ModelParams(total, round(heavy_share * total), alpha)
+        expected = oracles.observable_distance_convolved(p, "full_scan", t)
+        got = distance_curve(p, "observable", "full_scan")(t)
+        assert got == pytest.approx(expected, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "p",
+        [ModelParams(300, 0, 0.4), ModelParams(300, 300, 0.4), ModelParams(300, 40, 1.0)],
+        ids=["no-heavies", "no-regulars", "alpha-1"],
+    )
+    @pytest.mark.parametrize("t", [0.0, 1e-12, 0.7, 1e3])
+    def test_single_species_and_extreme_times(self, p, t):
+        """m = 0, n = 0 and alpha = 1; a point mass at t = 0, nearly one at
+        1e-12, and tables equal to the stationary ones up to rounding at 1e3."""
+        for strategy in ("corners", InitialState(p.regular_count // 3, p.heavy_count // 2)):
+            expected = oracles.observable_distance_convolved(p, strategy, t)
+            got = distance_curve(p, "observable", strategy)(t)
+            assert got == pytest.approx(expected, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("t", [50.0, 80.0])
+    def test_interval_away_from_the_mode_of_the_law(self, t):
+        """At the README curve instance, t = 50 and 80, p / pi at the mode of p
+        is 1 - 1.0e-7 and 1 - 6.3e-13: the interval does not hold p's mode."""
+        p = ModelParams(10_000, 1000, 0.2)
+        got = observed_tv(p, t)
+        assert got == pytest.approx(
+            oracles.observable_distance_convolved(p, "corners", t), rel=0, abs=1e-13
+        )
+
+    @pytest.mark.parametrize(
+        "p, start, t",
+        [
+            (ModelParams(2000, 1000, 1.0), InitialState(500, 500), 14.624431560686244),
+            (ModelParams(2779, 74, 0.5259671852163785), InitialState(1351, 37), 23.85009864570661),
+        ],
+    )
+    def test_ratio_flatter_than_table_noise(self, p, start, t):
+        """Starts with W's mean near N / 2, where p / pi - 1 is below 1e-11:
+        table entries carry about 1e-13 relative noise, so the one-step
+        difference of log p - log pi has a random sign.  Bisecting on it
+        missed the whole positive interval (5e-14 and 1e-12 of distance)."""
+        expected = oracles.observable_distance_convolved(p, start, t)
+        assert expected > 4e-14
+        assert observed_tv(p, t, start) == pytest.approx(expected, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("strategy", ["corners", "full_scan", InitialState(5, 2)])
+    def test_no_convolution_beyond_the_coordinate_laws(self, strategy, monkeypatch):
+        """Each coordinate table convolves its two binomials once; the
+        distance itself convolves nothing."""
+        tables, convolutions = [], []
+
+        def counting_coordinate_law(count, ones_initial, rate, t):
+            tables.append((count, ones_initial, rate))
+            return coordinate_law(count, ones_initial, rate, t)
+
+        def counting_convolve(a, b):
+            convolutions.append((len(a), len(b)))
+            return convolve(a, b)
+
+        monkeypatch.setattr(dist_module, "coordinate_law", counting_coordinate_law)
+        monkeypatch.setattr(dist_module, "convolve", counting_convolve)
+        curve = distance_curve(ModelParams(12, 4, 0.4), "observable", strategy)
+        for t in (0.0, 0.5, 3.0):
+            tables.clear()
+            convolutions.clear()
+            curve(t)
+            assert tables and len(convolutions) == len(tables)
 
 
 class TestMoments:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,26 @@ class TestFamilies:
         with pytest.raises(ValueError) as err:
             ParamFamily(m_rule, alpha_rule, (100,))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "m_rule, alpha_rule, message",
+        [
+            (("power", math.inf), ("const", 0.5), "m-rule 'power' arguments must be finite"),
+            (("sqrtexp", 1.0, math.nan), ("const", 0.5),
+             "m-rule 'sqrtexp' arguments must be finite"),
+            (("fixed", 1), ("const", math.inf), "alpha-rule 'const' arguments must be finite"),
+            (("fixed", 1), ("invlog", -math.inf),
+             "alpha-rule 'invlog' arguments must be finite"),
+            (("sqrtexp", 1.0, 2000.0), ("const", 0.5),
+             "m-rule ('sqrtexp', 1.0, 2000.0) overflows at size 100"),
+            (("power", 150.0), ("const", 0.5), "m-rule ('power', 150.0) overflows at size 1000"),
+        ],
+    )
+    def test_family_rejects_rules_that_overflow(self, m_rule, alpha_rule, message):
+        """Checked when the family is built: a float overflow in m_of would
+        otherwise escape as an ArithmeticError, which is not an input error."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParamFamily(m_rule, alpha_rule, (100, 1000))
 
     def test_rule_evaluation(self):
         fam = ParamFamily(

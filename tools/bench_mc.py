@@ -1,4 +1,5 @@
-"""Benchmark record for the samplers, binomial tables and negdep, at two levels.
+"""Benchmark record for the samplers, binomial tables, distances, convolution
+and negdep, at two levels.
 
 Measures one or two checkouts of urnlab and writes one JSON record:
 
@@ -12,12 +13,15 @@ interpreter that imports urnlab from that checkout's src/, parent and change
 in turn, so machine noise falls on both.
 
 Per layer: the first and the best of 5 calls of `mc.sample_batch`,
-`dist.binomial_pmf` and `negdep.verify_negative_dependence` at fixed sizes
-(CASES; the first call pays what a process builds once, such as negdep's
-cached tables), and the best of 5 `import urnlab` times, each in a fresh
-interpreter.  End to end: the Tier-1 suite's wall time and criterion 8's call
-time (one pytest run, read from its JUnit report), and the last stdout line
-of `perfbench/run.py` for each workload at --seed and --seconds.
+`dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
+`dist.distance_curve` (observable and chain; the curve is built before the
+timed calls) and `dist.convolve` of two prebuilt binomial tables, at fixed
+sizes (CASES, each case in a fresh interpreter; the first call pays what a
+process builds once, such as negdep's cached tables), and the best of 5
+`import urnlab` times, each in a fresh interpreter.  End to end: the Tier-1
+suite's wall time and criterion 8's call time (one pytest run, read from its
+JUnit report), and the last stdout line of `perfbench/run.py` for each
+workload at --seed and --seconds.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/2"
+SCHEMA = "urnlab-bench-mc/3"
 REPEATS = 5
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
@@ -52,32 +56,53 @@ CASES = {
     "binomial_N1e5_p0.5": ("binomial_pmf", (100_000, 0.5)),
     "binomial_N1e6_p0.31": ("binomial_pmf", (1_000_000, 0.31)),
     "negdep_N1000_m100_t1_1000rows": ("verify_negative_dependence", ((1000, 100, 0.2), 1.0, 1000)),
+    "observable_curve_N1e5_t20": ("distance_curve", ("observable", (100_000, 10_000, 0.2), 20.0)),
+    "observable_curve_N1e6_t20": ("distance_curve", ("observable", (1_000_000, 100_000, 0.2), 20.0)),
+    "chain_curve_N1e5_t20": ("distance_curve", ("chain", (100_000, 10_000, 0.2), 20.0)),
+    "chain_curve_N1e6_t20": ("distance_curve", ("chain", (1_000_000, 100_000, 0.2), 20.0)),
+    "convolve_9000x1000": ("convolve", ((9000, 0.36), (1000, 0.115))),
+    "convolve_90000x10000": ("convolve", ((90_000, 0.5), (10_000, 0.275))),
 }
 ARGUMENT_NAMES = {
     "sample_batch": ("sampler", "params", "t", "draws"),
     "binomial_pmf": ("trials", "success_prob"),
     "verify_negative_dependence": ("params", "t", "max_size"),
+    "distance_curve": ("target", "params", "t"),
+    "convolve": ("binomial_a", "binomial_b"),
 }
 
 # Runs in the measured checkout's interpreter; prints {case: [seconds per call]}.
-# Repeat i of a sample_batch case uses seed i.
+# prepare[call] takes a case's arguments, does the untimed set-up and returns the
+# timed call; repeat i of a sample_batch case uses seed i.
 _LAYER_SCRIPT = """
 import json, sys, time
 from urnlab import InitialState, ModelParams, dist, mc, negdep
-calls = {
-    "sample_batch": lambda seed, sampler, params, t, draws: mc.sample_batch(
+
+def curve_evaluation(target, params, t):
+    curve = dist.distance_curve(ModelParams(*params), target)
+    return lambda seed: curve(t)
+
+def convolution(a, b):
+    x, y = dist.binomial_pmf(*a), dist.binomial_pmf(*b)
+    return lambda seed: dist.convolve(x, y)
+
+prepare = {
+    "sample_batch": lambda sampler, params, t, draws: lambda seed: mc.sample_batch(
         ModelParams(*params), InitialState(0, 0), t, draws, seed, sampler=sampler),
-    "binomial_pmf": lambda seed, trials, prob: dist.binomial_pmf(trials, prob),
-    "verify_negative_dependence": lambda seed, params, t, max_size:
+    "binomial_pmf": lambda trials, prob: lambda seed: dist.binomial_pmf(trials, prob),
+    "verify_negative_dependence": lambda params, t, max_size: lambda seed:
         negdep.verify_negative_dependence(ModelParams(*params), t, max_size),
+    "distance_curve": curve_evaluation,
+    "convolve": convolution,
 }
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 times = {}
 for name, (call, arguments) in cases.items():
+    timed = prepare[call](*arguments)
     times[name] = []
     for seed in range(repeats):
         started = time.perf_counter()
-        calls[call](seed, *arguments)
+        timed(seed)
         times[name].append(time.perf_counter() - started)
 print(json.dumps(times))
 """
@@ -110,9 +135,13 @@ def _git(checkout: Path) -> dict:
 
 
 def per_layer(checkout: Path) -> dict:
-    out = _run(checkout, [sys.executable, "-c", _LAYER_SCRIPT, json.dumps(CASES), str(REPEATS)])
-    record = {name: {"first_s": times[0], "best_s": min(times), "of": REPEATS}
-              for name, times in json.loads(out).items()}
+    # one interpreter per case: memory a large case leaves to the allocator
+    # would otherwise spare the next case its page faults
+    record = {}
+    for name, case in CASES.items():
+        command = [sys.executable, "-c", _LAYER_SCRIPT, json.dumps({name: case}), str(REPEATS)]
+        times = json.loads(_run(checkout, command))[name]
+        record[name] = {"first_s": times[0], "best_s": min(times), "of": REPEATS}
     command = [sys.executable, "-c", _IMPORT_SCRIPT]
     imports = [float(_run(checkout, command)) for _ in range(REPEATS)]
     record["import_urnlab"] = {"best_s": min(imports), "of": REPEATS}
