@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import InitialState, ModelParams, check_time
-from .dist import observable_mean_variance, observed_law, stationary_observed, survival
+from .dist import _aligned, observable_mean_variance, observed_law, stationary_observed, survival
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -102,9 +102,10 @@ def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
     that shares no search or summation with it.
     """
     law = observed_law(params, InitialState(0, 0), t)
-    target = stationary_observed(params)
+    # both CDFs where either window lies; elsewhere the gap repeats one of these
+    cdfs = np.cumsum(_aligned(law, stationary_observed(params)), axis=1)
     # clamped to 1 as in dist.tv: each table may carry up to 1e-12 of mass drift
-    return min(1.0, float(np.abs(law.cdf() - target.cdf()).max()))
+    return min(1.0, float(np.abs(cdfs[0] - cdfs[1]).max()))
 
 
 def clt_lower_bound(params: ModelParams, t: float) -> float:

@@ -349,9 +349,9 @@ def _add_grid_flags(parser) -> None:
     )
 
 
-def _add_output_flags(parser, formats=("csv", "json"), default="csv") -> None:
+def _add_output_flags(parser, formats=("csv", "json")) -> None:
     if formats:
-        parser.add_argument("--format", choices=formats, default=default)
+        parser.add_argument("--format", choices=formats, default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 

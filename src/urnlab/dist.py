@@ -27,21 +27,26 @@ _NEGATIVE_TOL = -1e-12
 
 
 class Pmf:
-    """Probability mass function on {0, 1, ..., K}, stored densely.
-
-    Entries that cancellation pushed slightly negative are clamped to zero.
-    Total mass is renormalised when it drifts past 1e-12 and rejected when
-    it drifts past max(1e-9, 5e-15 * size), more than log-space summation
-    roundoff can explain (that much drift means a bug, not roundoff).  The
-    underlying array is frozen so instances can be shared freely.
+    """Probability mass function on {0, ..., size - 1}, stored as its window
+    (first to last non-zero entry) at offset: Pmf(window, offset, size), or
+    Pmf(probs) for a dense table.  Entries that cancellation pushed slightly
+    negative are clamped to zero.  Total mass is renormalised when it drifts
+    past 1e-12 and rejected when it drifts past max(1e-9, 5e-15 * size), more
+    than log-space summation roundoff can explain (that much drift means a
+    bug, not roundoff).  Then the zero ends are trimmed, here and nowhere
+    else.  The window is frozen so instances can be shared freely; .probs
+    builds the dense table.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("window", "offset", "size")
 
-    def __init__(self, probs) -> None:
-        arr = np.array(probs, dtype=float)
+    def __init__(self, probs, offset: int = 0, size: int | None = None) -> None:
+        arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a pmf needs a non-empty 1-d array of probabilities")
+        size = offset + arr.size if size is None else size
+        if offset < 0 or offset + arr.size > size:
+            raise ValueError(f"entries from {offset} do not fit a support of size {size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("pmf entries must be finite")
         low = arr.min()
@@ -51,30 +56,31 @@ class Pmf:
             arr = np.maximum(arr, 0.0)
         total = float(arr.sum())
         drift = abs(total - 1.0)
-        if drift > max(_MASS_ERROR_TOL, 5e-15 * arr.size):
+        if drift > max(_MASS_ERROR_TOL, 5e-15 * size):
             raise ValueError(f"pmf mass {total} is too far from 1")
         if drift > _MASS_RENORM_TOL:
             arr = arr / total
-        arr.setflags(write=False)
-        self.probs = arr
-
-    def __len__(self) -> int:
-        return self.probs.size
+        nonzero = np.flatnonzero(arr)
+        self.window = arr[nonzero[0] : nonzero[-1] + 1].copy()
+        self.window.setflags(write=False)
+        self.offset, self.size = offset + int(nonzero[0]), size
 
     @property
-    def max_value(self) -> int:
-        return self.probs.size - 1
+    def probs(self) -> np.ndarray:
+        """The dense table, read-only, built on each access."""
+        dense = np.pad(self.window, (self.offset, self.size - self.offset - self.window.size))
+        dense.setflags(write=False)
+        return dense
+
+    def __len__(self) -> int:
+        return self.size
 
     def mean(self) -> float:
-        return float(np.arange(self.probs.size) @ self.probs)
+        return float(np.arange(self.offset, self.offset + self.window.size) @ self.window)
 
     def variance(self) -> float:
-        values = np.arange(self.probs.size)
-        mu = float(values @ self.probs)
-        return float(((values - mu) ** 2) @ self.probs)
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+        values = np.arange(self.offset, self.offset + self.window.size)
+        return float(((values - self.mean()) ** 2) @ self.window)
 
 
 # Loader's saddle-point form of the binomial pmf (C. Loader, "Fast and Accurate
@@ -255,49 +261,34 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     """Binomial(trials, success_prob) in Loader's saddle-point form.
 
     Only the Chernoff window trials * KL(k / trials || p) <= 750 is evaluated
-    (its edges by bisection) and written into zeros.  Every entry outside it
-    is below e^-750, which exp rounds to 0.0, so the table and its zero
-    pattern are those of the full evaluation.  Entries are within 1e-12
-    relative of 40-digit arithmetic up to 10^6 trials: at most 3.4e-13 was
-    measured at the mode, 3, 9, 20 and 30 standard deviations out and the end
-    points, from 10^3 to 9 x 10^6 trials (log-gamma lost 1.0e-11 at 10^4,
-    1.1e-10 at 10^5 and 1.6e-9 at 10^6).
+    (its edges by bisection) and stored, unpadded (about 39 sqrt(trials) at
+    p = 1/2).  Every entry outside it is below e^-750, which exp rounds to
+    0.0, so the table and its zero pattern are those of the full evaluation.
+    Entries are within 1e-12 relative of 40-digit arithmetic up to 10^6
+    trials: at most 3.4e-13 was measured at the mode, 3, 9, 20 and 30
+    standard deviations out and the end points, from 10^3 to 9 x 10^6 trials
+    (log-gamma lost 1.0e-11 at 10^4, 1.1e-10 at 10^5 and 1.6e-9 at 10^6).
     """
     check_integer("trials", trials, 0, math.inf)
     p = float(success_prob)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability {p} outside [0, 1]")
     trials = int(trials)
-    probs = np.zeros(trials + 1)
     if p == 0.0 or p == 1.0:
-        probs[0 if p == 0.0 else trials] = 1.0
-    else:
-        lo, hi = _window(trials, p)
-        probs[lo : hi + 1] = np.exp(_log_dbinom(lo, hi, trials, p))
-    return Pmf(probs)
-
-
-def _nonzero_window(pmf: Pmf) -> tuple[np.ndarray, int]:
-    """The table from its first to its last non-zero entry, and that first index."""
-    nonzero = np.flatnonzero(pmf.probs)
-    first = int(nonzero[0])
-    return pmf.probs[first : nonzero[-1] + 1], first
+        return Pmf([1.0], 0 if p == 0.0 else trials, trials + 1)
+    lo, hi = _window(trials, p)
+    return Pmf(np.exp(_log_dbinom(lo, hi, trials, p)), lo, trials + 1)
 
 
 def convolve(a: Pmf, b: Pmf) -> Pmf:
     """Law of the sum of independent variables with laws a and b.
 
-    Direct convolution of the non-zero spans only (first to last non-zero
-    entry of each table): O(span(a) * span(b)) multiply-adds.  The trimmed
-    entries are exact zeros, so no mass is dropped, and the result keeps the
-    full length len(a) + len(b) - 1.  No FFT, so the result carries no
-    spectral roundoff and tiny tail masses survive.
+    Direct convolution of the two windows, placed at the sum of their
+    offsets: O(w_a * w_b) multiply-adds over the window widths, and no mass
+    dropped.  No FFT, so the result carries no spectral roundoff and tiny
+    tail masses survive.
     """
-    (core_a, first_a), (core_b, first_b) = _nonzero_window(a), _nonzero_window(b)
-    core = np.convolve(core_a, core_b)
-    out = np.zeros(len(a) + len(b) - 1)
-    out[first_a + first_b : first_a + first_b + core.size] = core
-    return Pmf(out)
+    return Pmf(np.convolve(a.window, b.window), a.offset + b.offset, len(a) + len(b) - 1)
 
 
 @dataclass(frozen=True)
@@ -380,18 +371,25 @@ def stationary_chain(params: ModelParams) -> tuple[Pmf, Pmf]:
     )
 
 
-def tv(a: Pmf, b: Pmf) -> float:
-    """Total-variation distance, one half the L1 distance of the tables.
+def _aligned(a: Pmf, b: Pmf) -> np.ndarray:
+    """a's and b's tables as two rows over the indices of either window, in
+    order, less the gap between disjoint windows, where both are zero."""
+    lo = min(a.offset, b.offset)
+    ends = (a.offset + a.window.size, b.offset + b.window.size)
+    gap = max(max(a.offset, b.offset) - min(ends), 0)
+    rows = np.zeros((2, max(ends) - lo - gap))
+    for row, pmf in zip(rows, (a, b)):
+        start = max(pmf.offset - lo - gap, 0)
+        row[start : start + pmf.window.size] = pmf.window
+    return rows
 
-    Clamped to 1: a table may keep up to 1e-12 of mass drift without
+
+def tv(a: Pmf, b: Pmf) -> float:
+    """Total-variation distance, one half the L1 distance of the windows,
+    clamped to 1: a table may keep up to 1e-12 of mass drift without
     renormalising, so on disjoint supports the raw half-sum can pass 1 by
-    about 1e-12.
-    """
-    width = max(len(a), len(b))
-    pa = np.zeros(width)
-    pa[: len(a)] = a.probs
-    pb = np.zeros(width)
-    pb[: len(b)] = b.probs
+    about 1e-12."""
+    pa, pb = _aligned(a, b)
     return min(1.0, 0.5 * float(np.abs(pa - pb).sum()))
 
 
@@ -404,16 +402,17 @@ def tv_product(x: tuple[Pmf, Pmf], y: tuple[Pmf, Pmf]) -> float:
     heavy index is sorted once by that ratio (yh_b = 0 at +inf; a cell with
     xh_b = yh_b = 0 adds nothing wherever it sits), and suffix sums of xh and
     yh in that order give every row's positive part through one searchsorted,
-    in O((n + m) log m) time and O(n + m) memory.  Then
-    (1/2) sum |d| = sum d^+ - (1/2) sum d, and sum d = (sum xr)(sum xh) -
-    (sum yr)(sum yh) keeps the allowed table-mass drift in, as the half-sum
-    has it.  Clamped to [0, 1]: that drift, up to 1e-12 per table, can push
-    the raw value about 1e-12 past either end.
+    in O((w_n + w_m) log w_m) time and O(w_n + w_m) memory over the regular
+    and heavy window widths of both laws.  Then (1/2) sum |d| = sum d^+ -
+    (1/2) sum d, and sum d = (sum xr)(sum xh) - (sum yr)(sum yh) keeps the
+    allowed table-mass drift in, as the half-sum has it.  Clamped to [0, 1]:
+    that drift, up to 1e-12 per table, can push the raw value about 1e-12
+    past either end.
     """
-    xr, xh = x[0].probs, x[1].probs
-    yr, yh = y[0].probs, y[1].probs
-    if xr.size != yr.size or xh.size != yh.size:
+    if len(x[0]) != len(y[0]) or len(x[1]) != len(y[1]):
         raise ValueError("product factors must be over matching state spaces")
+    xr, yr = _aligned(x[0], y[0])
+    xh, yh = _aligned(x[1], y[1])
     # A ratio past the float range reads as +inf; that can misplace only
     # cells smaller than 1e-308.
     with np.errstate(over="ignore"):
@@ -437,11 +436,11 @@ _SEARCH_FLOOR = 1e-280
 
 
 def _interval_distance(
-    regular: Pmf, heavy: Pmf, pi: np.ndarray, pi_cdf: np.ndarray, pi_lo: int, pi_hi: int
+    regular: Pmf, heavy: Pmf, pi: Pmf, pi_cdf: np.ndarray, pi_lo: int, pi_hi: int
 ) -> float:
     """Total-variation distance of p, the law of the sum of two independent
-    factor tables, from pi = Binomial(N, 1/2) with cumulative sums pi_cdf,
-    pi > _SEARCH_FLOOR exactly on [pi_lo, pi_hi].  No convolution.
+    factor tables, from pi = Binomial(N, 1/2) with pi_cdf the cumulative sums
+    of its window, pi > _SEARCH_FLOOR exactly on [pi_lo, pi_hi].
 
     p is a Poisson-binomial law, so by Newton's inequalities p / pi is
     log-concave (Hardy, Littlewood & Polya, Inequalities, 2.22) and
@@ -456,10 +455,9 @@ def _interval_distance(
     (1/2) sum |p - pi| = p(I) - pi(I) - (1/2) (sum p - sum pi), keeping the
     allowed mass drift in as tv does, clamped to [0, 1] as tv_product is.
     """
-    (short, s0), (long, l0) = sorted(
-        (_nonzero_window(regular), _nonzero_window(heavy)), key=lambda w: w[0].size
-    )
-    offset, size = s0 + l0, long.size
+    small, large = sorted((regular, heavy), key=lambda f: f.window.size)
+    offset, short, long = small.offset + large.offset, small.window, large.window
+    size = long.size
     last = offset + short.size + size - 2
     long_cdf = np.cumsum(long)
     short_cdf = np.cumsum(short)
@@ -484,15 +482,14 @@ def _interval_distance(
         head = float(short_cdf[below - 1] * long_cdf[-1]) if below > 0 else 0.0
         return head + dot(cdf_reversed, k)
 
-    def pi_at_most(j: int) -> float:
-        return float(pi_cdf[j]) if j >= 0 else 0.0
+    def pi_at(j: int) -> float:
+        return pi.window[j - pi.offset]
 
-    mean = (
-        offset
-        + float(np.arange(short.size) @ short) / float(short_cdf[-1])
-        + float(np.arange(size) @ long) / float(long_cdf[-1])
-    )
-    centre = int(mean)
+    def pi_at_most(j: int) -> float:
+        k = min(j - pi.offset, pi_cdf.size - 1)
+        return float(pi_cdf[k]) if k >= 0 else 0.0
+
+    centre = int(regular.mean() + heavy.mean())
     mode = max(range(max(centre - 1, offset), min(centre + 2, last) + 1), key=p)
     p_lo = _first(offset, mode, lambda j: p(j) > _SEARCH_FLOOR)
     p_hi = _first(mode, last + 1, lambda j: p(j) <= _SEARCH_FLOOR) - 1
@@ -508,17 +505,17 @@ def _interval_distance(
         while top < bottom:
             third = (bottom - top) // 3
             a, b = top + third, bottom - third
-            if p(a) / pi[a] < p(b) / pi[b]:
+            if p(a) / pi_at(a) < p(b) / pi_at(b):
                 top = a + 1
             else:
                 bottom = b - 1
-        if p(top) > pi[top]:
-            lo = _first(lo_edge, top, lambda j: p(j) > pi[j])
-            hi = _first(top, hi_edge + 1, lambda j: p(j) <= pi[j])
+        if p(top) > pi_at(top):
+            lo = _first(lo_edge, top, lambda j: p(j) > pi_at(j))
+            hi = _first(top, hi_edge + 1, lambda j: p(j) <= pi_at(j))
     if p_lo < pi_lo:
         lo = 0
     if p_hi > pi_hi:
-        hi = pi.size
+        hi = len(pi)
     positive = p_cdf(hi - 1) - p_cdf(lo - 1) - (pi_at_most(hi - 1) - pi_at_most(lo - 1))
     drift = float(short_cdf[-1] * long_cdf[-1]) - float(pi_cdf[-1])
     return min(1.0, max(0.0, positive - 0.5 * drift))
@@ -590,9 +587,9 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
     if target == "chain":
         stationary = stationary_chain(params)
     else:
-        pi = stationary_observed(params).probs
-        above = np.flatnonzero(pi > _SEARCH_FLOOR)
-        stationary = (pi, np.cumsum(pi), int(above[0]), int(above[-1]))
+        pi = stationary_observed(params)
+        above = np.flatnonzero(pi.window > _SEARCH_FLOOR) + pi.offset
+        stationary = (pi, np.cumsum(pi.window), int(above[0]), int(above[-1]))
 
     def distance(regular: Pmf, heavy: Pmf) -> float:
         if target == "chain":

@@ -264,7 +264,7 @@ def sample_batch(
 
 
 def empirical_pmf(batch: SampleBatch, projection: str = "total") -> Pmf:
-    """Histogram of a batch as a dense pmf over the projection's full support.
+    """Histogram of a batch as a pmf over the projection's full support.
 
     projection: "total" (regular + heavy), "regular", or "heavy".  The
     reduction is a deterministic ordered bincount.
@@ -280,8 +280,7 @@ def empirical_pmf(batch: SampleBatch, projection: str = "total") -> Pmf:
         support = batch.params.heavy_count
     else:
         raise ValueError(f"unknown projection {projection!r}")
-    histogram = np.bincount(values, minlength=support + 1)
-    return Pmf(histogram / batch.count)
+    return Pmf(np.bincount(values) / batch.count, 0, support + 1)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,8 @@ def mixing_time(
     maximum over (0, 0) and (0, m), the maximisers only empirically.
 
     Scans a geometric grid seeded by the predicted cutoff times for the first
-    point below epsilon, then bisects that bracket down to width
+    point below epsilon, up to 100 times the cutoff scale or the relaxation
+    time, whichever is larger, then bisects that bracket down to width
     1e-3 * relaxation_time.  First-crossing semantics: the search takes the
     curve to be non-increasing, so the crossing is unique; the bracket
     endpoints are re-checked and a violation raises.
@@ -107,7 +108,7 @@ def mixing_time(
     times = predicted_times(params)
     # heavy_cutoff is -inf only when m = 0, and regular_cutoff is positive
     scale = max(times.regular_cutoff, times.heavy_cutoff)
-    ceiling = NO_CROSSING_FACTOR * scale
+    ceiling = NO_CROSSING_FACTOR * max(scale, params.relaxation_time)
     lo, value_lo = 0.0, at_zero
     hi = value_hi = None
     t = scale / 64.0

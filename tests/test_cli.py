@@ -754,6 +754,16 @@ def test_family_rule_overflow_is_a_usage_error(m_rule, capsys):
     assert err.startswith("urnlab: error: m-rule")
 
 
+def test_classify_ratio_waits_for_the_relaxation_time(capsys):
+    """m = 1, alpha = 0.001: the chain mixes at ln 2 / alpha, past 100 times
+    both cutoff scales, so the ratio to the relaxation time is ln 2."""
+    argv = ["classify", "--m-rule", "fixed:1", "--alpha-rule", "const:0.001",
+            "--sizes", "1000,10000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["product_condition_ratio"] == pytest.approx(math.log(2), abs=1e-3)
+
+
 def _config_keys(out):
     if out.startswith("{"):
         return list(json.loads(out)["config"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -55,12 +56,30 @@ class TestPmf:
         p = Pmf([0.25, 0.5, 0.25])
         assert p.mean() == pytest.approx(1.0)
         assert p.variance() == pytest.approx(0.5)
-        assert p.max_value == 2
 
     def test_frozen(self):
         p = Pmf([1.0])
         with pytest.raises(ValueError):
             p.probs[0] = 0.5
+
+    def test_stores_the_trimmed_window(self):
+        dense = np.array([0.0, 0.0, 0.25, 0.0, 0.5, 0.25, 0.0])
+        p = Pmf(dense)
+        assert (p.offset, len(p)) == (2, 7)
+        np.testing.assert_array_equal(p.window, [0.25, 0.0, 0.5, 0.25])
+        assert p.probs.tobytes() == dense.tobytes()
+        assert not p.probs.flags.writeable
+        with pytest.raises(ValueError):
+            p.probs[0] = 0.5
+
+    def test_window_with_offset_and_size(self):
+        p = Pmf([0.0, 0.5, 0.5], offset=3, size=10)
+        assert (p.offset, len(p)) == (4, 10)
+        np.testing.assert_array_equal(p.probs, [0, 0, 0, 0, 0.5, 0.5, 0, 0, 0, 0])
+        assert p.mean() == pytest.approx(4.5)
+        for offset, size in ((-1, 10), (8, 10)):
+            with pytest.raises(ValueError, match="support"):
+                Pmf([0.5, 0.5, 0.0], offset, size)
 
 
 class TestBinomialPmf:
@@ -122,6 +141,13 @@ class TestBinomialPmf:
         assert binomial_pmf(5, 0.0).probs[0] == 1.0
         assert binomial_pmf(5, 1.0).probs[5] == 1.0
         assert len(binomial_pmf(0, 0.3)) == 1
+
+    def test_stores_only_the_window(self):
+        """About 39 sqrt(trials) entries at p = 1/2, not the 10^8 + 1 of the support."""
+        p = binomial_pmf(10**8, 0.5)
+        assert len(p) == 10**8 + 1
+        assert p.window.size < 400_000
+        assert float(p.window.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_large_count_keeps_mass(self):
         p = binomial_pmf(2 * 10**6, 0.5)
@@ -339,6 +365,16 @@ class TestTv:
         d = tv(a, b)
         assert 0.0 <= d <= 1.0
         assert d == tv(b, a)
+
+    @given(a=_dyadic_count_table(), b=_dyadic_count_table())
+    @settings(max_examples=80, deadline=None)
+    def test_windows_match_the_dense_half_sum(self, a, b):
+        """Dyadic tables sum exactly in any order, so the sum over the
+        windows, which skips the zeros between disjoint ones, equals the
+        dense half-sum bit for bit."""
+        width = max(len(a), len(b))
+        pa, pb = (np.pad(f.probs, (0, width - len(f))) for f in (a, b))
+        assert tv(a, b) == min(1.0, 0.5 * float(np.abs(pa - pb).sum()))
 
     def test_tv_product_equals_flattened(self):
         x = (binomial_pmf(5, 0.3), binomial_pmf(3, 0.8))
@@ -638,6 +674,22 @@ class TestWorstCase:
         stationary_regular, stationary_heavy = stationary_chain(p)
         expected = 1.0 - stationary_regular.probs[0] * stationary_heavy.probs[0]
         assert chain_tv(p, 0.0) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0])
+@pytest.mark.parametrize("target", ["observable", "chain"])
+def test_evaluation_at_ten_million_stays_on_the_windows(target, t):
+    """Building the curve and one evaluation at N = 10^7 allocate O(sqrt N)
+    at their peak; one dense table of the support alone would be 80 MB.  At
+    t = 1 the regular window and its stationary one are disjoint, 1.5 million
+    apart, and the chain's rows skip the gap between them."""
+    tracemalloc.start()
+    try:
+        distance_curve(ModelParams(10**7, 10**6, 0.2), target)(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class _TrackedPmf(Pmf):

@@ -68,6 +68,13 @@ class TestMixingTime:
         chain = mixing_time(params, 0.25, target="chain")
         assert chain.time >= obs.time - 1e-3 * params.relaxation_time
 
+    def test_tiny_alpha_mixes_on_the_relaxation_time(self):
+        """m = 1, alpha = 0.001: both cutoff scales are under 5, but the chain
+        waits for the heavy ball, whose distance is e^{-alpha t} / 2 once the
+        regular balls have mixed, so it crosses 1/4 at ln 2 / alpha = 693."""
+        result = mixing_time(ModelParams(1000, 1, 0.001), 0.25, "chain")
+        assert result.bracket_lo <= math.log(2) / 0.001 <= result.bracket_hi
+
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.3, 1.7])
     def test_epsilon_out_of_range(self, epsilon):
         with pytest.raises(ValueError):

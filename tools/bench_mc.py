@@ -14,14 +14,15 @@ in turn, so machine noise falls on both.
 
 Per layer: the first and the best of 5 calls of `mc.sample_batch`,
 `dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
-`dist.distance_curve` (observable and chain; the curve is built before the
-timed calls) and `dist.convolve` of two prebuilt binomial tables, at fixed
-sizes (CASES, each case in a fresh interpreter; the first call pays what a
-process builds once, such as negdep's cached tables), and the best of 5
-`import urnlab` times, each in a fresh interpreter.  End to end: the Tier-1
-suite's wall time and criterion 8's call time (one pytest run, read from its
-JUnit report), and the last stdout line of `perfbench/run.py` for each
-workload at --seed and --seconds.
+`dist.distance_curve` (observable and chain, up to N = 10^7; the curve is
+built before the timed calls) and `dist.convolve` of two prebuilt binomial
+tables, at fixed sizes (CASES, each case in a fresh interpreter; the first
+call pays what a process builds once, such as negdep's cached tables), with
+that interpreter's peak RSS (ru_maxrss, set-up and import included), and the
+best of 5 `import urnlab` times, each in a fresh interpreter.  End to end:
+the Tier-1 suite's wall time and criterion 8's call time (one pytest run,
+read from its JUnit report), and the last stdout line of `perfbench/run.py`
+for each workload at --seed and --seconds.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/3"
+SCHEMA = "urnlab-bench-mc/4"
 REPEATS = 5
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
@@ -60,6 +61,10 @@ CASES = {
     "observable_curve_N1e6_t20": ("distance_curve", ("observable", (1_000_000, 100_000, 0.2), 20.0)),
     "chain_curve_N1e5_t20": ("distance_curve", ("chain", (100_000, 10_000, 0.2), 20.0)),
     "chain_curve_N1e6_t20": ("distance_curve", ("chain", (1_000_000, 100_000, 0.2), 20.0)),
+    "observable_curve_N1e7_t20": (
+        "distance_curve", ("observable", (10_000_000, 1_000_000, 0.2), 20.0)
+    ),
+    "chain_curve_N1e7_t20": ("distance_curve", ("chain", (10_000_000, 1_000_000, 0.2), 20.0)),
     "convolve_9000x1000": ("convolve", ((9000, 0.36), (1000, 0.115))),
     "convolve_90000x10000": ("convolve", ((90_000, 0.5), (10_000, 0.275))),
 }
@@ -71,11 +76,12 @@ ARGUMENT_NAMES = {
     "convolve": ("binomial_a", "binomial_b"),
 }
 
-# Runs in the measured checkout's interpreter; prints {case: [seconds per call]}.
+# Runs in the measured checkout's interpreter; prints {"times": {case: [seconds
+# per call]}, "peak_rss_mb": the interpreter's peak RSS} (ru_maxrss is in KiB on Linux).
 # prepare[call] takes a case's arguments, does the untimed set-up and returns the
 # timed call; repeat i of a sample_batch case uses seed i.
 _LAYER_SCRIPT = """
-import json, sys, time
+import json, resource, sys, time
 from urnlab import InitialState, ModelParams, dist, mc, negdep
 
 def curve_evaluation(target, params, t):
@@ -104,7 +110,8 @@ for name, (call, arguments) in cases.items():
         started = time.perf_counter()
         timed(seed)
         times[name].append(time.perf_counter() - started)
-print(json.dumps(times))
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"times": times, "peak_rss_mb": peak_rss_mb}))
 """
 _IMPORT_SCRIPT = """
 import time
@@ -140,8 +147,10 @@ def per_layer(checkout: Path) -> dict:
     record = {}
     for name, case in CASES.items():
         command = [sys.executable, "-c", _LAYER_SCRIPT, json.dumps({name: case}), str(REPEATS)]
-        times = json.loads(_run(checkout, command))[name]
-        record[name] = {"first_s": times[0], "best_s": min(times), "of": REPEATS}
+        measured = json.loads(_run(checkout, command))
+        times = measured["times"][name]
+        record[name] = {"first_s": times[0], "best_s": min(times), "of": REPEATS,
+                        "peak_rss_mb": measured["peak_rss_mb"]}
     command = [sys.executable, "-c", _IMPORT_SCRIPT]
     imports = [float(_run(checkout, command)) for _ in range(REPEATS)]
     record["import_urnlab"] = {"best_s": min(imports), "of": REPEATS}
