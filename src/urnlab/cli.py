@@ -206,7 +206,10 @@ def cmd_bounds(args) -> str:
         # user-pinned different start would be meaningless, so the sandwich
         # check on that side needs a dominating strategy.  lb_kolm is the exact
         # distance from the all-right start, which such a strategy covers, so
-        # that side cross-checks two reductions of one law (CDF gap and TV).
+        # that side cross-checks two reductions of one law that share only the
+        # tables: the CDF gap at the likelihood-ratio crossing, found by one
+        # bisection, against the mass of the interval {p > pi} less half the
+        # mass drift, found by a ternary mode search and two bisections.
         lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
         for i, (t, exact) in enumerate(zip(grid, table["exact"])):
             lower = max(cheb.values[i], kolm.values[i])

@@ -435,30 +435,20 @@ def tv_product(x: tuple[Pmf, Pmf], y: tuple[Pmf, Pmf]) -> float:
 _SEARCH_FLOOR = 1e-280
 
 
-def _interval_distance(
-    regular: Pmf, heavy: Pmf, pi: Pmf, pi_cdf: np.ndarray, pi_lo: int, pi_hi: int
-) -> float:
-    """Total-variation distance of p, the law of the sum of two independent
-    factor tables, from pi = Binomial(N, 1/2) with pi_cdf the cumulative sums
-    of its window, pi > _SEARCH_FLOOR exactly on [pi_lo, pi_hi].
+def _sum_law(x: Pmf, y: Pmf):
+    """Point and CDF values of p, the law of the sum of two independent factor
+    tables, without the convolved table: (p, p_cdf, first, last, mass).
 
-    p is a Poisson-binomial law, so by Newton's inequalities p / pi is
-    log-concave (Hardy, Littlewood & Polya, Inequalities, 2.22) and
-    I = {p > pi} is one interval.  The search stays where both laws exceed
-    the floor, an interval because both are log-concave, with p's edges
-    bisected from p's mode, within 1 of p's mean (Darroch, 1964).  There a
-    ternary search finds the mode of p / pi, and a bisection on each side of
-    it the sign change of p - pi.  Past pi's floor window p > pi wherever p
-    has mass above the floor, so there I runs on to 0 or N.  A point value
-    p(j) is one dot product over the shorter factor's non-zero window, and a
-    CDF value the same against the cumulative sums of the longer.  Then
-    (1/2) sum |p - pi| = p(I) - pi(I) - (1/2) (sum p - sum pi), keeping the
-    allowed mass drift in as tv does, clamped to [0, 1] as tv_product is.
+    p(j) is one dot product of the shorter factor's window against the
+    longer's, and p_cdf(j) the same against the longer's cumulative sums plus
+    the shorter entries whose whole longer window lies at or below j: O(w)
+    over the shorter window width w, after O(W) set-up over the longer W.
+    p is zero outside [first, last]; mass is the product of the two window
+    sums, each table's allowed mass drift kept in.
     """
-    small, large = sorted((regular, heavy), key=lambda f: f.window.size)
+    small, large = sorted((x, y), key=lambda f: f.window.size)
     offset, short, long = small.offset + large.offset, small.window, large.window
     size = long.size
-    last = offset + short.size + size - 2
     long_cdf = np.cumsum(long)
     short_cdf = np.cumsum(short)
     # reversed copies: the long index j - s runs down as the short index s runs up
@@ -481,6 +471,31 @@ def _interval_distance(
         below = min(k - size + 1, short.size)  # short entries whose long window lies <= j
         head = float(short_cdf[below - 1] * long_cdf[-1]) if below > 0 else 0.0
         return head + dot(cdf_reversed, k)
+
+    mass = float(short_cdf[-1] * long_cdf[-1])
+    return p, p_cdf, offset, offset + short.size + size - 2, mass
+
+
+def _interval_distance(
+    regular: Pmf, heavy: Pmf, pi: Pmf, pi_cdf: np.ndarray, pi_lo: int, pi_hi: int
+) -> float:
+    """Total-variation distance of p, the law of the sum of two independent
+    factor tables, from pi = Binomial(N, 1/2) with pi_cdf the cumulative sums
+    of its window, pi > _SEARCH_FLOOR exactly on [pi_lo, pi_hi].
+
+    p is a Poisson-binomial law, so by Newton's inequalities p / pi is
+    log-concave (Hardy, Littlewood & Polya, Inequalities, 2.22) and
+    I = {p > pi} is one interval.  The search stays where both laws exceed
+    the floor, an interval because both are log-concave, with p's edges
+    bisected from p's mode, within 1 of p's mean (Darroch, 1964).  There a
+    ternary search finds the mode of p / pi, and a bisection on each side of
+    it the sign change of p - pi.  Past pi's floor window p > pi wherever p
+    has mass above the floor, so there I runs on to 0 or N.  With point and
+    CDF values of p from _sum_law, (1/2) sum |p - pi| = p(I) - pi(I) -
+    (1/2) (sum p - sum pi), keeping the allowed mass drift in as tv does,
+    clamped to [0, 1] as tv_product is.
+    """
+    p, p_cdf, offset, last, mass = _sum_law(regular, heavy)
 
     def pi_at(j: int) -> float:
         return pi.window[j - pi.offset]
@@ -517,7 +532,7 @@ def _interval_distance(
     if p_hi > pi_hi:
         hi = len(pi)
     positive = p_cdf(hi - 1) - p_cdf(lo - 1) - (pi_at_most(hi - 1) - pi_at_most(lo - 1))
-    drift = float(short_cdf[-1] * long_cdf[-1]) - float(pi_cdf[-1])
+    drift = mass - float(pi_cdf[-1])
     return min(1.0, max(0.0, positive - 0.5 * drift))
 
 

@@ -5,8 +5,9 @@ the package (matrix exponential of the explicit generator, direct bit-level
 enumeration in plain floats, 40-digit arithmetic, one scalar variate per
 Monte Carlo read from substreams built straight from the documented keys,
 the count-level event loop the ctmc kernel replaced, and the full
-convolution the observable's interval reduction replaced), so agreement is
-evidence rather than the same code tested against itself.
+convolutions the observable's interval reduction and the half-line bound's
+bisection replaced), so agreement is evidence rather than the same code
+tested against itself.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import norm
 
 from urnlab import dist
+from urnlab.model import InitialState
 
 ORACLE_STATE_LIMIT = 20_000
 
@@ -150,6 +152,16 @@ def observable_distance_convolved(params, strategy, t: float) -> float:
         )
         for s in dist._initial_states(params, "observable", strategy)
     )
+
+
+def kolmogorov_lower_bound_convolved(params, t: float) -> float:
+    """The half-line bound by the route bounds.kolmogorov_lower_bound took
+    before its bisection: the all-right law convolved in full, both CDFs as
+    cumulative sums over the indices of either window, and the largest
+    absolute gap over every index, clamped to 1."""
+    law = dist.observed_law(params, InitialState(0, 0), t)
+    cdfs = np.cumsum(dist._aligned(law, dist.stationary_observed(params)), axis=1)
+    return min(1.0, float(np.abs(cdfs[0] - cdfs[1]).max()))
 
 
 def convolve_dense(a, b) -> np.ndarray:

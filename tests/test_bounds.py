@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from urnlab.model import InitialState, ModelParams, predicted_times
 from urnlab.bounds import (
     BoundCurve,
@@ -16,6 +18,7 @@ from urnlab.bounds import (
     product_chain_upper_bound,
 )
 from urnlab import bounds as bounds_module
+from urnlab import dist as dist_module
 from urnlab.dist import chain_tv, observed_tv
 
 
@@ -147,6 +150,68 @@ class TestLowerBounds:
         p = ModelParams(4000, 400, 0.5)
         for t in (1.0, 2.5, 4.0):
             assert abs(clt_lower_bound(p, t) - observed_tv(p, t)) < 0.05
+
+
+# Rounding allowance on the certification side: the bisection reads one CDF
+# from the cumulative sums of the longer factor's window, the oracle from
+# those of the convolved table.  Against exact rational sums of the same
+# tables each was measured off by up to 9.8e-16 (bisection) and 9.3e-16
+# (oracle) at N <= 3000, and the bisection read above the oracle by more
+# than 1e-15 in 39 of 30,000 random instances, by at most 2.0e-15.
+_ROUNDING = 4e-15
+_TIMES = st.one_of(st.sampled_from([0.0, 1e-12, 1e3]), st.floats(0.0, 60.0))
+
+
+class TestKolmogorovBisection:
+    """The one gap at the likelihood-ratio crossing against the largest gap
+    of the full convolution it replaced (oracles.kolmogorov_lower_bound_convolved)."""
+
+    @given(
+        total=st.integers(2, 3000),
+        heavy_share=st.floats(0.0, 1.0),
+        alpha=st.one_of(st.just(1.0), st.floats(1e-12, 1.0)),
+        t=_TIMES,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_convolution_route(self, total, heavy_share, alpha, t):
+        p = ModelParams(total, round(heavy_share * total), alpha)
+        expected = oracles.kolmogorov_lower_bound_convolved(p, t)
+        got = kolmogorov_lower_bound(p, t)
+        assert got == pytest.approx(expected, rel=0, abs=1e-13)
+        assert got <= expected + _ROUNDING
+
+    @pytest.mark.parametrize(
+        "p",
+        [ModelParams(1747, 545, 0.6777105190265256), ModelParams(4746, 3633, 0.5856188077033575)],
+    )
+    def test_peak_on_a_rounding_plateau(self, p):
+        """At t = 40 both CDFs have saturated and the gap sits on a plateau of
+        rounding noise: a ternary search on the gap read 8.9e-16 (signed) and
+        1.6e-15 (absolute) against 8.77e-12 and 1.41e-9."""
+        expected = oracles.kolmogorov_lower_bound_convolved(p, 40.0)
+        assert expected > 1e-12
+        assert kolmogorov_lower_bound(p, 40.0) == pytest.approx(expected, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("t", [5.68228632332338, 13.875776602977467, 33.88375125439445])
+    def test_benchmark_bounds_times(self, t):
+        """The three bounds --exact times of the seed-0 observable benchmark at N = 10^5."""
+        p = ModelParams(100_000, 10_000, 0.2)
+        expected = oracles.kolmogorov_lower_bound_convolved(p, t)
+        assert kolmogorov_lower_bound(p, t) == pytest.approx(expected, rel=0, abs=1e-13)
+
+    def test_convolves_no_two_long_tables(self, monkeypatch):
+        """Only the coordinate laws convolve, each with a point mass: from the
+        all-right start no ball starts left."""
+        lengths, convolve = [], dist_module.convolve
+
+        def counting_convolve(a, b):
+            lengths.append((a.window.size, b.window.size))
+            return convolve(a, b)
+
+        monkeypatch.setattr(dist_module, "convolve", counting_convolve)
+        kolmogorov_lower_bound(ModelParams(100_000, 10_000, 0.2), 6.0)
+        assert len(lengths) == 2
+        assert all(min(pair) == 1 for pair in lengths)
 
 
 class TestBoundCurve:

@@ -326,6 +326,22 @@ class TestBounds:
         assert max(kolm) <= 1.0
 
 
+    def test_kolmogorov_column_at_most_exact_at_saturated_times(self, capsys):
+        """At t = 1e308 every ball has been redrawn: both factor tables are
+        their stationary binomials up to rounding and exact reads 0.  The
+        absolute CDF gap read 2.2e-16 there; the signed, clamped gap does not
+        pass exact."""
+        grid = ["--t-start", "0", "--t-stop", "1e308", "--t-points", "3", "--exact"]
+        code, out, err = run_cli(["bounds", *MODEL, *grid], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        header = lines.index("t,lb_cheb,lb_kolm,lb_clt,exact,ub_l2,ub_coupling_raw")
+        rows = [[float(v) for v in line.split(",")] for line in lines[header + 1 :]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[2] <= row[4]
+
+
 class TestClassify:
     BASE = ["classify", "--ratio", "never"]
 

@@ -12,6 +12,7 @@ from urnlab import dist as dist_module
 from urnlab.model import CapacityError, InitialState, ModelParams
 from urnlab.dist import (
     _initial_states,
+    _sum_law,
     Pmf,
     binomial_pmf,
     chain_law,
@@ -783,6 +784,27 @@ class TestDistanceCurve:
         distance_curve(p, target, "full_scan")(1.0)
         assert peak == {1.0: 1, 0.4: 1}
         assert live == {1.0: 0, 0.4: 0}
+
+
+class TestSumLaw:
+    """Point and CDF values of the sum of two factor tables, read without
+    convolving them, against the full convolution and its cumulative sums."""
+
+    @given(a=_dyadic_count_table(), b=_dyadic_count_table())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_convolution_and_its_cumulative_sums(self, a, b):
+        """Dyadic tables make every product and partial sum exact, so the
+        values must agree bit for bit at every index, past both ends too."""
+        dense = oracles.convolve_dense(a.probs, b.probs)
+        cdf = np.cumsum(dense)
+        nonzero = np.flatnonzero(dense)
+        for x, y in ((a, b), (b, a)):
+            p, p_cdf, first, last, mass = _sum_law(x, y)
+            assert (first, last, mass) == (nonzero[0], nonzero[-1], 1.0)
+            for j in range(-2, dense.size + 2):
+                inside = 0 <= j < dense.size
+                assert p(j) == (dense[j] if inside else 0.0)
+                assert p_cdf(j) == (cdf[min(j, dense.size - 1)] if j >= 0 else 0.0)
 
 
 def _pinned_or_corners(data, p: ModelParams):

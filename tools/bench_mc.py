@@ -1,5 +1,5 @@
-"""Benchmark record for the samplers, binomial tables, distances, convolution
-and negdep, at two levels.
+"""Benchmark record for the samplers, binomial tables, distances, convolution,
+the half-line lower bound and negdep, at two levels.
 
 Measures one or two checkouts of urnlab and writes one JSON record:
 
@@ -15,11 +15,12 @@ in turn, so machine noise falls on both.
 Per layer: the first and the best of 5 calls of `mc.sample_batch`,
 `dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
 `dist.distance_curve` (observable and chain, up to N = 10^7; the curve is
-built before the timed calls) and `dist.convolve` of two prebuilt binomial
-tables, at fixed sizes (CASES, each case in a fresh interpreter; the first
-call pays what a process builds once, such as negdep's cached tables), with
-that interpreter's peak RSS (ru_maxrss, set-up and import included), and the
-best of 5 `import urnlab` times, each in a fresh interpreter.  End to end:
+built before the timed calls), `dist.convolve` of two prebuilt binomial
+tables and `bounds.kolmogorov_lower_bound` (up to N = 10^7), at fixed sizes
+(CASES, each case in a fresh interpreter; the first call pays what a process
+builds once, such as negdep's cached tables), with that interpreter's peak
+RSS (ru_maxrss, set-up and import included), and the best of 5
+`import urnlab` times, each in a fresh interpreter.  End to end:
 the Tier-1 suite's wall time and criterion 8's call time (one pytest run,
 read from its JUnit report), and the last stdout line of `perfbench/run.py`
 for each workload at --seed and --seconds.
@@ -41,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/4"
+SCHEMA = "urnlab-bench-mc/5"
 REPEATS = 5
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
@@ -67,6 +68,9 @@ CASES = {
     "chain_curve_N1e7_t20": ("distance_curve", ("chain", (10_000_000, 1_000_000, 0.2), 20.0)),
     "convolve_9000x1000": ("convolve", ((9000, 0.36), (1000, 0.115))),
     "convolve_90000x10000": ("convolve", ((90_000, 0.5), (10_000, 0.275))),
+    "kolmogorov_N1e5_t6": ("kolmogorov_lower_bound", ((100_000, 10_000, 0.2), 6.0)),
+    "kolmogorov_N1e6_t20": ("kolmogorov_lower_bound", ((1_000_000, 100_000, 0.2), 20.0)),
+    "kolmogorov_N1e7_t20": ("kolmogorov_lower_bound", ((10_000_000, 1_000_000, 0.2), 20.0)),
 }
 ARGUMENT_NAMES = {
     "sample_batch": ("sampler", "params", "t", "draws"),
@@ -74,6 +78,7 @@ ARGUMENT_NAMES = {
     "verify_negative_dependence": ("params", "t", "max_size"),
     "distance_curve": ("target", "params", "t"),
     "convolve": ("binomial_a", "binomial_b"),
+    "kolmogorov_lower_bound": ("params", "t"),
 }
 
 # Runs in the measured checkout's interpreter; prints {"times": {case: [seconds
@@ -82,7 +87,7 @@ ARGUMENT_NAMES = {
 # timed call; repeat i of a sample_batch case uses seed i.
 _LAYER_SCRIPT = """
 import json, resource, sys, time
-from urnlab import InitialState, ModelParams, dist, mc, negdep
+from urnlab import InitialState, ModelParams, bounds, dist, mc, negdep
 
 def curve_evaluation(target, params, t):
     curve = dist.distance_curve(ModelParams(*params), target)
@@ -100,6 +105,8 @@ prepare = {
         negdep.verify_negative_dependence(ModelParams(*params), t, max_size),
     "distance_curve": curve_evaluation,
     "convolve": convolution,
+    "kolmogorov_lower_bound": lambda params, t: lambda seed:
+        bounds.kolmogorov_lower_bound(ModelParams(*params), t),
 }
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 times = {}
