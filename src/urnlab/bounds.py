@@ -98,11 +98,13 @@ def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
     dist.observed_tv(params, t, InitialState(0, 0)).  The gap is taken
     signed: from this start the CDF of p_t lies above pi's.
 
-    No convolution: j* is one bisection on p_t(j) <= pi(j) over p_t's first
-    index to pi's last, p_t read point by point from the two factor tables
-    (dist._sum_law), so a call costs three binomial tables of O(sqrt N)
-    entries each plus O(w log N), w the shorter factor's window width: about
-    0.05 s at N = 10^7 on a 2-vCPU Xeon VM.  It shares the tables with
+    No convolution is left in a call: from this start no ball starts left,
+    so each factor table is one binomial (dist.coordinate_law), and j* is one
+    bisection on p_t(j) <= pi(j) over p_t's first index to pi's last, p_t
+    read point by point from the two factor tables (dist._sum_law).  A call
+    costs three binomial tables of O(sqrt N) entries each plus O(w log N), w
+    the shorter factor's window width: about 0.05 s at N = 10^7 on a 2-vCPU
+    Xeon VM.  It shares the tables with
     distance_curve but not its search or its reduction, so the lower side of
     the bounds --exact sandwich checks one against the other.
     """

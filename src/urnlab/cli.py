@@ -209,7 +209,7 @@ def cmd_bounds(args) -> str:
         # that side cross-checks two reductions of one law that share only the
         # tables: the CDF gap at the likelihood-ratio crossing, found by one
         # bisection, against the mass of the interval {p > pi} less half the
-        # mass drift, found by a ternary mode search and two bisections.
+        # mass drift, found by a Fibonacci mode search and two bisections.
         lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
         for i, (t, exact) in enumerate(zip(grid, table["exact"])):
             lower = max(cheb.values[i], kolm.values[i])

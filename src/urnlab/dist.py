@@ -75,6 +75,15 @@ class Pmf:
     def __len__(self) -> int:
         return self.size
 
+    def reversed(self) -> Pmf:
+        """The law of size - 1 - X: the window reversed, the checks not run
+        again on a table that passed them."""
+        mirror = object.__new__(type(self))
+        mirror.window = self.window[::-1].copy()
+        mirror.window.setflags(write=False)
+        mirror.offset, mirror.size = self.size - self.offset - self.window.size, self.size
+        return mirror
+
     def mean(self) -> float:
         return float(np.arange(self.offset, self.offset + self.window.size) @ self.window)
 
@@ -326,7 +335,11 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
 
     count balls with clock rate `rate`, ones_initial of them starting in the
     left urn.  Each starter stays counted with probability (1 + s) / 2 and
-    each non-starter joins with probability (1 - s) / 2, s = exp(-rate t).
+    each non-starter joins with probability (1 - s) / 2, s = exp(-rate t):
+    Binomial(ones_initial, (1 + s) / 2) convolved with Binomial(count -
+    ones_initial, (1 - s) / 2).  When every ball starts on one side the other
+    factor is a point mass at 0, and the law is the one binomial, returned as
+    built: convolving it with [1.0] would copy it exactly.
     """
     check_integer("count", count, 0, math.inf)
     check_integer("ones_initial", ones_initial, 0, count)
@@ -335,6 +348,8 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
     check_time(t)
     flip = _flip(rate, t)
     keep = 1.0 - flip
+    if ones_initial in (0, count):
+        return binomial_pmf(count, flip if ones_initial == 0 else keep)
     return convolve(
         binomial_pmf(ones_initial, keep),
         binomial_pmf(count - ones_initial, flip),
@@ -486,14 +501,16 @@ def _interval_distance(
     p is a Poisson-binomial law, so by Newton's inequalities p / pi is
     log-concave (Hardy, Littlewood & Polya, Inequalities, 2.22) and
     I = {p > pi} is one interval.  The search stays where both laws exceed
-    the floor, an interval because both are log-concave, with p's edges
-    bisected from p's mode, within 1 of p's mean (Darroch, 1964).  There a
-    ternary search finds the mode of p / pi, and a bisection on each side of
-    it the sign change of p - pi.  Past pi's floor window p > pi wherever p
-    has mass above the floor, so there I runs on to 0 or N.  With point and
-    CDF values of p from _sum_law, (1/2) sum |p - pi| = p(I) - pi(I) -
-    (1/2) (sum p - sum pi), keeping the allowed mass drift in as tv does,
-    clamped to [0, 1] as tv_product is.
+    the floor, an interval because both are log-concave.  Past pi's floor
+    window p > pi wherever p has mass above the floor, so where one look at
+    p just outside that window, on the side of p's mode (within 1 of p's
+    mean, Darroch, 1964), finds p above the floor, I runs on to 0 or N;
+    only where it does not is p's edge bisected from its mode.  Inside, a
+    Fibonacci search finds the mode of p / pi with one point value per step,
+    and a bisection on each side of it the sign change of p - pi.  With
+    point and CDF values of p from _sum_law, (1/2) sum |p - pi| = p(I) -
+    pi(I) - (1/2) (sum p - sum pi), keeping the allowed mass drift in as tv
+    does, clamped to [0, 1] as tv_product is.
     """
     p, p_cdf, offset, last, mass = _sum_law(regular, heavy)
 
@@ -506,30 +523,54 @@ def _interval_distance(
 
     centre = int(regular.mean() + heavy.mean())
     mode = max(range(max(centre - 1, offset), min(centre + 2, last) + 1), key=p)
-    p_lo = _first(offset, mode, lambda j: p(j) > _SEARCH_FLOOR)
-    p_hi = _first(mode, last + 1, lambda j: p(j) <= _SEARCH_FLOOR) - 1
-    lo_edge, hi_edge = max(p_lo, pi_lo), min(p_hi, pi_hi)
+    # p's floor edges matter only inside pi's floor window: p runs past it
+    # below when p > floor at pi_lo - 1 (or at its mode, if that lies lower),
+    # and only when it does not is the edge bisected.  The same above.
+    runs_below = pi_lo > offset and p(min(pi_lo - 1, mode)) > _SEARCH_FLOOR
+    runs_above = pi_hi < last and p(max(pi_hi + 1, mode)) > _SEARCH_FLOOR
+    lo_edge = pi_lo if runs_below else _first(
+        max(offset, pi_lo), mode, lambda j: p(j) > _SEARCH_FLOOR
+    )
+    hi_edge = pi_hi if runs_above else _first(
+        mode, min(last, pi_hi) + 1, lambda j: p(j) <= _SEARCH_FLOOR
+    ) - 1
     # I = [lo, hi), empty until found, and placed where the run-on below reaches it
-    lo = hi = hi_edge + 1 if p_hi > pi_hi else lo_edge
+    lo = hi = hi_edge + 1 if runs_above else lo_edge
     if lo_edge <= hi_edge:
-        # Ternary search for the mode of p / pi.  Table entries carry up to
-        # about 1e-13 relative noise, which flips the sign of the one-step
-        # difference of the log ratio once the distance nears 1e-12; points a
-        # third of the interval apart see the ratio's slope over that distance.
-        top, bottom = lo_edge, hi_edge
-        while top < bottom:
-            third = (bottom - top) // 3
-            a, b = top + third, bottom - third
-            if p(a) / pi_at(a) < p(b) / pi_at(b):
-                top = a + 1
+        # Fibonacci search (Kiefer, 1953) for the mode of p / pi over the
+        # bracket (top, top + large), large a Fibonacci number, points past
+        # hi_edge reading -1: one new probe per step, ties kept left.  Table
+        # entries carry up to about 1e-13 relative noise, which flips the sign
+        # of the one-step difference of the log ratio once the distance nears
+        # 1e-12; the two probes, a quarter of the bracket apart, see the
+        # ratio's slope over that distance until the bracket is a few wide.
+        def ratio(j: int) -> float:
+            return p(j) / pi_at(j) if j <= hi_edge else -1.0
+
+        small, large = 1, 2
+        while large < hi_edge - lo_edge + 2:
+            small, large = large, small + large
+        top = lo_edge - 1
+        a, b = top + large - small, top + small
+        at_a, at_b = ratio(a), ratio(b)
+        while large > 3:
+            small, large = large - small, small
+            if at_a < at_b:
+                top, a, at_a = a, b, at_b
+                b = top + small
+                at_b = ratio(b)
             else:
-                bottom = b - 1
-        if p(top) > pi_at(top):
-            lo = _first(lo_edge, top, lambda j: p(j) > pi_at(j))
-            hi = _first(top, hi_edge + 1, lambda j: p(j) <= pi_at(j))
-    if p_lo < pi_lo:
+                b, at_b = a, at_a
+                a = top + large - small
+                at_a = ratio(a)
+        peak = b if at_a < at_b else a
+        # the peak's ratio; a quotient of two floats exceeds 1 exactly when p > pi
+        if max(at_a, at_b) > 1.0:
+            lo = _first(lo_edge, peak, lambda j: p(j) > pi_at(j))
+            hi = _first(peak, hi_edge + 1, lambda j: p(j) <= pi_at(j))
+    if runs_below:
         lo = 0
-    if p_hi > pi_hi:
+    if runs_above:
         hi = len(pi)
     positive = p_cdf(hi - 1) - p_cdf(lo - 1) - (pi_at_most(hi - 1) - pi_at_most(lo - 1))
     drift = mass - float(pi_cdf[-1])
@@ -564,7 +605,10 @@ def _initial_states(params: ModelParams, target: str, strategy) -> list[InitialS
         )
     # The mirror (r, h) -> (n - r, m - h) reverses both factor laws and fixes both
     # stationary laws, and relabelling states leaves total variation unchanged.
-    states = (InitialState(r, h) for r in range(n + 1) for h in range(m + 1))
+    # Within a regular group heavy_left runs 0, m, 1, m - 1, ..., so each start
+    # follows the one whose heavy table is its own reversed (distance_curve).
+    heavy_order = sorted(range(m + 1), key=lambda h: (min(h, m - h), h))
+    states = (InitialState(r, h) for r in range(n + 1) for h in heavy_order)
     return [s for s in states if (2 * s.regular_left, 2 * s.heavy_left) <= (n, m)]
 
 
@@ -592,8 +636,15 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
     values per law at edges found by bisection (_interval_distance).
 
     Starts and stationary tables are built here, once.  An evaluation builds
-    one regular table per regular_left (the starts come grouped by it) and one
-    heavy table per start, and keeps at most one of each alive.
+    one regular table per regular_left (the starts come grouped by it) and
+    keeps one alive.  Binomial(m, 1 - f)(k) = Binomial(m, f)(m - k), so the
+    heavy table from heavy_left = m - h is the one from h reversed: when a
+    start follows, in its group, the start whose heavy table was just built
+    and mirrors its heavy_left, it reads that table reversed; every other
+    start builds its own.  At most one heavy table and its reversal are
+    alive.  The corners (0, 0), (0, m) build two tables per time, not three.
+    The reversal is also the more accurate table: it reads flip from expm1,
+    where the direct one reads 1 - flip rounded to a float.
     """
     if target not in ("observable", "chain"):
         raise ValueError(f"unknown target {target!r}")
@@ -612,7 +663,15 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
         return _interval_distance(regular, heavy, *stationary)
 
     def largest_from(regular: Pmf, group, t: float) -> float:
-        return max(distance(regular, coordinate_law(m, s.heavy_left, rate, t)) for s in group)
+        largest, mirror = 0.0, None  # mirror: the heavy_left whose table is heavy reversed
+        for s in group:
+            if s.heavy_left == mirror:
+                heavy, mirror = heavy.reversed(), None
+            else:
+                heavy = None  # freed before the next table is built
+                heavy, mirror = coordinate_law(m, s.heavy_left, rate, t), m - s.heavy_left
+            largest = max(largest, distance(regular, heavy))
+        return largest
 
     def curve(t: float) -> float:
         groups = groupby(starts, key=lambda s: s.regular_left)

@@ -200,8 +200,8 @@ class TestKolmogorovBisection:
         assert kolmogorov_lower_bound(p, t) == pytest.approx(expected, rel=0, abs=1e-13)
 
     def test_convolves_no_two_long_tables(self, monkeypatch):
-        """Only the coordinate laws convolve, each with a point mass: from the
-        all-right start no ball starts left."""
+        """Nothing convolves: from the all-right start no ball starts left, so
+        each factor table is one binomial, read point by point."""
         lengths, convolve = [], dist_module.convolve
 
         def counting_convolve(a, b):
@@ -210,8 +210,7 @@ class TestKolmogorovBisection:
 
         monkeypatch.setattr(dist_module, "convolve", counting_convolve)
         kolmogorov_lower_bound(ModelParams(100_000, 10_000, 0.2), 6.0)
-        assert len(lengths) == 2
-        assert all(min(pair) == 1 for pair in lengths)
+        assert lengths == []
 
 
 class TestBoundCurve:

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -81,6 +83,14 @@ class TestPmf:
         for offset, size in ((-1, 10), (8, 10)):
             with pytest.raises(ValueError, match="support"):
                 Pmf([0.5, 0.5, 0.0], offset, size)
+
+    def test_reversed_is_the_law_of_size_minus_one_minus_x(self):
+        p = Pmf([0.0, 0.25, 0.0, 0.75], offset=2, size=9)
+        mirror = p.reversed()
+        assert (mirror.offset, len(mirror)) == (3, 9)
+        assert mirror.probs.tobytes() == p.probs[::-1].tobytes()
+        assert mirror.mean() == pytest.approx(8 - p.mean())
+        assert not mirror.window.flags.writeable
 
 
 class TestBinomialPmf:
@@ -241,7 +251,9 @@ class TestConvolve:
 
     def test_observed_law_convolves_only_nonzero_spans(self, monkeypatch):
         """At N = 10^5 most entries of each binomial table underflow to exact
-        zeros; np.convolve must see only the first-to-last non-zero spans."""
+        zeros; np.convolve must see only the first-to-last non-zero spans.  The
+        start puts balls of each species on both sides, so each coordinate law
+        convolves two non-trivial binomials."""
         seen = []
         dense = np.convolve
 
@@ -249,7 +261,7 @@ class TestConvolve:
             seen.append((x, y))
             return dense(x, y)
 
-        params, start, t = ModelParams(100_000, 10_000, 0.2), InitialState(0, 0), 5.0
+        params, start, t = ModelParams(100_000, 10_000, 0.2), InitialState(30_000, 2_000), 5.0
         monkeypatch.setattr(dist_module.np, "convolve", spy)
         law = observed_law(params, start, t)
         monkeypatch.undo()
@@ -341,6 +353,80 @@ class TestLaws:
         with pytest.raises(ValueError):
             observed_law(p, InitialState(6, 0), 1.0)
 
+    @given(
+        count=st.integers(0, 3000),
+        all_left=st.booleans(),
+        rate=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        t=st.one_of(st.sampled_from([0.0, 1e-12, 1e3]), st.floats(0.0, 60.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_sided_start_is_the_one_binomial(self, count, all_left, rate, t):
+        """With every ball on one side the other factor is a point mass, and
+        the one binomial returned as built is the convolution with it, bit for
+        bit: window, offset and size."""
+        ones = count if all_left else 0
+        flip = dist_module._flip(rate, t)
+        convolved = convolve(
+            binomial_pmf(ones, 1.0 - flip), binomial_pmf(count - ones, flip)
+        )
+        law = coordinate_law(count, ones, rate, t)
+        assert (law.offset, len(law)) == (convolved.offset, len(convolved))
+        assert law.window.tobytes() == convolved.window.tobytes()
+
+
+class TestMirrorTable:
+    """The heavy table from heavy_left = m, read as the one from 0 reversed
+    (distance_curve), against the table coordinate_law builds from m."""
+
+    @given(
+        m=st.integers(0, 3000),
+        rate=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        t=st.one_of(st.sampled_from([0.0, 1e-12, 1e3]), st.floats(0.0, 60.0)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reversal_matches_the_direct_table(self, m, rate, t):
+        """The direct table is Binomial(m, keep), keep = 1 - flip rounded to a
+        float; the reversal is Binomial(m, flip) reversed, flip from expm1.
+        Entries differ by the tables' own error (each within 3.4e-13 of 40
+        digits) plus the effect of keep's rounding delta, at most twice its
+        first-order term |k - m keep| |delta| / (keep flip) relative.  That
+        term reaches 2e-2 at t = 1e-12, m = 3000 and rate 0.01, so 1e-12
+        relative alone does not hold.  Entries below 1e-300 are compared
+        absolutely: where flip is below about 1e-13 the term moves the
+        subnormal ends, so the windows can differ there by an entry (64 of
+        19,872 random instances with t down to 1e-16)."""
+        mirror = coordinate_law(m, 0, rate, t).reversed()
+        direct = coordinate_law(m, m, rate, t)
+        assert len(mirror) == len(direct) == m + 1
+        flip = dist_module._flip(rate, t)
+        keep = 1.0 - flip
+        if flip == 0.0:
+            assert (mirror.offset, mirror.window.tobytes()) == (
+                direct.offset, direct.window.tobytes()
+            )
+            return
+        delta = float(Fraction(1) - Fraction(flip) - Fraction(keep))
+        rounding = np.abs(np.arange(m + 1) - m * keep) * abs(delta) / (keep * flip)
+        larger = np.maximum(mirror.probs, direct.probs)
+        allowed = (1e-12 + 2.0 * rounding) * larger + 1e-300
+        assert np.all(np.abs(mirror.probs - direct.probs) <= allowed)
+
+    @pytest.mark.parametrize(
+        "m, rate, t", [(3000, 1.0, 1e-6), (3000, 0.3, 5.0), (100, 0.01, 0.01)]
+    )
+    def test_reversal_is_the_accurate_table(self, m, rate, t):
+        """Against 40 digits at the exact flip (1 - e^{-rate t}) / 2, the
+        reversal is within 1e-12 relative at 13 points across its entries
+        above 1e-290.  The direct table carries keep's rounding instead:
+        6.5e-9 relative one step from its mode at t = 1e-6."""
+        mirror = coordinate_law(m, 0, rate, t).reversed()
+        above = np.flatnonzero(mirror.window > 1e-290) + mirror.offset
+        with mpmath.workdps(40):
+            flip = -mpmath.expm1(-mpmath.mpf(rate) * mpmath.mpf(t)) / 2
+            for k in np.unique(np.linspace(above[0], above[-1], 13).round().astype(int)):
+                k = int(k)
+                exact = mpmath.binomial(m, k) * (1 - flip) ** k * flip ** (m - k)
+                assert abs(mirror.window[k - mirror.offset] - exact) <= 1e-12 * exact
 
 class TestTv:
     def test_identical_laws(self):
@@ -610,7 +696,7 @@ class TestWorstCase:
     @pytest.mark.parametrize(
         "fn, tables, products",
         [
-            (observed_tv, [(90, 0, 1.0), (10, 0, 0.5), (10, 10, 0.5)], 0),
+            (observed_tv, [(90, 0, 1.0), (10, 0, 0.5)], 0),
             (chain_tv, [(90, 0, 1.0), (10, 0, 0.5)], 1),
         ],
         ids=["observed_tv", "chain_tv"],
@@ -619,9 +705,9 @@ class TestWorstCase:
         self, fn, tables, products, monkeypatch
     ):
         """Per time, the observable's corners (0, 0) and (0, m) share one
-        regular table and build one heavy table each: three tables, not four.
-        The chain's corners all tie, so it evaluates (0, 0) alone: two tables
-        and one tv_product call."""
+        regular table and one heavy table, which (0, m) reads reversed: two
+        tables, not four.  The chain's corners all tie, so it evaluates (0, 0)
+        alone: two tables and one tv_product call."""
         calls, product_calls = [], []
 
         def counting_coordinate_law(count, ones_initial, rate, t):
@@ -737,8 +823,10 @@ class TestDistanceCurve:
     def test_full_scan_builds_each_regular_table_once(
         self, target, stationary, monkeypatch
     ):
-        """n = 8, m = 4: the kept starts are r = 0..3 with every h, and r = 4
-        with h = 0..2, so 5 regular and 23 heavy tables per time, and the
+        """n = 8, m = 4: the kept starts are r = 0..3 with every h, in the
+        order 0, 4, 1, 3, 2, and r = 4 with h = 0..2.  Each of h = 4 and 3
+        follows its mirror and reads that heavy table reversed, so 5 regular
+        and 15 heavy tables are built per time, not 5 and 23, and the
         stationary tables once per curve."""
         p = ModelParams(12, 4, 0.4)
         calls, stationary_calls = [], []
@@ -754,6 +842,8 @@ class TestDistanceCurve:
         original_stationary = getattr(dist_module, stationary)
         monkeypatch.setattr(dist_module, "coordinate_law", counting_coordinate_law)
         monkeypatch.setattr(dist_module, stationary, counting_stationary)
+        starts = _initial_states(p, target, "full_scan")
+        assert [s.heavy_left for s in starts] == [0, 4, 1, 3, 2] * 4 + [0, 1, 2]
         curve = distance_curve(p, target, "full_scan")
         for t in (0.5, 2.0):
             calls.clear()
@@ -761,29 +851,39 @@ class TestDistanceCurve:
             regular = [ones for count, ones, rate in calls if rate == 1.0]
             heavy = [ones for count, ones, rate in calls if rate == 0.4]
             assert regular == [0, 1, 2, 3, 4]
-            assert heavy == [0, 1, 2, 3, 4] * 4 + [0, 1, 2]
+            assert heavy == [0, 1, 2] * 5
         assert stationary_calls == [p]
 
     @pytest.mark.parametrize("target", ["observable", "chain"])
     def test_one_regular_and_one_heavy_table_alive(self, target, monkeypatch):
+        """At most one regular table, and one heavy table and its reversal,
+        are alive at a time, and every table is freed after the evaluation."""
         p = ModelParams(12, 4, 0.4)
-        live = {1.0: 0, 0.4: 0}
+        live = {"regular": 0, "heavy": 0, "reversed": 0, "heavy or reversed": 0}
         peak = dict(live)
 
-        def freed(rate):
-            live[rate] -= 1
+        def tally(kinds, step):
+            for kind in kinds:
+                live[kind] += step
+                peak[kind] = max(peak[kind], live[kind])
+
+        def track(law, kinds):
+            tally(kinds, 1)
+            weakref.finalize(law, tally, kinds, -1)
+            return law
 
         def tracked_coordinate_law(count, ones_initial, rate, t):
             law = _TrackedPmf(coordinate_law(count, ones_initial, rate, t).probs)
-            live[rate] += 1
-            peak[rate] = max(peak[rate], live[rate])
-            weakref.finalize(law, freed, rate)
-            return law
+            return track(law, ("regular",) if rate == 1.0 else ("heavy", "heavy or reversed"))
+
+        def tracked_reversed(law):
+            return track(Pmf.reversed(law), ("reversed", "heavy or reversed"))
 
         monkeypatch.setattr(dist_module, "coordinate_law", tracked_coordinate_law)
+        monkeypatch.setattr(_TrackedPmf, "reversed", tracked_reversed, raising=False)
         distance_curve(p, target, "full_scan")(1.0)
-        assert peak == {1.0: 1, 0.4: 1}
-        assert live == {1.0: 0, 0.4: 0}
+        assert peak == {"regular": 1, "heavy": 1, "reversed": 1, "heavy or reversed": 2}
+        assert set(live.values()) == {0}
 
 
 class TestSumLaw:
@@ -890,10 +990,38 @@ class TestIntervalDistance:
         assert expected > 4e-14
         assert observed_tv(p, t, start) == pytest.approx(expected, rel=0, abs=1e-14)
 
+    def test_point_evaluations_per_distance(self, monkeypatch):
+        """At the README curve instance over 40 geometric times from 1.3 to
+        33, the corners' 80 distances read p at most 50 times each on
+        average (44.5 measured; 75.5 with the ternary mode search, two point
+        values a step, and both floor edges always bisected).  Where both of
+        p's floor edges and both ends of I are bisected a single distance
+        reads p up to 66 times."""
+        reads, sum_law = [], dist_module._sum_law
+
+        def counting_sum_law(x, y):
+            p, *rest = sum_law(x, y)
+            reads.append(0)
+
+            def counted(j: int) -> float:
+                reads[-1] += 1
+                return p(j)
+
+            return (counted, *rest)
+
+        monkeypatch.setattr(dist_module, "_sum_law", counting_sum_law)
+        curve = distance_curve(ModelParams(10**4, 1000, 0.2), "observable")
+        for t in np.geomspace(1.3, 33.0, 40):
+            curve(float(t))
+        assert len(reads) == 80
+        assert sum(reads) <= 50 * len(reads)
+
     @pytest.mark.parametrize("strategy", ["corners", "full_scan", InitialState(5, 2)])
     def test_no_convolution_beyond_the_coordinate_laws(self, strategy, monkeypatch):
-        """Each coordinate table convolves its two binomials once; the
-        distance itself convolves nothing."""
+        """A coordinate table convolves its two binomials once when balls of
+        its species start on both sides, and is the one binomial otherwise,
+        so the corners convolve nothing; the distance itself convolves
+        nothing."""
         tables, convolutions = [], []
 
         def counting_coordinate_law(count, ones_initial, rate, t):
@@ -911,7 +1039,10 @@ class TestIntervalDistance:
             tables.clear()
             convolutions.clear()
             curve(t)
-            assert tables and len(convolutions) == len(tables)
+            mixed = [ones for count, ones, rate in tables if 0 < ones < count]
+            assert tables and len(convolutions) == len(mixed)
+            if strategy == "corners":
+                assert convolutions == []
 
 
 class TestMoments:

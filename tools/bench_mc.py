@@ -14,9 +14,11 @@ in turn, so machine noise falls on both.
 
 Per layer: the first and the best of 5 calls of `mc.sample_batch`,
 `dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
-`dist.distance_curve` (observable and chain, up to N = 10^7; the curve is
-built before the timed calls), `dist.convolve` of two prebuilt binomial
-tables and `bounds.kolmogorov_lower_bound` (up to N = 10^7), at fixed sizes
+`dist.distance_curve` (the observable from the perfbench size N = 10^4, the
+chain from N = 10^5, both up to N = 10^7; the curve is built before the
+timed calls), `dist.coordinate_law` from a corner start, `dist.convolve` of
+two prebuilt binomial tables and `bounds.kolmogorov_lower_bound` (up to
+N = 10^7), at fixed sizes
 (CASES, each case in a fresh interpreter; the first call pays what a process
 builds once, such as negdep's cached tables), with that interpreter's peak
 RSS (ru_maxrss, set-up and import included), and the best of 5
@@ -42,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/5"
+SCHEMA = "urnlab-bench-mc/6"
 REPEATS = 5
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
@@ -58,6 +60,7 @@ CASES = {
     "binomial_N1e5_p0.5": ("binomial_pmf", (100_000, 0.5)),
     "binomial_N1e6_p0.31": ("binomial_pmf", (1_000_000, 0.31)),
     "negdep_N1000_m100_t1_1000rows": ("verify_negative_dependence", ((1000, 100, 0.2), 1.0, 1000)),
+    "observable_curve_N1e4_t5": ("distance_curve", ("observable", (10_000, 1000, 0.2), 5.0)),
     "observable_curve_N1e5_t20": ("distance_curve", ("observable", (100_000, 10_000, 0.2), 20.0)),
     "observable_curve_N1e6_t20": ("distance_curve", ("observable", (1_000_000, 100_000, 0.2), 20.0)),
     "chain_curve_N1e5_t20": ("distance_curve", ("chain", (100_000, 10_000, 0.2), 20.0)),
@@ -66,6 +69,7 @@ CASES = {
         "distance_curve", ("observable", (10_000_000, 1_000_000, 0.2), 20.0)
     ),
     "chain_curve_N1e7_t20": ("distance_curve", ("chain", (10_000_000, 1_000_000, 0.2), 20.0)),
+    "coordinate_law_n9e4_corner_t5": ("coordinate_law", (90_000, 0, 1.0, 5.0)),
     "convolve_9000x1000": ("convolve", ((9000, 0.36), (1000, 0.115))),
     "convolve_90000x10000": ("convolve", ((90_000, 0.5), (10_000, 0.275))),
     "kolmogorov_N1e5_t6": ("kolmogorov_lower_bound", ((100_000, 10_000, 0.2), 6.0)),
@@ -77,6 +81,7 @@ ARGUMENT_NAMES = {
     "binomial_pmf": ("trials", "success_prob"),
     "verify_negative_dependence": ("params", "t", "max_size"),
     "distance_curve": ("target", "params", "t"),
+    "coordinate_law": ("count", "ones_initial", "rate", "t"),
     "convolve": ("binomial_a", "binomial_b"),
     "kolmogorov_lower_bound": ("params", "t"),
 }
@@ -104,6 +109,8 @@ prepare = {
     "verify_negative_dependence": lambda params, t, max_size: lambda seed:
         negdep.verify_negative_dependence(ModelParams(*params), t, max_size),
     "distance_curve": curve_evaluation,
+    "coordinate_law": lambda count, ones, rate, t: lambda seed:
+        dist.coordinate_law(count, ones, rate, t),
     "convolve": convolution,
     "kolmogorov_lower_bound": lambda params, t: lambda seed:
         bounds.kolmogorov_lower_bound(ModelParams(*params), t),
