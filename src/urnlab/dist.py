@@ -334,12 +334,11 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
     """Law of one species' left-urn count at time t.
 
     count balls with clock rate `rate`, ones_initial of them starting in the
-    left urn.  Each starter stays counted with probability (1 + s) / 2 and
-    each non-starter joins with probability (1 - s) / 2, s = exp(-rate t):
-    Binomial(ones_initial, (1 + s) / 2) convolved with Binomial(count -
-    ones_initial, (1 - s) / 2).  When every ball starts on one side the other
-    factor is a point mass at 0, and the law is the one binomial, returned as
-    built: convolving it with [1.0] would copy it exactly.
+    left urn.  A ball has switched sides with probability f = (1 - e^{-rate t})
+    / 2: the law is Binomial(ones_initial, 1 - f), built as Binomial(k, f)
+    reversed so that no table reads 1 - f rounded, convolved with
+    Binomial(count - ones_initial, f).  When every ball starts on one side the other factor is
+    a point mass at 0, and the law is the one table, returned as built.
     """
     check_integer("count", count, 0, math.inf)
     check_integer("ones_initial", ones_initial, 0, count)
@@ -347,13 +346,12 @@ def coordinate_law(count: int, ones_initial: int, rate: float, t: float) -> Pmf:
         raise ValueError("rate must be positive")
     check_time(t)
     flip = _flip(rate, t)
-    keep = 1.0 - flip
-    if ones_initial in (0, count):
-        return binomial_pmf(count, flip if ones_initial == 0 else keep)
-    return convolve(
-        binomial_pmf(ones_initial, keep),
-        binomial_pmf(count - ones_initial, flip),
-    )
+    if ones_initial == 0:
+        return binomial_pmf(count, flip)
+    stayed = binomial_pmf(ones_initial, flip).reversed()
+    if ones_initial == count:
+        return stayed
+    return convolve(stayed, binomial_pmf(count - ones_initial, flip))
 
 
 def observed_law(params: ModelParams, init: InitialState, t: float) -> Pmf:
@@ -577,24 +575,30 @@ def _interval_distance(
     return min(1.0, max(0.0, positive - 0.5 * drift))
 
 
-def _initial_states(params: ModelParams, target: str, strategy) -> list[InitialState]:
-    """Starts the target's distance maximises over, one of each mirror pair:
-    an explicit InitialState as given, else as distance_curve documents."""
+def _initial_states(params: ModelParams, target: str, strategy) -> list[tuple[int, int, bool]]:
+    """Starts the target's distance maximises over (strategies as in
+    distance_curve), as entries (r, h, mirrored) grouped by r: each stands
+    for the start (r, h) and, if mirrored, also (r, m - h).
+
+    The mirror (r, h) -> (n - r, m - h) reverses both factor laws and fixes
+    both stationary laws, and relabelling states leaves total variation
+    unchanged, so a scan needs r <= n / 2 and h <= m / 2 alone, mirrored
+    unless 2 r = n or 2 h = m, where (r, m - h) is (r, h)'s mirror or itself.
+    """
     if isinstance(strategy, InitialState):
-        return [strategy.validate(params)]
+        strategy.validate(params)
+        return [(strategy.regular_left, strategy.heavy_left, False)]
     n, m = params.regular_count, params.heavy_count
     if strategy == "corners":
-        if target == "chain" or n == 0 or m == 0:
-            return [InitialState(0, 0)]
-        # The observable's extreme starts, one of each mirror pair; the
-        # maximisers only empirically.  Audited against a full scan of every
-        # start on 108 instances: N in {50, 100, 200, 300, 400}, m from 1 to
-        # 300 (2 %, 10 %, 25 %, 50 % and 75 % of N, and sqrt N), alpha in
-        # {0.1, 0.3, 0.6, 1}, at six times from 0.2 to 3 times the cutoff scale
-        # max(log n, log m / alpha) / 2.  No start beat them.  The largest
-        # scan-minus-corners gaps, up to 3.0e-14, are rounding: recomputed in
-        # 40-digit arithmetic, the ten largest favour the corners.
-        return [InitialState(0, 0), InitialState(0, m)]
+        # The observable's extreme starts (0, 0) and (0, m), the maximisers
+        # only empirically.  Audited against a full scan of every start on 108
+        # instances: N in {50, 100, 200, 300, 400}, m from 1 to 300 (2 %, 10 %,
+        # 25 %, 50 % and 75 % of N, and sqrt N), alpha in {0.1, 0.3, 0.6, 1},
+        # at six times from 0.2 to 3 times the cutoff scale max(log n, log m /
+        # alpha) / 2.  No start beat them.  The largest scan-minus-corners
+        # gaps, up to 3.0e-14, are rounding: recomputed in 40-digit
+        # arithmetic, the ten largest favour the corners.
+        return [(0, 0, target == "observable" and n > 0 and m > 0)]
     if strategy != "full_scan":
         raise ValueError(f"unknown strategy {strategy!r}")
     count = (n + 1) * (m + 1)
@@ -603,13 +607,9 @@ def _initial_states(params: ModelParams, target: str, strategy) -> list[InitialS
             f"full scan over {count} initial states exceeds the "
             f"{FULL_SCAN_LIMIT} guard"
         )
-    # The mirror (r, h) -> (n - r, m - h) reverses both factor laws and fixes both
-    # stationary laws, and relabelling states leaves total variation unchanged.
-    # Within a regular group heavy_left runs 0, m, 1, m - 1, ..., so each start
-    # follows the one whose heavy table is its own reversed (distance_curve).
-    heavy_order = sorted(range(m + 1), key=lambda h: (min(h, m - h), h))
-    states = (InitialState(r, h) for r in range(n + 1) for h in heavy_order)
-    return [s for s in states if (2 * s.regular_left, 2 * s.heavy_left) <= (n, m)]
+    return [
+        (r, h, 2 * r < n and 2 * h < m) for r in range(n // 2 + 1) for h in range(m // 2 + 1)
+    ]
 
 
 def distance_curve(params: ModelParams, target: str = "observable", strategy="corners"):
@@ -633,18 +633,15 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
     sum of N independent Bernoullis, so by Newton's inequalities its law over
     Binomial(N, 1/2) is log-concave, the set where it exceeds the stationary
     law is one interval I, and the distance is P_t(I) - pi(I), from two CDF
-    values per law at edges found by bisection (_interval_distance).
+    values per law at edges found by a Fibonacci search for the mode of the
+    ratio and a bisection on each side of it (_interval_distance).
 
     Starts and stationary tables are built here, once.  An evaluation builds
     one regular table per regular_left (the starts come grouped by it) and
-    keeps one alive.  Binomial(m, 1 - f)(k) = Binomial(m, f)(m - k), so the
-    heavy table from heavy_left = m - h is the one from h reversed: when a
-    start follows, in its group, the start whose heavy table was just built
-    and mirrors its heavy_left, it reads that table reversed; every other
-    start builds its own.  At most one heavy table and its reversal are
-    alive.  The corners (0, 0), (0, m) build two tables per time, not three.
-    The reversal is also the more accurate table: it reads flip from expm1,
-    where the direct one reads 1 - flip rounded to a float.
+    keeps one alive, and one heavy table per start entry, which a mirrored
+    entry also reads reversed for (r, m - h): at most one heavy table and its
+    reversal are alive.  The corners (0, 0), (0, m) build two tables per time,
+    not three.
     """
     if target not in ("observable", "chain"):
         raise ValueError(f"unknown target {target!r}")
@@ -663,18 +660,17 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
         return _interval_distance(regular, heavy, *stationary)
 
     def largest_from(regular: Pmf, group, t: float) -> float:
-        largest, mirror = 0.0, None  # mirror: the heavy_left whose table is heavy reversed
-        for s in group:
-            if s.heavy_left == mirror:
-                heavy, mirror = heavy.reversed(), None
-            else:
-                heavy = None  # freed before the next table is built
-                heavy, mirror = coordinate_law(m, s.heavy_left, rate, t), m - s.heavy_left
+        largest = 0.0
+        for _, h, mirrored in group:
+            heavy = None  # freed before the next table is built
+            heavy = coordinate_law(m, h, rate, t)
             largest = max(largest, distance(regular, heavy))
+            if mirrored:
+                largest = max(largest, distance(regular, heavy.reversed()))
         return largest
 
     def curve(t: float) -> float:
-        groups = groupby(starts, key=lambda s: s.regular_left)
+        groups = groupby(starts, key=lambda s: s[0])
         return max(largest_from(coordinate_law(n, r, 1.0, t), group, t) for r, group in groups)
 
     return curve

@@ -135,6 +135,17 @@ def chain_tv_mp(n: int, m: int, alpha: float, r: int, h: int, t: float) -> float
         return float(total / 2)
 
 
+def starts(params, target: str, strategy) -> list[InitialState]:
+    """The starts a strategy stands for: each entry (r, h, mirrored) of
+    dist._initial_states is the start (r, h) and, if mirrored, (r, m - h)."""
+    m = params.heavy_count
+    return [
+        InitialState(r, left)
+        for r, h, mirrored in dist._initial_states(params, target, strategy)
+        for left in ((h, m - h) if mirrored else (h,))
+    ]
+
+
 def observable_distance_convolved(params, strategy, t: float) -> float:
     """The observable distance by the route dist.distance_curve took before
     its interval reduction: for each start the two coordinate tables
@@ -150,7 +161,7 @@ def observable_distance_convolved(params, strategy, t: float) -> float:
             ),
             stationary,
         )
-        for s in dist._initial_states(params, "observable", strategy)
+        for s in starts(params, "observable", strategy)
     )
 
 

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import weakref
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -362,12 +361,13 @@ class TestLaws:
     @settings(max_examples=60, deadline=None)
     def test_one_sided_start_is_the_one_binomial(self, count, all_left, rate, t):
         """With every ball on one side the other factor is a point mass, and
-        the one binomial returned as built is the convolution with it, bit for
-        bit: window, offset and size."""
+        the one table returned as built is the convolution with it, bit for
+        bit: window, offset and size.  The starters' factor is the flip table
+        reversed."""
         ones = count if all_left else 0
         flip = dist_module._flip(rate, t)
         convolved = convolve(
-            binomial_pmf(ones, 1.0 - flip), binomial_pmf(count - ones, flip)
+            binomial_pmf(ones, flip).reversed(), binomial_pmf(count - ones, flip)
         )
         law = coordinate_law(count, ones, rate, t)
         assert (law.offset, len(law)) == (convolved.offset, len(convolved))
@@ -375,8 +375,9 @@ class TestLaws:
 
 
 class TestMirrorTable:
-    """The heavy table from heavy_left = m, read as the one from 0 reversed
-    (distance_curve), against the table coordinate_law builds from m."""
+    """The law from c - k starters left against the one from k reversed
+    (the mirror distance_curve reads for (r, m - h)): every starters' table
+    is the flip table reversed, so both are built from the one flip."""
 
     @given(
         m=st.integers(0, 3000),
@@ -385,30 +386,30 @@ class TestMirrorTable:
     )
     @settings(max_examples=80, deadline=None)
     def test_reversal_matches_the_direct_table(self, m, rate, t):
-        """The direct table is Binomial(m, keep), keep = 1 - flip rounded to a
-        float; the reversal is Binomial(m, flip) reversed, flip from expm1.
-        Entries differ by the tables' own error (each within 3.4e-13 of 40
-        digits) plus the effect of keep's rounding delta, at most twice its
-        first-order term |k - m keep| |delta| / (keep flip) relative.  That
-        term reaches 2e-2 at t = 1e-12, m = 3000 and rate 0.01, so 1e-12
-        relative alone does not hold.  Entries below 1e-300 are compared
-        absolutely: where flip is below about 1e-13 the term moves the
-        subnormal ends, so the windows can differ there by an entry (64 of
-        19,872 random instances with t down to 1e-16)."""
+        """From a one-sided start they are the same table, bit for bit."""
         mirror = coordinate_law(m, 0, rate, t).reversed()
         direct = coordinate_law(m, m, rate, t)
-        assert len(mirror) == len(direct) == m + 1
-        flip = dist_module._flip(rate, t)
-        keep = 1.0 - flip
-        if flip == 0.0:
-            assert (mirror.offset, mirror.window.tobytes()) == (
-                direct.offset, direct.window.tobytes()
-            )
-            return
-        delta = float(Fraction(1) - Fraction(flip) - Fraction(keep))
-        rounding = np.abs(np.arange(m + 1) - m * keep) * abs(delta) / (keep * flip)
+        assert (mirror.offset, len(mirror)) == (direct.offset, len(direct))
+        assert mirror.window.tobytes() == direct.window.tobytes()
+
+    @given(
+        data=st.data(),
+        count=st.integers(2, 3000),
+        rate=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        t=st.one_of(st.sampled_from([1e-12, 1e3]), st.floats(0.0, 60.0)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_interior_start_mirrors_within_rounding(self, data, count, rate, t):
+        """From an interior start they convolve the same two factor tables in
+        the other order, so they agree to the rounding of the sums: at most
+        1.2e-15 relative was measured over 2,400 random cases.  Entries below
+        1e-300 are compared absolutely."""
+        k = data.draw(st.integers(1, count - 1))
+        mirror = coordinate_law(count, k, rate, t).reversed()
+        direct = coordinate_law(count, count - k, rate, t)
+        assert len(mirror) == len(direct) == count + 1
         larger = np.maximum(mirror.probs, direct.probs)
-        allowed = (1e-12 + 2.0 * rounding) * larger + 1e-300
+        allowed = 4e-15 * larger + 1e-300
         assert np.all(np.abs(mirror.probs - direct.probs) <= allowed)
 
     @pytest.mark.parametrize(
@@ -417,8 +418,8 @@ class TestMirrorTable:
     def test_reversal_is_the_accurate_table(self, m, rate, t):
         """Against 40 digits at the exact flip (1 - e^{-rate t}) / 2, the
         reversal is within 1e-12 relative at 13 points across its entries
-        above 1e-290.  The direct table carries keep's rounding instead:
-        6.5e-9 relative one step from its mode at t = 1e-6."""
+        above 1e-290.  A table built from 1 - flip rounded to a float was off
+        by 6.5e-9 relative one step from its mode at t = 1e-6."""
         mirror = coordinate_law(m, 0, rate, t).reversed()
         above = np.flatnonzero(mirror.window > 1e-290) + mirror.offset
         with mpmath.workdps(40):
@@ -427,6 +428,23 @@ class TestMirrorTable:
                 k = int(k)
                 exact = mpmath.binomial(m, k) * (1 - flip) ** k * flip ** (m - k)
                 assert abs(mirror.window[k - mirror.offset] - exact) <= 1e-12 * exact
+
+    def test_interior_start_is_accurate(self):
+        """From 1,500 of 3,000 balls left at t = 1e-6 the law is within 1e-12
+        relative of 40 digits at its seven central entries (3.5e-15 was
+        measured).  A starters' table built from 1 - flip rounded to a float
+        was off by 3.8e-10 there."""
+        law = coordinate_law(3000, 1500, 1.0, 1e-6)
+        with mpmath.workdps(40):
+            flip = -mpmath.expm1(-mpmath.mpf(1e-6)) / 2
+            stayed = [oracles.binomial_pmf_mp(1500, 1 - flip, j) for j in range(1501)]
+            joined = [oracles.binomial_pmf_mp(1500, flip, j) for j in range(1501)]
+            for k in range(1496, 1503):
+                exact = mpmath.fsum(
+                    stayed[j] * joined[k - j] for j in range(max(0, k - 1500), min(k, 1500) + 1)
+                )
+                assert abs(law.window[k - law.offset] - exact) <= 1e-12 * exact
+
 
 class TestTv:
     def test_identical_laws(self):
@@ -642,10 +660,10 @@ class TestWorstCase:
     def test_full_scan_is_max_over_every_start(self, p):
         n, m = p.regular_count, p.heavy_count
         every = [InitialState(r, h) for r in range(n + 1) for h in range(m + 1)]
-        kept = set(_initial_states(p, "chain", "full_scan"))
+        kept = oracles.starts(p, "chain", "full_scan")
         mirrors = {InitialState(n - s.regular_left, m - s.heavy_left) for s in kept}
-        assert kept | mirrors == set(every)
-        assert len(kept) == math.ceil(len(every) / 2)
+        assert set(kept) | mirrors == set(every)
+        assert len(set(kept)) == len(kept) == math.ceil(len(every) / 2)
         for t in (0.2, 0.9, 2.5):
             for fn in (observed_tv, chain_tv):
                 single = max(fn(p, t, s) for s in every)
@@ -738,8 +756,26 @@ class TestWorstCase:
     def test_corners_resolve_per_target(self, p, observable):
         """"corners" is the one start (0, 0) for the chain, and for the
         observable one start of each mirror pair of the extreme starts."""
-        assert _initial_states(p, "chain", "corners") == [InitialState(0, 0)]
-        assert _initial_states(p, "observable", "corners") == observable
+        assert oracles.starts(p, "chain", "corners") == [InitialState(0, 0)]
+        assert oracles.starts(p, "observable", "corners") == observable
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(10**4, 1000, 0.2),
+            ModelParams(60, 6, 0.3),
+            ModelParams(3000, 1500, 1.0),
+            ModelParams(2779, 74, 0.526),
+        ],
+    )
+    def test_corners_are_the_two_pinned_starts(self, p):
+        """The corners' (0, m), read as (0, 0)'s heavy table reversed, is the
+        table a pinned (0, m) builds, so the corners' distance is the larger
+        of the two pinned distances bit for bit, at 25 times from 1e-3 to 40."""
+        m = p.heavy_count
+        for t in np.geomspace(1e-3, 40.0, 25):
+            pinned = (observed_tv(p, t, InitialState(0, h)) for h in (0, m))
+            assert observed_tv(p, t) == max(pinned)
 
     def test_full_scan_capacity_guard(self):
         p = ModelParams(2 * 10**6, 3, 0.7)
@@ -793,8 +829,8 @@ class TestDistanceCurve:
         p = ModelParams(12, 4, 0.4)
         observable = distance_curve(p, "observable", strategy)
         chain = distance_curve(p, "chain", strategy)
-        observable_starts = _initial_states(p, "observable", strategy)
-        chain_starts = _initial_states(p, "chain", strategy)
+        observable_starts = oracles.starts(p, "observable", strategy)
+        chain_starts = oracles.starts(p, "chain", strategy)
         for t in (0.0, 0.3, 1.1, 4.0):
             per_start_observable = max(
                 tv(observed_law(p, s, t), stationary_observed(p)) for s in observable_starts
@@ -823,11 +859,10 @@ class TestDistanceCurve:
     def test_full_scan_builds_each_regular_table_once(
         self, target, stationary, monkeypatch
     ):
-        """n = 8, m = 4: the kept starts are r = 0..3 with every h, in the
-        order 0, 4, 1, 3, 2, and r = 4 with h = 0..2.  Each of h = 4 and 3
-        follows its mirror and reads that heavy table reversed, so 5 regular
-        and 15 heavy tables are built per time, not 5 and 23, and the
-        stationary tables once per curve."""
+        """n = 8, m = 4: the entries are r = 0..4 with h = 0..2, mirrored for
+        r < 4 and h < 2, so h = 4 and 3 read the tables of 0 and 1 reversed:
+        5 regular and 15 heavy tables are built per time, not 5 and 23, and
+        the stationary tables once per curve."""
         p = ModelParams(12, 4, 0.4)
         calls, stationary_calls = [], []
 
@@ -842,8 +877,8 @@ class TestDistanceCurve:
         original_stationary = getattr(dist_module, stationary)
         monkeypatch.setattr(dist_module, "coordinate_law", counting_coordinate_law)
         monkeypatch.setattr(dist_module, stationary, counting_stationary)
-        starts = _initial_states(p, target, "full_scan")
-        assert [s.heavy_left for s in starts] == [0, 4, 1, 3, 2] * 4 + [0, 1, 2]
+        entries = _initial_states(p, target, "full_scan")
+        assert entries == [(r, h, r < 4 and h < 2) for r in range(5) for h in range(3)]
         curve = distance_curve(p, target, "full_scan")
         for t in (0.5, 2.0):
             calls.clear()

@@ -16,9 +16,9 @@ Per layer: the first and the best of 5 calls of `mc.sample_batch`,
 `dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
 `dist.distance_curve` (the observable from the perfbench size N = 10^4, the
 chain from N = 10^5, both up to N = 10^7; the curve is built before the
-timed calls), `dist.coordinate_law` from a corner start, `dist.convolve` of
-two prebuilt binomial tables and `bounds.kolmogorov_lower_bound` (up to
-N = 10^7), at fixed sizes
+timed calls), `dist.coordinate_law` from a corner and from an interior
+start, `dist.convolve` of two prebuilt binomial tables and
+`bounds.kolmogorov_lower_bound` (up to N = 10^7), at fixed sizes
 (CASES, each case in a fresh interpreter; the first call pays what a process
 builds once, such as negdep's cached tables), with that interpreter's peak
 RSS (ru_maxrss, set-up and import included), and the best of 5
@@ -70,6 +70,7 @@ CASES = {
     ),
     "chain_curve_N1e7_t20": ("distance_curve", ("chain", (10_000_000, 1_000_000, 0.2), 20.0)),
     "coordinate_law_n9e4_corner_t5": ("coordinate_law", (90_000, 0, 1.0, 5.0)),
+    "coordinate_law_n9e4_interior_t5": ("coordinate_law", (90_000, 45_000, 1.0, 5.0)),
     "convolve_9000x1000": ("convolve", ((9000, 0.36), (1000, 0.115))),
     "convolve_90000x10000": ("convolve", ((90_000, 0.5), (10_000, 0.275))),
     "kolmogorov_N1e5_t6": ("kolmogorov_lower_bound", ((100_000, 10_000, 0.2), 6.0)),
