@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import InitialState, ModelParams, check_time
-from .dist import (
-    _first, _sum_law, chain_law, observable_mean_variance, stationary_observed, survival
-)
+from .model import ModelParams, check_time
+from .dist import distance_curve, observable_mean_variance, survival
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -84,39 +82,12 @@ def chebyshev_lower_bound(params: ModelParams, t: float) -> float:
 
 
 def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
-    """Half-line separation P_t(W <= j*) - pi(W <= j*) from the all-right
-    start, at j* the last j with p_t(j) > pi(j), clamped to [0, 1].
-
-    Each half-line {W <= j} is a single event, so the gap at any j is a
-    certified lower bound on total variation; where the search lands decides
-    only how tight it is.  It dominates the Chebyshev value, which certifies
-    one particular half-line.  Both factor laws lie below their stationary
-    binomials in likelihood-ratio order, which convolution of log-concave
-    laws keeps (Shaked & Shanthikumar, Stochastic Orders, 1.C): p_t / pi is
-    non-increasing, so p_t - pi changes sign once, at j*, where the CDF gap
-    peaks, and the gap there is the exact distance
-    dist.observed_tv(params, t, InitialState(0, 0)).  The gap is taken
-    signed: from this start the CDF of p_t lies above pi's.
-
-    No convolution is left in a call: from this start no ball starts left,
-    so each factor table is one binomial (dist.coordinate_law), and j* is one
-    bisection on p_t(j) <= pi(j) over p_t's first index to pi's last, p_t
-    read point by point from the two factor tables (dist._sum_law).  A call
-    costs three binomial tables of O(sqrt N) entries each plus O(w log N), w
-    the shorter factor's window width: about 0.05 s at N = 10^7 on a 2-vCPU
-    Xeon VM.  It shares the tables with
-    distance_curve but not its search or its reduction, so the lower side of
-    the bounds --exact sandwich checks one against the other.
-    """
-    p, p_cdf, first, _, _ = _sum_law(*chain_law(params, InitialState(0, 0), t))
-    pi = stationary_observed(params)
-
-    def pi_at(j: int) -> float:
-        return pi.window[j - pi.offset] if j >= pi.offset else 0.0
-
-    crossing = _first(first, pi.offset + pi.window.size, lambda j: p(j) <= pi_at(j)) - 1
-    gap = p_cdf(crossing) - float(pi.window[: max(crossing - pi.offset + 1, 0)].sum())
-    return min(1.0, max(0.0, gap))
+    """Certified lower bound on the observable distance: the half-line gap
+    from the all-right start (dist._half_line_gap), which equals the exact
+    distance dist.observed_tv(params, t, InitialState(0, 0)).  One evaluation
+    of distance_curve(params, ("kolmogorov",)); a curve over many times, or
+    beside the exact distance, builds its tables once per time."""
+    return distance_curve(params, ("kolmogorov",))(t)[0]
 
 
 def clt_lower_bound(params: ModelParams, t: float) -> float:

@@ -177,9 +177,9 @@ def cmd_curve(args) -> str:
     strategy = _parse_initial(args.initial)
     grid = _time_grid(args)
     columns = ["t", "D_obs"] + (["D_chain"] if args.chain else [])
-    targets = ["observable", "chain"] if args.chain else ["observable"]
-    curves = [dist.distance_curve(params, target, strategy) for target in targets]
-    rows = [[t, *(curve(t) for curve in curves)] for t in grid]
+    targets = ("observable", "chain") if args.chain else ("observable",)
+    curve = dist.distance_curve(params, targets, strategy)
+    rows = [[t, *curve(t)] for t in grid]
     config = _config(args, t_stop=grid[-1])
     return _table_text(args, "curve/1", config, columns, rows)
 
@@ -188,31 +188,30 @@ def cmd_bounds(args) -> str:
     params = ModelParams(args.n_balls, args.heavy, args.alpha)
     strategy = _parse_initial(args.initial)
     grid = _time_grid(args)
-    cheb, kolm, clt, l2, coupling = (
+    cheb, clt, l2, coupling = (
         bounds_mod.bound_curve(params, kind, grid)
-        for kind in ("chebyshev_lb", "kolmogorov_lb", "clt_lb", "l2_ub", "coupling_ub")
+        for kind in ("chebyshev_lb", "clt_lb", "l2_ub", "coupling_ub")
     )
-    table = {
-        "t": grid,
-        "lb_cheb": cheb.values,
-        "lb_kolm": kolm.values,
-        "lb_clt": clt.values,
-    }
-    # only under --exact: building the curve resolves the guarded starts
+    # lb_kolm certifies the all-right start alone, so it resolves no start;
+    # only --exact resolves (and guards) the starts of --initial.  Both
+    # columns come from one set of tables per time.
+    targets = ("kolmogorov", "observable") if args.exact else ("kolmogorov",)
+    curve = dist.distance_curve(params, targets, strategy)
+    columns = list(zip(*(curve(t) for t in grid)))
+    table = {"t": grid, "lb_cheb": cheb.values, "lb_kolm": columns[0], "lb_clt": clt.values}
     if args.exact:
-        exact_curve = dist.distance_curve(params, "observable", strategy)
-        table["exact"] = [exact_curve(t) for t in grid]
+        table["exact"] = columns[1]
         # Lower bounds certify the all-right start; comparing them against a
         # user-pinned different start would be meaningless, so the sandwich
         # check on that side needs a dominating strategy.  lb_kolm is the exact
         # distance from the all-right start, which such a strategy covers, so
-        # that side cross-checks two reductions of one law that share only the
-        # tables: the CDF gap at the likelihood-ratio crossing, found by one
-        # bisection, against the mass of the interval {p > pi} less half the
-        # mass drift, found by a Fibonacci mode search and two bisections.
+        # that side cross-checks two reductions of the same tables: the CDF
+        # gap at the likelihood-ratio crossing, found by one bisection, against
+        # the mass of the interval {p > pi} less half the mass drift, found by
+        # a Fibonacci mode search and two bisections.
         lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
         for i, (t, exact) in enumerate(zip(grid, table["exact"])):
-            lower = max(cheb.values[i], kolm.values[i])
+            lower = max(cheb.values[i], table["lb_kolm"][i])
             upper = min(l2.values[i], coupling.values[i])
             if exact > upper + SANDWICH_TOL or (
                 lower_applies and exact < lower - SANDWICH_TOL

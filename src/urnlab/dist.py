@@ -575,16 +575,55 @@ def _interval_distance(
     return min(1.0, max(0.0, positive - 0.5 * drift))
 
 
+def _half_line_gap(regular: Pmf, heavy: Pmf, pi: Pmf) -> float:
+    """Half-line separation P_t(W <= j*) - pi(W <= j*) of p, the law of the
+    sum of two independent factor tables from the all-right start, from
+    pi = Binomial(N, 1/2), at j* the last j with p(j) > pi(j), clamped to
+    [0, 1].
+
+    Each half-line {W <= j} is a single event, so the gap at any j is a
+    certified lower bound on total variation; where the search lands decides
+    only how tight it is.  It dominates the Chebyshev value, which certifies
+    one particular half-line.  Both factor laws lie below their stationary
+    binomials in likelihood-ratio order, which convolution of log-concave
+    laws keeps (Shaked & Shanthikumar, Stochastic Orders, 1.C): p / pi is
+    non-increasing, so p - pi changes sign once, at j*, where the CDF gap
+    peaks, and the gap there is the exact distance from (0, 0).  The gap is
+    taken signed: from this start the CDF of p lies above pi's.
+
+    No convolution: from this start no ball starts left, so each factor
+    table is one binomial (coordinate_law), and j* is one bisection on
+    p(j) <= pi(j) over p's first index to pi's last, p read point by point
+    from the two factor tables (_sum_law), O(w log N) over the shorter
+    factor's window width w.  It shares the tables with _interval_distance
+    but not its search or its reduction, so the lower side of the bounds
+    --exact sandwich checks one against the other.
+    """
+    p, p_cdf, first, _, _ = _sum_law(regular, heavy)
+
+    def pi_at(j: int) -> float:
+        return pi.window[j - pi.offset] if j >= pi.offset else 0.0
+
+    crossing = _first(first, pi.offset + pi.window.size, lambda j: p(j) <= pi_at(j)) - 1
+    gap = p_cdf(crossing) - float(pi.window[: max(crossing - pi.offset + 1, 0)].sum())
+    return min(1.0, max(0.0, gap))
+
+
 def _initial_states(params: ModelParams, target: str, strategy) -> list[tuple[int, int, bool]]:
     """Starts the target's distance maximises over (strategies as in
     distance_curve), as entries (r, h, mirrored) grouped by r: each stands
     for the start (r, h) and, if mirrored, also (r, m - h).
+
+    "kolmogorov" certifies the all-right start alone: it is (0, 0) under
+    every strategy, which it neither validates nor guards.
 
     The mirror (r, h) -> (n - r, m - h) reverses both factor laws and fixes
     both stationary laws, and relabelling states leaves total variation
     unchanged, so a scan needs r <= n / 2 and h <= m / 2 alone, mirrored
     unless 2 r = n or 2 h = m, where (r, m - h) is (r, h)'s mirror or itself.
     """
+    if target == "kolmogorov":
+        return [(0, 0, False)]
     if isinstance(strategy, InitialState):
         strategy.validate(params)
         return [(strategy.regular_left, strategy.heavy_left, False)]
@@ -612,9 +651,12 @@ def _initial_states(params: ModelParams, target: str, strategy) -> list[tuple[in
     ]
 
 
-def distance_curve(params: ModelParams, target: str = "observable", strategy="corners"):
-    """The exact curve t -> largest distance from stationarity at time t over
-    the chosen starts, of the observable ("observable") or the pair chain ("chain").
+def distance_curve(params: ModelParams, targets: tuple[str, ...], strategy="corners"):
+    """The exact curve t -> one value per target at time t: the largest
+    distance from stationarity over the chosen starts of the observable
+    ("observable") or the pair chain ("chain"), or the half-line gap of the
+    observable from (0, 0) ("kolmogorov", _half_line_gap).  targets is a
+    tuple, ("chain",) for one target; a bare name is refused.
 
     strategy: "corners" (default), "full_scan" over every start (guarded), or
     a single InitialState; "corners" and "full_scan" evaluate one start of
@@ -636,55 +678,69 @@ def distance_curve(params: ModelParams, target: str = "observable", strategy="co
     values per law at edges found by a Fibonacci search for the mode of the
     ratio and a bisection on each side of it (_interval_distance).
 
-    Starts and stationary tables are built here, once.  An evaluation builds
-    one regular table per regular_left (the starts come grouped by it) and
-    keeps one alive, and one heavy table per start entry, which a mirrored
-    entry also reads reversed for (r, m - h): at most one heavy table and its
-    reversal are alive.  The corners (0, 0), (0, m) build two tables per time,
-    not three.
+    Starts and stationary tables are built here, once; "observable" and
+    "kolmogorov" share Binomial(N, 1/2).  An evaluation walks the union of
+    the targets' starts, sorted so grouped by regular_left: one regular table
+    per group, alone alive, and one heavy table per start, read reversed for
+    (r, m - h) if some target's entry is mirrored, so at most one heavy table
+    and its reversal are alive.  Each target reduces its own starts' tables.
+    The corners (0, 0), (0, m) build two tables per time for all targets.
     """
-    if target not in ("observable", "chain"):
-        raise ValueError(f"unknown target {target!r}")
-    starts = _initial_states(params, target, strategy)
+    if isinstance(targets, str):
+        raise TypeError(f"targets is a tuple of names: distance_curve(params, ({targets!r},))")
+    for target in targets:
+        if target not in ("observable", "chain", "kolmogorov"):
+            raise ValueError(f"unknown target {target!r}")
+    # (r, h) -> [(target index, mirrored)], one entry per target that starts there
+    readers: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    for i, target in enumerate(targets):
+        for r, h, mirrored in _initial_states(params, target, strategy):
+            readers.setdefault((r, h), []).append((i, mirrored))
+    starts = sorted(readers.items())
     n, m, rate = params.regular_count, params.heavy_count, params.heavy_rate
-    if target == "chain":
+    if "chain" in targets:
         stationary = stationary_chain(params)
-    else:
+    if "observable" in targets or "kolmogorov" in targets:
         pi = stationary_observed(params)
         above = np.flatnonzero(pi.window > _SEARCH_FLOOR) + pi.offset
-        stationary = (pi, np.cumsum(pi.window), int(above[0]), int(above[-1]))
+        pi_window = (pi, np.cumsum(pi.window), int(above[0]), int(above[-1]))
 
-    def distance(regular: Pmf, heavy: Pmf) -> float:
+    def distance(target: str, regular: Pmf, heavy: Pmf) -> float:
         if target == "chain":
             return tv_product((regular, heavy), stationary)
-        return _interval_distance(regular, heavy, *stationary)
+        if target == "observable":
+            return _interval_distance(regular, heavy, *pi_window)
+        return _half_line_gap(regular, heavy, pi)
 
-    def largest_from(regular: Pmf, group, t: float) -> float:
-        largest = 0.0
-        for _, h, mirrored in group:
-            heavy = None  # freed before the next table is built
+    def largest_from(regular: Pmf, group, t: float, largest: list[float]) -> None:
+        for (_, h), reads in group:
+            heavy = mirror = None  # freed before the next table is built
             heavy = coordinate_law(m, h, rate, t)
-            largest = max(largest, distance(regular, heavy))
-            if mirrored:
-                largest = max(largest, distance(regular, heavy.reversed()))
-        return largest
+            if any(mirrored for _, mirrored in reads):
+                mirror = heavy.reversed()
+            for i, mirrored in reads:
+                largest[i] = max(largest[i], distance(targets[i], regular, heavy))
+                if mirrored:
+                    largest[i] = max(largest[i], distance(targets[i], regular, mirror))
 
-    def curve(t: float) -> float:
-        groups = groupby(starts, key=lambda s: s[0])
-        return max(largest_from(coordinate_law(n, r, 1.0, t), group, t) for r, group in groups)
+    def curve(t: float) -> tuple[float, ...]:
+        largest = [0.0] * len(targets)
+        for r, group in groupby(starts, key=lambda start: start[0][0]):
+            largest_from(coordinate_law(n, r, 1.0, t), group, t, largest)
+        return tuple(largest)
 
     return curve
 
 
 def observed_tv(params: ModelParams, t: float, strategy="corners") -> float:
-    """Observable distance at time t: distance_curve(params, "observable", strategy)(t)."""
-    return distance_curve(params, "observable", strategy)(t)
+    """Observable distance at time t: distance_curve(params, ("observable",), strategy)(t)."""
+    return distance_curve(params, ("observable",), strategy)(t)[0]
 
 
 def chain_tv(params: ModelParams, t: float, strategy="corners") -> float:
-    """Pair-chain distance at time t: distance_curve(params, "chain", strategy)(t),
+    """Pair-chain distance at time t: distance_curve(params, ("chain",), strategy)(t),
     by default from (0, 0) alone, the worst start (proved in distance_curve)."""
-    return distance_curve(params, "chain", strategy)(t)
+    return distance_curve(params, ("chain",), strategy)(t)[0]
 
 
 def observable_mean_variance(params: ModelParams, t: float) -> tuple[float, float]:

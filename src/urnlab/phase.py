@@ -73,7 +73,7 @@ def mixing_time(
 ) -> MixingTimeResult:
     """Locate the first time the distance drops to epsilon.
 
-    The distance is dist.distance_curve(params, target): for the chain the
+    The distance is dist.distance_curve(params, (target,)): for the chain the
     distance from (0, 0), the proved worst start; for the observable the
     maximum over (0, 0) and (0, m), the maximisers only empirically.
 
@@ -85,13 +85,13 @@ def mixing_time(
     endpoints are re-checked and a violation raises.
     """
     _check_epsilon(epsilon)
-    curve = dist.distance_curve(params, target)
+    curve = dist.distance_curve(params, (target,))
     evaluations = 0
 
     def evaluate(t: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return curve(t)
+        return curve(t)[0]
 
     at_zero = evaluate(0.0)
     if at_zero <= epsilon:
@@ -191,13 +191,13 @@ def cutoff_profile(
         window_unit = params.relaxation_time if gamma(params) >= 0.0 else 1.0
     if window_unit <= 0.0:
         raise ValueError("window_unit must be positive")
-    curve = dist.distance_curve(params, target)
+    curve = dist.distance_curve(params, (target,))
     times = tuple(center_time + window_unit * float(o) for o in offsets)
     return BoundCurve(
         kind="exact",
         target=target,
         times=times,
-        values=tuple(curve(t) for t in times),
+        values=tuple(curve(t)[0] for t in times),
     )
 
 

@@ -208,20 +208,23 @@ def configuration_tv(n: int, m: int, alpha: float, t: float) -> float:
     (1 - e^{-r_i t}) / 2, independently of the others (r_i = 1 for the n
     regular balls, alpha for the m heavy ones).  Half the L1 distance of that
     product law from 2^-N, enumerated configuration by configuration in
-    plain floats.
+    plain floats and summed exactly (math.fsum): added one by one, the 2^N
+    terms drift by 1.05e-13 at n = 12, m = 0, t = 0.2521 against 40 digits,
+    3.2e-16 when summed exactly.
     """
     balls = n + m
     if balls > CONFIGURATION_BALL_LIMIT:
         raise ValueError(f"oracle enumeration would need 2^{balls} configurations")
     flips = [(1.0 - math.exp(-t)) / 2.0] * n + [(1.0 - math.exp(-alpha * t)) / 2.0] * m
     uniform = 0.5**balls
-    total = 0.0
-    for config in range(2**balls):
+
+    def term(config: int) -> float:
         prob = 1.0
         for i, flip in enumerate(flips):
             prob *= flip if (config >> i) & 1 else 1.0 - flip
-        total += abs(prob - uniform)
-    return 0.5 * total
+        return abs(prob - uniform)
+
+    return 0.5 * math.fsum(term(config) for config in range(2**balls))
 
 
 def chi_square_mixture(n_balls: int, m: int, alpha: float, ones: int, t: float) -> float:

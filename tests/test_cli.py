@@ -106,12 +106,12 @@ class TestCurve:
         rows = [line.split(",") for line in lines[header + 1 :]]
         assert len(rows) == 6
         params = ModelParams(10, 2, 0.5)
-        observable = dist.distance_curve(params, "observable", strategy)
-        chain = dist.distance_curve(params, "chain", strategy)
+        observable = dist.distance_curve(params, ("observable",), strategy)
+        chain = dist.distance_curve(params, ("chain",), strategy)
         for t_text, d_obs, d_chain in rows:
             t = float(t_text)
-            assert d_obs == format(observable(t), ".17g")
-            assert d_chain == format(chain(t), ".17g")
+            assert d_obs == format(observable(t)[0], ".17g")
+            assert d_chain == format(chain(t)[0], ".17g")
 
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ["curve", *MODEL, "--t-start", "0.3", "--t-stop", "4", "--t-points", "9"]
@@ -340,6 +340,46 @@ class TestBounds:
         assert len(rows) == 3
         for row in rows:
             assert row[2] <= row[4]
+
+
+@pytest.mark.parametrize(
+    "argv, tables, stationary",
+    [
+        (["curve", "--chain"], 2, 3),
+        (["bounds", "--exact"], 2, 1),
+        (["bounds", "--exact", "--initial", "3,1"], 4, 1),
+    ],
+    ids=["curve-chain", "bounds-exact", "bounds-exact-pinned"],
+)
+def test_every_column_reads_one_set_of_tables_per_time(
+    argv, tables, stationary, monkeypatch, capsys
+):
+    """All columns of a time come from one set of factor tables: each
+    (count, ones_initial, rate, t) table is built once per time and each
+    stationary table once per run.  From the corners the observable, the
+    chain and the half-line gap all read (0, 0)'s two tables; a pinned start
+    adds its own two.  Binomial(N, 1/2) is shared by D_obs or exact and
+    lb_kolm; the chain adds Binomial(n, 1/2) and Binomial(m, 1/2)."""
+    laws, binomials = [], []
+
+    def counting_coordinate_law(count, ones_initial, rate, t):
+        laws.append((count, ones_initial, rate, t))
+        return coordinate_law(count, ones_initial, rate, t)
+
+    def counting_binomial_pmf(trials, success_prob):
+        binomials.append((trials, success_prob))
+        return binomial_pmf(trials, success_prob)
+
+    coordinate_law, binomial_pmf = dist.coordinate_law, dist.binomial_pmf
+    monkeypatch.setattr(dist, "coordinate_law", counting_coordinate_law)
+    monkeypatch.setattr(dist, "binomial_pmf", counting_binomial_pmf)
+    model = ["--n-balls", "100", "--heavy", "20", "--alpha", "0.5"]
+    grid = ["--t-start", "0.5", "--t-stop", "6", "--t-points", "4"]
+    code, _, err = run_cli([argv[0], *model, *grid, *argv[1:]], capsys)
+    assert code == 0, err
+    assert len(laws) == len(set(laws)) == tables * 4
+    assert len(binomials) == len(set(binomials))
+    assert sum(p == 0.5 for _, p in binomials) == stationary
 
 
 class TestClassify:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from urnlab import dist as dist_module
+from urnlab.bounds import kolmogorov_lower_bound
 from urnlab.model import CapacityError, InitialState, ModelParams
 from urnlab.dist import (
     _initial_states,
@@ -675,6 +676,7 @@ class TestWorstCase:
         alpha=st.floats(0.05, 1.0),
         t=st.floats(0.0, 6.0),
     )
+    @example(total=12, heavy_share=0.0, alpha=1.0, t=0.25210716703946284)
     @settings(max_examples=30, deadline=None)
     def test_chain_distance_is_the_configuration_distance(self, total, heavy_share, alpha, t):
         """Why the chain needs one start: the configuration walk on Z_2^N is
@@ -808,7 +810,7 @@ def test_evaluation_at_ten_million_stays_on_the_windows(target, t):
     apart, and the chain's rows skip the gap between them."""
     tracemalloc.start()
     try:
-        distance_curve(ModelParams(10**7, 10**6, 0.2), target)(t)
+        distance_curve(ModelParams(10**7, 10**6, 0.2), (target,))(t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -827,8 +829,8 @@ class TestDistanceCurve:
         in another order than the per-start tv of observed_law, so that pair
         agrees to rounding."""
         p = ModelParams(12, 4, 0.4)
-        observable = distance_curve(p, "observable", strategy)
-        chain = distance_curve(p, "chain", strategy)
+        observable = distance_curve(p, ("observable",), strategy)
+        chain = distance_curve(p, ("chain",), strategy)
         observable_starts = oracles.starts(p, "observable", strategy)
         chain_starts = oracles.starts(p, "chain", strategy)
         for t in (0.0, 0.3, 1.1, 4.0):
@@ -838,9 +840,65 @@ class TestDistanceCurve:
             per_start_chain = max(
                 tv_product(chain_law(p, s, t), stationary_chain(p)) for s in chain_starts
             )
-            assert observable(t) == observed_tv(p, t, strategy)
-            assert observable(t) == pytest.approx(per_start_observable, rel=0, abs=1e-15)
-            assert chain(t) == chain_tv(p, t, strategy) == per_start_chain
+            assert observable(t) == (observed_tv(p, t, strategy),)
+            assert observable(t)[0] == pytest.approx(per_start_observable, rel=0, abs=1e-15)
+            assert chain(t) == (chain_tv(p, t, strategy),) == (per_start_chain,)
+
+    @pytest.mark.parametrize(
+        "p", [ModelParams(12, 4, 0.4), ModelParams(9, 0, 0.5), ModelParams(7, 7, 0.3)]
+    )
+    @pytest.mark.parametrize(
+        "strategy",
+        ["corners", "full_scan", InitialState(3, 1), InitialState(0, 0), InitialState(0, 1)],
+    )
+    def test_several_targets_equal_their_single_curves(self, p, strategy):
+        """One curve over several targets builds the union of their starts'
+        tables once and reduces each target's own starts, so every value is
+        its single-target curve's, bit for bit, in any order of the targets.
+        The pinned starts share (0, 0) or its regular table with the half-line
+        gap's start, or share nothing."""
+        if isinstance(strategy, InitialState):
+            strategy = InitialState(
+                min(strategy.regular_left, p.regular_count),
+                min(strategy.heavy_left, p.heavy_count),
+            )
+        for targets in [("observable", "chain", "kolmogorov"), ("kolmogorov", "observable")]:
+            curve = distance_curve(p, targets, strategy)
+            single = [distance_curve(p, (target,), strategy) for target in targets]
+            for t in (0.0, 0.3, 1.1, 4.0):
+                assert curve(t) == tuple(value(t)[0] for value in single)
+
+    @pytest.mark.parametrize("strategy", ["corners", "full_scan", InitialState(3, 1)])
+    def test_kolmogorov_is_the_half_line_gap_from_the_all_right_start(self, strategy):
+        """Under every strategy the "kolmogorov" value is the half-line gap of
+        the all-right start's two factor tables, which kolmogorov_lower_bound
+        returns, bit for bit."""
+        p = ModelParams(12, 4, 0.4)
+        curve = distance_curve(p, ("observable", "kolmogorov"), strategy)
+        for t in (0.0, 0.3, 1.1, 4.0):
+            tables = chain_law(p, InitialState(0, 0), t)
+            gap = dist_module._half_line_gap(*tables, stationary_observed(p))
+            assert curve(t)[1] == gap == kolmogorov_lower_bound(p, t)
+
+    def test_kolmogorov_resolves_no_start(self):
+        """The half-line gap has the one start (0, 0) under every strategy: a
+        full scan past the guard and a pinned start out of range are neither
+        guarded nor validated until another target needs their starts."""
+        for p, strategy, error in [
+            (ModelParams(2 * 10**6, 3, 0.7), "full_scan", CapacityError),
+            (ModelParams(60, 6, 0.3), InitialState(99, 0), ValueError),
+        ]:
+            (gap,) = distance_curve(p, ("kolmogorov",), strategy)(5.0)
+            assert gap == distance_curve(p, ("kolmogorov",))(5.0)[0]
+            with pytest.raises(error):
+                distance_curve(p, ("kolmogorov", "observable"), strategy)
+
+    @pytest.mark.parametrize("target", ["observable", "chain", "kolmogorov", "o"])
+    def test_a_bare_target_name_is_refused(self, target):
+        """A bare name is not read as the tuple of its letters: the error
+        names the tuple form, not an unknown target 'o'."""
+        with pytest.raises(TypeError, match=rf"\(params, \('{target}',\)\)"):
+            distance_curve(ModelParams(10, 3, 0.5), target)
 
     def test_unknown_target(self):
         """The target is checked before the starts are resolved: a guarded
@@ -850,7 +908,7 @@ class TestDistanceCurve:
             (ModelParams(2 * 10**6, 3, 0.7), "full_scan"),
         ]:
             with pytest.raises(ValueError, match="unknown target"):
-                distance_curve(p, "pair", strategy)
+                distance_curve(p, ("pair",), strategy)
 
     @pytest.mark.parametrize(
         "target, stationary",
@@ -879,7 +937,7 @@ class TestDistanceCurve:
         monkeypatch.setattr(dist_module, stationary, counting_stationary)
         entries = _initial_states(p, target, "full_scan")
         assert entries == [(r, h, r < 4 and h < 2) for r in range(5) for h in range(3)]
-        curve = distance_curve(p, target, "full_scan")
+        curve = distance_curve(p, (target,), "full_scan")
         for t in (0.5, 2.0):
             calls.clear()
             curve(t)
@@ -916,7 +974,7 @@ class TestDistanceCurve:
 
         monkeypatch.setattr(dist_module, "coordinate_law", tracked_coordinate_law)
         monkeypatch.setattr(_TrackedPmf, "reversed", tracked_reversed, raising=False)
-        distance_curve(p, target, "full_scan")(1.0)
+        distance_curve(p, (target,), "full_scan")(1.0)
         assert peak == {"regular": 1, "heavy": 1, "reversed": 1, "heavy or reversed": 2}
         assert set(live.values()) == {0}
 
@@ -969,7 +1027,7 @@ class TestIntervalDistance:
         p = ModelParams(total, round(heavy_share * total), alpha)
         strategy = _pinned_or_corners(data, p)
         expected = oracles.observable_distance_convolved(p, strategy, t)
-        got = distance_curve(p, "observable", strategy)(t)
+        got = distance_curve(p, ("observable",), strategy)(t)[0]
         assert got == pytest.approx(expected, rel=0, abs=1e-13)
 
     @given(
@@ -982,7 +1040,7 @@ class TestIntervalDistance:
     def test_full_scan_matches_the_convolution_route(self, total, heavy_share, alpha, t):
         p = ModelParams(total, round(heavy_share * total), alpha)
         expected = oracles.observable_distance_convolved(p, "full_scan", t)
-        got = distance_curve(p, "observable", "full_scan")(t)
+        got = distance_curve(p, ("observable",), "full_scan")(t)[0]
         assert got == pytest.approx(expected, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize(
@@ -996,7 +1054,7 @@ class TestIntervalDistance:
         1e-12, and tables equal to the stationary ones up to rounding at 1e3."""
         for strategy in ("corners", InitialState(p.regular_count // 3, p.heavy_count // 2)):
             expected = oracles.observable_distance_convolved(p, strategy, t)
-            got = distance_curve(p, "observable", strategy)(t)
+            got = distance_curve(p, ("observable",), strategy)(t)[0]
             assert got == pytest.approx(expected, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("t", [50.0, 80.0])
@@ -1045,7 +1103,7 @@ class TestIntervalDistance:
             return (counted, *rest)
 
         monkeypatch.setattr(dist_module, "_sum_law", counting_sum_law)
-        curve = distance_curve(ModelParams(10**4, 1000, 0.2), "observable")
+        curve = distance_curve(ModelParams(10**4, 1000, 0.2), ("observable",))
         for t in np.geomspace(1.3, 33.0, 40):
             curve(float(t))
         assert len(reads) == 80
@@ -1069,7 +1127,7 @@ class TestIntervalDistance:
 
         monkeypatch.setattr(dist_module, "coordinate_law", counting_coordinate_law)
         monkeypatch.setattr(dist_module, "convolve", counting_convolve)
-        curve = distance_curve(ModelParams(12, 4, 0.4), "observable", strategy)
+        curve = distance_curve(ModelParams(12, 4, 0.4), ("observable",), strategy)
         for t in (0.0, 0.5, 3.0):
             tables.clear()
             convolutions.clear()

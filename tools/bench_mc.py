@@ -96,7 +96,10 @@ import json, resource, sys, time
 from urnlab import InitialState, ModelParams, bounds, dist, mc, negdep
 
 def curve_evaluation(target, params, t):
-    curve = dist.distance_curve(ModelParams(*params), target)
+    try:
+        curve = dist.distance_curve(ModelParams(*params), (target,))
+    except ValueError:  # a checkout whose distance_curve takes one target name
+        curve = dist.distance_curve(ModelParams(*params), target)
     return lambda seed: curve(t)
 
 def convolution(a, b):
