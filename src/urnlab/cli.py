@@ -208,7 +208,8 @@ def cmd_bounds(args) -> str:
         # that side cross-checks two reductions of the same tables: the CDF
         # gap at the likelihood-ratio crossing, found by one bisection, against
         # the mass of the interval {p > pi} less half the mass drift, found by
-        # a Fibonacci mode search and two bisections.
+        # bisection on each side of the ratio's peak (an end test or a
+        # Fibonacci search), or by one bisection where it runs past an end.
         lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
         for i, (t, exact) in enumerate(zip(grid, table["exact"])):
             lower = max(cheb.values[i], table["lb_kolm"][i])

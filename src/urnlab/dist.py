@@ -136,6 +136,20 @@ def _stirlerr_series(j: np.ndarray, smallest: int) -> np.ndarray:
     return acc
 
 
+def _stirlerr(n: int) -> float:
+    """stirlerr(n) for one n: the table to 15, else _stirlerr_series as a
+    scalar, in its order of operations and so to the same bits."""
+    if n <= 15:
+        return float(_STIRLERR[n])
+    terms = 5 - (n > 35) - (n > 80) - (n > 500)
+    j = float(n)
+    w = 1.0 / (j * j)
+    acc = _STIRLING[5 - terms] * w
+    for c in _STIRLING[6 - terms : -1]:
+        acc = (c - acc) * w
+    return (_STIRLING[-1] - acc) / j
+
+
 def _split_means(n: int, p: float) -> tuple[float, float, float, float]:
     """n p and n (1 - p) as float values plus the rounding error of each.
 
@@ -229,9 +243,8 @@ def _log_dbinom(lo: int, hi: int, n: int, p: float) -> np.ndarray:
     # = bd0(x, M) + e (1 - x / M) + O(e^2).
     slope = mean_err / mean - rest_err / rest
     constant = rest_err * n / rest - (mean_err + rest_err)
-    stirlerr_n = _STIRLERR[n] if n <= 15 else _stirlerr_series(np.array([float(n)]), n)[0]
     k *= slope
-    k += stirlerr_n + constant
+    k += _stirlerr(n) + constant
     k -= body
     out[a - lo : b - lo + 1] = k
     return out
@@ -244,25 +257,53 @@ def _first(lo: int, hi: int, predicate) -> int:
 
 
 def _window(n: int, p: float) -> tuple[int, int]:
-    """First and last k with n KL(k/n || p) <= _WINDOW_NATS, 0 < p < 1.
+    """First and last k with n KL(k/n || p) <= _WINDOW_NATS, n > 0, 0 < p < 1.
 
     The exponent is convex in k with its minimum at n p, so the window is an
-    interval around floor(n p) and each edge is a bisection on one side.
+    interval around floor(n p) and each edge is where the exponent crosses
+    _WINDOW_NATS on one side.  Newton steps on the exponent over real k,
+    from the normal approximation's edge, estimate each crossing; reads of
+    the exponent at the integers on either side certify it, and where they
+    do not, the edge is a bisection over the whole side.  The edges are
+    those of that bisection wherever its reads are monotone.
     """
     centre = min(int(n * p), n)
+    # differences of logs: k / (n p) overflows for a subnormal p
+    log_mean, log_rest = math.log(n * p), math.log(n * (1.0 - p))
 
     def outside(k: int) -> bool:
-        # differences of logs: k / (n p) overflows for a subnormal p
-        exponent = k * (math.log(k) - math.log(n * p)) if k > 0 else 0.0
+        exponent = k * (math.log(k) - log_mean) if k > 0 else 0.0
         if k < n:
-            exponent += (n - k) * (math.log(n - k) - math.log(n * (1.0 - p)))
+            exponent += (n - k) * (math.log(n - k) - log_rest)
         return exponent > _WINDOW_NATS
 
+    def crossing(x: float, bound: float) -> float:
+        """Newton from x towards the crossing on bound's side of n p, a step
+        that would leave (0, n) halved towards bound instead."""
+        for _ in range(30):
+            log_x, log_y = math.log(x), math.log(n - x)
+            slope = (log_x - log_mean) - (log_y - log_rest)
+            if slope == 0.0:
+                break
+            exponent = x * (log_x - log_mean) + (n - x) * (log_y - log_rest)
+            step = (exponent - _WINDOW_NATS) / slope
+            if not 0.0 < x - step < n:
+                step = (x - bound) / 2.0
+            x -= step
+            if abs(step) < 0.25:  # the error is now far below a step
+                break
+        return x
+
+    spread = math.sqrt(2.0 * _WINDOW_NATS * n * p * (1.0 - p))
     first, last = 0, n  # small tables often lie whole inside the window
     if outside(0):
-        first = _first(0, centre + 1, lambda k: not outside(k))
+        first = math.ceil(crossing(max(n * p - spread, 0.5 * n * p), 0.0))
+        if not (0 < first <= centre and outside(first - 1) and not outside(first)):
+            first = _first(0, centre + 1, lambda k: not outside(k))
     if outside(n):
-        last = _first(centre, n + 1, outside) - 1
+        last = math.floor(crossing(min(n * p + spread, 0.5 * (n * p + n)), float(n)))
+        if not (centre <= last < n and not outside(last) and outside(last + 1)):
+            last = _first(centre, n + 1, outside) - 1
     return first, last
 
 
@@ -270,20 +311,21 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     """Binomial(trials, success_prob) in Loader's saddle-point form.
 
     Only the Chernoff window trials * KL(k / trials || p) <= 750 is evaluated
-    (its edges by bisection) and stored, unpadded (about 39 sqrt(trials) at
-    p = 1/2).  Every entry outside it is below e^-750, which exp rounds to
-    0.0, so the table and its zero pattern are those of the full evaluation.
-    Entries are within 1e-12 relative of 40-digit arithmetic up to 10^6
-    trials: at most 3.4e-13 was measured at the mode, 3, 9, 20 and 30
-    standard deviations out and the end points, from 10^3 to 9 x 10^6 trials
-    (log-gamma lost 1.0e-11 at 10^4, 1.1e-10 at 10^5 and 1.6e-9 at 10^6).
+    (its edges from certified Newton steps, _window) and stored, unpadded
+    (about 39 sqrt(trials) at p = 1/2).  Every entry outside it is below
+    e^-750, which exp rounds to 0.0, so the table and its zero pattern are
+    those of the full evaluation.  Entries are within 1e-12 relative of
+    40-digit arithmetic up to 10^6 trials: at most 3.4e-13 was measured at
+    the mode, 3, 9, 20 and 30 standard deviations out and the end points,
+    from 10^3 to 9 x 10^6 trials (log-gamma lost 1.0e-11 at 10^4, 1.1e-10
+    at 10^5 and 1.6e-9 at 10^6).
     """
     check_integer("trials", trials, 0, math.inf)
     p = float(success_prob)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability {p} outside [0, 1]")
     trials = int(trials)
-    if p == 0.0 or p == 1.0:
+    if trials == 0 or p == 0.0 or p == 1.0:
         return Pmf([1.0], 0 if p == 0.0 else trials, trials + 1)
     lo, hi = _window(trials, p)
     return Pmf(np.exp(_log_dbinom(lo, hi, trials, p)), lo, trials + 1)
@@ -452,41 +494,89 @@ def _sum_law(x: Pmf, y: Pmf):
     """Point and CDF values of p, the law of the sum of two independent factor
     tables, without the convolved table: (p, p_cdf, first, last, mass).
 
-    p(j) is one dot product of the shorter factor's window against the
-    longer's, and p_cdf(j) the same against the longer's cumulative sums plus
-    the shorter entries whose whole longer window lies at or below j: O(w)
-    over the shorter window width w, after O(W) set-up over the longer W.
-    p is zero outside [first, last]; mass is the product of the two window
-    sums, each table's allowed mass drift kept in.
+    p(j) is one dot product of the shorter factor's window against a slice
+    of the longer's, reversed and padded with w - 1 zeros at each end, so
+    the slice is whole wherever the windows overlap; p_cdf(j) is a dot
+    product against the longer's cumulative sums, clipped to the overlap,
+    plus the shorter entries whose whole longer window lies at or below j:
+    O(w) over the shorter window width w, after O(W) set-up over the longer
+    W.  p is zero outside [first, last]; mass is the product of the two
+    window sums, each table's allowed mass drift kept in.
     """
     small, large = sorted((x, y), key=lambda f: f.window.size)
     offset, short, long = small.offset + large.offset, small.window, large.window
-    size = long.size
+    width, size = short.size, long.size
+    last = offset + width + size - 2
     long_cdf = np.cumsum(long)
     short_cdf = np.cumsum(short)
-    # reversed copies: the long index j - s runs down as the short index s runs up
-    long_reversed, cdf_reversed = long[::-1].copy(), long_cdf[::-1].copy()
-
-    def dot(reversed_table: np.ndarray, k: int) -> float:
-        """sum over s of short[s] * table[k - s], table the long window or its CDF."""
-        a, b = max(0, k - size + 1), min(short.size - 1, k)
-        if a > b:
-            return 0.0
-        return float(short[a : b + 1] @ reversed_table[size - 1 - k + a : size - k + b])
+    # reversed: the long index j - s runs down as the short index s runs up, so
+    # p(j) reads padded[last - j : last - j + width]
+    padded = np.zeros(size + 2 * (width - 1))
+    padded[width - 1 : width - 1 + size] = long[::-1]
+    cdf_reversed = long_cdf[::-1].copy()
 
     def p(j: int) -> float:
-        return dot(long_reversed, j - offset)
+        start = last - j
+        if not 0 <= start <= last - offset:
+            return 0.0
+        return float(short.dot(padded[start : start + width]))
 
     def p_cdf(j: int) -> float:
         k = j - offset
         if k < 0:
             return 0.0
-        below = min(k - size + 1, short.size)  # short entries whose long window lies <= j
+        below = min(k - size + 1, width)  # short entries whose long window lies <= j
         head = float(short_cdf[below - 1] * long_cdf[-1]) if below > 0 else 0.0
-        return head + dot(cdf_reversed, k)
+        # sum over the overlap s in [a, b] of short[s] * long_cdf[k - s]
+        a, b = max(0, k - size + 1), min(width - 1, k)
+        if a > b:
+            return head
+        return head + float(short[a : b + 1] @ cdf_reversed[size - 1 - k + a : size - k + b])
 
     mass = float(short_cdf[-1] * long_cdf[-1])
-    return p, p_cdf, offset, offset + short.size + size - 2, mass
+    return p, p_cdf, offset, last, mass
+
+
+def _ratio_peak(ratio, lo: int, hi: int, fall: float) -> tuple[int, float]:
+    """Index and value of the largest ratio(j) over [lo, hi], for a ratio
+    that is log-concave before rounding: fall is the factor by which one read
+    must exceed another for the exact values to be in the same order.
+
+    Log-concave, the ratio peaks at an end from which it falls to the next
+    index, so an end whose read exceeds the next one's by more than `fall`
+    is taken with two reads.  Otherwise a Fibonacci search (Kiefer, 1953) runs
+    over the bracket (top, top + large), large a Fibonacci number, points
+    past hi reading -1: one new probe per step, ties kept left.  Where the
+    ratio is flat within the reads' error the sign of its one-step
+    difference is noise; the two probes, a quarter of the bracket apart, see
+    the ratio's slope over that distance until the bracket is a few wide.
+    """
+    if lo < hi:
+        for end, inner in ((lo, lo + 1), (hi, hi - 1)):
+            at_end = ratio(end)
+            if at_end > fall * ratio(inner):
+                return end, at_end
+
+    def at(j: int) -> float:
+        return ratio(j) if j <= hi else -1.0
+
+    small, large = 1, 2
+    while large < hi - lo + 2:
+        small, large = large, small + large
+    top = lo - 1
+    a, b = top + large - small, top + small
+    at_a, at_b = at(a), at(b)
+    while large > 3:
+        small, large = large - small, small
+        if at_a < at_b:
+            top, a, at_a = a, b, at_b
+            b = top + small
+            at_b = at(b)
+        else:
+            b, at_b = a, at_a
+            a = top + large - small
+            at_a = at(a)
+    return (b, at_b) if at_a < at_b else (a, at_a)
 
 
 def _interval_distance(
@@ -503,9 +593,12 @@ def _interval_distance(
     window p > pi wherever p has mass above the floor, so where one look at
     p just outside that window, on the side of p's mode (within 1 of p's
     mean, Darroch, 1964), finds p above the floor, I runs on to 0 or N;
-    only where it does not is p's edge bisected from its mode.  Inside, a
-    Fibonacci search finds the mode of p / pi with one point value per step,
-    and a bisection on each side of it the sign change of p - pi.  With
+    only where it does not is p's edge bisected from its mode.  Where I runs
+    on at one end, it is a prefix or a suffix of the window, one bisection;
+    where it runs on at both, it is everything.  Where it runs on at neither,
+    _ratio_peak finds the peak of p / pi (an end of the window from which the
+    ratio falls by more than the reads' error, else a Fibonacci search), and
+    a bisection on each side of it the sign change of p - pi.  With
     point and CDF values of p from _sum_law, (1/2) sum |p - pi| = p(I) -
     pi(I) - (1/2) (sum p - sum pi), keeping the allowed mass drift in as tv
     does, clamped to [0, 1] as tv_product is.
@@ -534,38 +627,30 @@ def _interval_distance(
     ) - 1
     # I = [lo, hi), empty until found, and placed where the run-on below reaches it
     lo = hi = hi_edge + 1 if runs_above else lo_edge
-    if lo_edge <= hi_edge:
-        # Fibonacci search (Kiefer, 1953) for the mode of p / pi over the
-        # bracket (top, top + large), large a Fibonacci number, points past
-        # hi_edge reading -1: one new probe per step, ties kept left.  Table
-        # entries carry up to about 1e-13 relative noise, which flips the sign
-        # of the one-step difference of the log ratio once the distance nears
-        # 1e-12; the two probes, a quarter of the bracket apart, see the
-        # ratio's slope over that distance until the bracket is a few wide.
-        def ratio(j: int) -> float:
-            return p(j) / pi_at(j) if j <= hi_edge else -1.0
-
-        small, large = 1, 2
-        while large < hi_edge - lo_edge + 2:
-            small, large = large, small + large
-        top = lo_edge - 1
-        a, b = top + large - small, top + small
-        at_a, at_b = ratio(a), ratio(b)
-        while large > 3:
-            small, large = large - small, small
-            if at_a < at_b:
-                top, a, at_a = a, b, at_b
-                b = top + small
-                at_b = ratio(b)
-            else:
-                b, at_b = a, at_a
-                a = top + large - small
-                at_a = ratio(a)
-        peak = b if at_a < at_b else a
-        # the peak's ratio; a quotient of two floats exceeds 1 exactly when p > pi
-        if max(at_a, at_b) > 1.0:
+    if lo_edge <= hi_edge and not (runs_below or runs_above):
+        # A read of p / pi is within `error` relative of the exact ratio, to
+        # first order: 1e-12 for each factor table's entries and pi's
+        # (binomial_pmf, coordinate_law), w u for the dot product over the
+        # shorter window w (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 3.1), u for the quotient and u for _ratio_peak's
+        # product, u = 2^-53.  Two reads whose quotient passes (1 + error) /
+        # (1 - error) are in the exact ratios' order.
+        error = 3e-12 + (min(regular.window.size, heavy.window.size) + 2) * 2.0**-53
+        peak, at_peak = _ratio_peak(
+            lambda j: p(j) / pi_at(j), lo_edge, hi_edge, (1.0 + error) / (1.0 - error)
+        )
+        # a quotient of two floats exceeds 1 exactly when p > pi
+        if at_peak > 1.0:
             lo = _first(lo_edge, peak, lambda j: p(j) > pi_at(j))
             hi = _first(peak, hi_edge + 1, lambda j: p(j) <= pi_at(j))
+    elif lo_edge <= hi_edge and runs_below != runs_above:
+        # I holds the index past the end that runs on, so inside the window
+        # it is a prefix or a suffix: one bisection and no peak (where both
+        # ends run on, I is the whole line)
+        if runs_below:
+            hi = _first(lo_edge, hi_edge + 1, lambda j: p(j) <= pi_at(j))
+        else:
+            lo = _first(lo_edge, hi_edge + 1, lambda j: p(j) > pi_at(j))
     if runs_below:
         lo = 0
     if runs_above:
@@ -675,8 +760,10 @@ def distance_curve(params: ModelParams, targets: tuple[str, ...], strategy="corn
     sum of N independent Bernoullis, so by Newton's inequalities its law over
     Binomial(N, 1/2) is log-concave, the set where it exceeds the stationary
     law is one interval I, and the distance is P_t(I) - pi(I), from two CDF
-    values per law at edges found by a Fibonacci search for the mode of the
-    ratio and a bisection on each side of it (_interval_distance).
+    values per law at edges found by bisection on each side of the ratio's
+    peak, that peak an end of the search window where the ratio falls away
+    from it and otherwise found by a Fibonacci search; where I runs past an
+    end of the window, one bisection and no peak (_interval_distance).
 
     Starts and stationary tables are built here, once; "observable" and
     "kolmogorov" share Binomial(N, 1/2).  An evaluation walks the union of

@@ -4,9 +4,10 @@ Everything here recomputes model quantities through a different route than
 the package (matrix exponential of the explicit generator, direct bit-level
 enumeration in plain floats, 40-digit arithmetic, one scalar variate per
 Monte Carlo read from substreams built straight from the documented keys,
-the count-level event loop the ctmc kernel replaced, and the full
+the count-level event loop the ctmc kernel replaced, the full
 convolutions the observable's interval reduction and the half-line bound's
-bisection replaced), so agreement is evidence rather than the same code
+bisection replaced, and the bisection the binomial window's Newton estimate
+replaced), so agreement is evidence rather than the same code
 tested against itself.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -95,6 +97,29 @@ def binomial_pmf_log_gamma(trials: int, p: float) -> np.ndarray:
     k = np.arange(trials + 1, dtype=float)
     log_comb = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
     return np.exp(log_comb + xlogy(k, p) + xlog1py(trials - k, -p))
+
+
+def window_bisection(n: int, p: float) -> tuple[int, int]:
+    """First and last k with n KL(k/n || p) <= dist._WINDOW_NATS, 0 < p < 1,
+    by the route dist._window took before its Newton estimate: a bisection
+    over each whole side of floor(n p) on the same float exponent."""
+    centre = min(int(n * p), n)
+
+    def outside(k: int) -> bool:
+        exponent = k * (math.log(k) - math.log(n * p)) if k > 0 else 0.0
+        if k < n:
+            exponent += (n - k) * (math.log(n - k) - math.log(n * (1.0 - p)))
+        return exponent > dist._WINDOW_NATS
+
+    def first(lo: int, hi: int, predicate) -> int:
+        return lo + bisect_left(range(lo, hi), True, key=predicate)
+
+    lo, hi = 0, n
+    if outside(0):
+        lo = first(0, centre + 1, lambda k: not outside(k))
+    if outside(n):
+        hi = first(centre, n + 1, outside) - 1
+    return lo, hi
 
 
 def binomial_pmf_mp(trials: int, p: float, k: int):

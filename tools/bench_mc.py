@@ -10,7 +10,11 @@ The checkout holding this script is measured as "change"; --parent names a
 second checkout (for instance a `git clone` of the parent commit) measured
 as "parent" with the same commands.  Every measurement runs in a fresh
 interpreter that imports urnlab from that checkout's src/, parent and change
-in turn, so machine noise falls on both.
+in turn, so machine noise falls on both.  Each per-layer case runs in 3
+rounds per checkout (ROUNDS), the checkout that goes first alternating from
+round to round; the record keeps every round and the median over rounds of
+the per-round bests, since one round per side cannot tell a 2x change from
+a shared machine's drift.
 
 Per layer: the first and the best of 5 calls of `mc.sample_batch`,
 `dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
@@ -22,10 +26,10 @@ start, `dist.convolve` of two prebuilt binomial tables and
 (CASES, each case in a fresh interpreter; the first call pays what a process
 builds once, such as negdep's cached tables), with that interpreter's peak
 RSS (ru_maxrss, set-up and import included), and the best of 5
-`import urnlab` times, each in a fresh interpreter.  End to end:
-the Tier-1 suite's wall time and criterion 8's call time (one pytest run,
-read from its JUnit report), and the last stdout line of `perfbench/run.py`
-for each workload at --seed and --seconds.
+`import urnlab` times, each in a fresh interpreter, in the same rounds.
+End to end: the Tier-1 suite's wall time and criterion 8's call time (one
+pytest run, read from its JUnit report), and the last stdout line of
+`perfbench/run.py` for each workload at --seed and --seconds.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -44,8 +49,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/6"
+SCHEMA = "urnlab-bench-mc/7"
 REPEATS = 5
+ROUNDS = 3
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
 
@@ -159,20 +165,34 @@ def _git(checkout: Path) -> dict:
     return {"sha": git("rev-parse", "HEAD") or None, "dirty": bool(git("status", "--porcelain"))}
 
 
-def per_layer(checkout: Path) -> dict:
-    # one interpreter per case: memory a large case leaves to the allocator
-    # would otherwise spare the next case its page faults
-    record = {}
-    for name, case in CASES.items():
-        command = [sys.executable, "-c", _LAYER_SCRIPT, json.dumps({name: case}), str(REPEATS)]
-        measured = json.loads(_run(checkout, command))
-        times = measured["times"][name]
-        record[name] = {"first_s": times[0], "best_s": min(times), "of": REPEATS,
-                        "peak_rss_mb": measured["peak_rss_mb"]}
-    command = [sys.executable, "-c", _IMPORT_SCRIPT]
-    imports = [float(_run(checkout, command)) for _ in range(REPEATS)]
-    record["import_urnlab"] = {"best_s": min(imports), "of": REPEATS}
-    return record
+def _layer_round(checkout: Path, name: str) -> dict:
+    """One round of a case in a fresh interpreter: memory a large case leaves
+    to the allocator would otherwise spare the next case its page faults."""
+    if name == "import_urnlab":
+        command = [sys.executable, "-c", _IMPORT_SCRIPT]
+        return {"best_s": min(float(_run(checkout, command)) for _ in range(REPEATS))}
+    command = [sys.executable, "-c", _LAYER_SCRIPT, json.dumps({name: CASES[name]}), str(REPEATS)]
+    measured = json.loads(_run(checkout, command))
+    times = measured["times"][name]
+    return {"first_s": times[0], "best_s": min(times), "peak_rss_mb": measured["peak_rss_mb"]}
+
+
+def per_layer(checkouts: dict[str, Path]) -> dict[str, dict]:
+    """Every case, ROUNDS rounds per checkout, the first checkout of a round
+    alternating: {label: {case: {"rounds": [...], "median_best_s", "of"}}}."""
+    records = {label: {} for label in checkouts}
+    labels = list(checkouts)
+    for name in [*CASES, "import_urnlab"]:
+        rounds = {label: [] for label in labels}
+        for i in range(ROUNDS):
+            for label in labels if i % 2 == 0 else labels[::-1]:
+                rounds[label].append(_layer_round(checkouts[label], name))
+        for label, measured in rounds.items():
+            records[label][name] = {
+                "rounds": measured, "of": REPEATS,
+                "median_best_s": statistics.median(r["best_s"] for r in measured),
+            }
+    return records
 
 
 def tier1(checkout: Path) -> dict:
@@ -215,9 +235,9 @@ def main() -> int:
         checkouts = {"parent": args.parent.resolve(), **checkouts}
     results = {label: {**_git(path), "per_layer": {}, "end_to_end": {}}
                for label, path in checkouts.items()}
-    for label, path in checkouts.items():
-        print(f"{label}: per layer", file=sys.stderr, flush=True)
-        results[label]["per_layer"] = per_layer(path)
+    print("per layer", file=sys.stderr, flush=True)
+    for label, record in per_layer(checkouts).items():
+        results[label]["per_layer"] = record
     for label, path in checkouts.items():
         print(f"{label}: Tier-1", file=sys.stderr, flush=True)
         results[label]["end_to_end"].update(tier1(path))
@@ -232,6 +252,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "rounds": ROUNDS,
         "perfbench": {"seed": args.seed, "seconds": args.seconds},
         "cases": {name: {"call": call, **dict(zip(ARGUMENT_NAMES[call], arguments))}
                   for name, (call, arguments) in CASES.items()},
