@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -55,12 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     """17-significant-digit decimal text; round-trips every float exactly."""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
@@ -73,12 +71,14 @@ def _csv_text(config: dict, columns: list[str], rows) -> str:
 
 
 def _json_safe(obj):
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        return repr(float(obj))
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    """obj ready for json.dumps: a dataclass becomes a dict of its fields in
+    declaration order, a list or tuple a list, and a non-finite float its repr
+    string ("inf", "-inf", "nan"), which JSON has no number for.  One walk
+    that reads each field once and copies no leaf."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if is_dataclass(obj):
+        return {f.name: _json_safe(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {key: _json_safe(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -86,20 +86,17 @@ def _json_safe(obj):
     return obj
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n"
+def _json_text(schema: str, config: dict, body) -> str:
+    """The one JSON writer: {"schema", "config", **body}, where body is a dict
+    or a report dataclass, whose fields become the keys in declaration order."""
+    document = {"schema": schema, "config": _json_safe(config), **_json_safe(body)}
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
 def _table_text(args, schema: str, config: dict, columns: list[str], rows) -> str:
     if args.format == "csv":
         return _csv_text(config, columns, rows)
-    table = {"schema": schema, "config": config, "columns": columns, "rows": rows}
-    return _json_text(table)
-
-
-def _report_text(report, config: dict) -> str:
-    body = report.to_json_dict()
-    return _json_text({"schema": body.pop("schema"), "config": config, **body})
+    return _json_text(schema, config, {"columns": columns, "rows": rows})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -257,7 +254,7 @@ def cmd_classify(args) -> str:
     if declared is None:  # the limits echo only in declared mode
         for name in limits:
             del config[name]
-    return _report_text(report, config)
+    return _json_text("regime-report/1", config, report)
 
 
 def cmd_negdep(args) -> str:
@@ -278,7 +275,7 @@ def cmd_negdep(args) -> str:
             "closed-form and brute-force joint moments disagree by "
             f"{report.brute_max_error:.17g} (> {BRUTE_MATCH_TOL:.17g})"
         )
-    return _report_text(report, _config(args, max_size=max_size))
+    return _json_text("negdep-report/1", _config(args, max_size=max_size), report)
 
 
 def cmd_simulate(args) -> str:
@@ -301,9 +298,7 @@ def cmd_simulate(args) -> str:
         return _csv_text(config, columns, np.column_stack(parts).tolist())
     empirical = mc.empirical_pmf(batch, projection="total")
     exact = dist.observed_law(params, init, args.t)
-    payload = {
-        "schema": "simulate-summary/1",
-        "config": config,
+    summary = {
         "empirical_mean": float(totals.mean()),
         "empirical_variance": float(totals.var(ddof=1)) if batch.count > 1 else 0.0,
         "exact_mean": exact.mean(),
@@ -315,7 +310,7 @@ def cmd_simulate(args) -> str:
         ),
         "tv_bias_bound": math.sqrt((params.total_balls + 1) / batch.count),
     }
-    return _json_text(payload)
+    return _json_text("simulate-summary/1", config, summary)
 
 
 # ---------------------------------------------------------------------------

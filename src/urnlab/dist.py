@@ -85,7 +85,10 @@ class Pmf:
         return mirror
 
     def mean(self) -> float:
-        return float(np.arange(self.offset, self.offset + self.window.size) @ self.window)
+        # a float index: numpy casts an integer one to float on every call,
+        # then runs the same dot for the same bits
+        index = np.arange(self.offset, self.offset + self.window.size, dtype=float)
+        return float(index @ self.window)
 
     def variance(self) -> float:
         values = np.arange(self.offset, self.offset + self.window.size)

@@ -172,7 +172,8 @@ class NegDepRow:
 
 @dataclass(frozen=True)
 class NegDepReport:
-    """Subset-size table certifying E[prod Z] <= (E[Z])^size at one time point."""
+    """Subset-size table certifying E[prod Z] <= (E[Z])^size at one time point,
+    one row per size 1..max_size; brute_max_error is None without brute force."""
 
     total_balls: int
     heavy_count: int
@@ -182,9 +183,6 @@ class NegDepReport:
     min_slack: float
     passed: bool
     brute_max_error: float | None
-
-    def to_json_dict(self) -> dict:
-        return {"schema": "negdep-report/1", **asdict(self)}
 
 
 def verify_negative_dependence(

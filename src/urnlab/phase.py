@@ -234,7 +234,8 @@ class FamilySample:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Classification outcome for a parameter family."""
+    """Classification outcome for a parameter family: samples in size order,
+    and predicted_times of the largest size, samples[-1]."""
 
     mode: str
     samples: tuple[FamilySample, ...]
@@ -245,16 +246,10 @@ class RegimeReport:
     m_diverges: bool
     observable_regime: str
     chain_regime: str
-    largest: ModelParams
-    times: PredictedTimes
+    predicted_times: PredictedTimes
     ratio_epsilon: float
     product_condition_ratio: float | None
     ratio_size: int | None
-
-    def to_json_dict(self) -> dict:
-        body = {"schema": "regime-report/1", **asdict(self)}
-        del body["largest"]
-        return {("predicted_times" if k == "times" else k): v for k, v in body.items()}
 
 
 def observable_regime(
@@ -355,7 +350,6 @@ def classify(
         )
         for p in instances
     )
-    largest = instances[-1]
 
     if declared is not None:
         validate_declared(declared)
@@ -408,8 +402,7 @@ def classify(
         m_diverges=m_div,
         observable_regime=obs_label,
         chain_regime=chain_label,
-        largest=largest,
-        times=predicted_times(largest),
+        predicted_times=predicted_times(instances[-1]),
         ratio_epsilon=ratio_epsilon,
         product_condition_ratio=ratio_value,
         ratio_size=ratio_size,

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and both output
 streams can be asserted exactly.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -62,6 +63,18 @@ class TestCurve:
         _, out_lin, _ = run_cli([*base, "--t-spacing", "linear"], capsys)
         _, out_geo, _ = run_cli([*base, "--t-spacing", "geometric"], capsys)
         assert out_lin.splitlines()[-1] == out_geo.splitlines()[-1]
+
+    def test_geometric_grid(self, capsys):
+        argv = ["curve", *MODEL, "--t-start", "0.5", "--t-stop", "4", "--t-points", "4"]
+        code, out, err = run_cli([*argv, "--t-spacing", "geometric"], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        rows = [line.split(",") for line in lines[lines.index("t,D_obs") + 1 :]]
+        times = [float(t) for t, _ in rows]
+        assert times == pytest.approx([0.5, 1.0, 2.0, 4.0], rel=1e-15)
+        assert (times[0], times[-1]) == (0.5, 4.0)
+        curve = dist.distance_curve(ModelParams(10, 2, 0.5), ("observable",))
+        assert [d for _, d in rows] == [format(curve(t)[0], ".17g") for t in times]
 
     def test_grid_is_monotone_decreasing(self, capsys):
         code, out, _ = run_cli(
@@ -151,6 +164,22 @@ class TestCurveErrors:
             capsys,
         )
         assert code == 64
+
+    @pytest.mark.parametrize("stop", ["2", "1"])
+    def test_stop_must_exceed_start(self, stop, capsys):
+        argv = ["curve", *MODEL, "--t-start", "2", "--t-stop", stop, "--t-points", "3"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (64, "")
+        assert "--t-stop must exceed --t-start" in err
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [("x", "must be 'corners', 'scan' or 'r,h'"), ("1,a", "must be integers")],
+    )
+    def test_malformed_initial(self, initial, message, capsys):
+        code, out, err = run_cli(["curve", *MODEL, "--initial", initial], capsys)
+        assert (code, out) == (64, "")
+        assert message in err
 
     @pytest.mark.parametrize("subcommand", ["curve", "bounds"])
     def test_repeated_grid_times_rejected(self, subcommand, capsys):
@@ -657,6 +686,49 @@ class TestNegdep:
             ["negdep", "--n-balls", "10", "--heavy", "3", "--alpha", "0.7"], capsys
         )
         assert code == 64
+
+
+class TestInvariantExits:
+    """Every exit-3 path, driven by a library call replaced with a wrong one."""
+
+    @pytest.mark.parametrize("kolm, exact", [(0.0, 1.5), (0.9, 0.1)], ids=["above", "below"])
+    def test_broken_sandwich(self, kolm, exact, monkeypatch, capsys):
+        monkeypatch.setattr(
+            dist, "distance_curve", lambda params, targets, strategy: lambda t: (kolm, exact)
+        )
+        code, out, err = run_cli(["bounds", *MODEL, "--t-start", "1", "--exact"], capsys)
+        assert (code, out) == (3, "")
+        assert "MATHEMATICAL INVARIANT VIOLATED" in err
+        assert "bound sandwich broken at t=1" in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"min_slack": -1e-6, "passed": False}, "negative dependence failed"),
+            ({"brute_max_error": 1e-9}, "brute-force joint moments disagree"),
+        ],
+        ids=["failed", "brute_mismatch"],
+    )
+    def test_negdep_failures(self, change, message, monkeypatch, capsys):
+        real = cli.negdep.verify_negative_dependence
+        monkeypatch.setattr(
+            cli.negdep,
+            "verify_negative_dependence",
+            lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), **change),
+        )
+        code, out, err = run_cli(["negdep", *MODEL, "--t-start", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert "MATHEMATICAL INVARIANT VIOLATED" in err
+        assert message in err
+
+    def test_runtime_error_is_a_numerical_failure(self, monkeypatch, capsys):
+        # a chain distance that never falls makes the ratio's mixing search
+        # raise NoCrossingError, a RuntimeError
+        monkeypatch.setattr(dist, "distance_curve", lambda params, targets: lambda t: (0.5,))
+        argv = ["classify", "--m-rule", "power:0.5", "--alpha-rule", "const:0.5"]
+        code, out, err = run_cli([*argv, "--sizes", "100,400"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("urnlab: numerical failure: chain distance stayed above 0.25")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from urnlab import cli
 from urnlab.model import CapacityError, ModelParams
 from urnlab.negdep import (
     BRUTE_FORCE_LIMIT,
@@ -214,16 +216,21 @@ class TestReport:
         with pytest.raises(CapacityError):
             verify_negative_dependence(ModelParams(40, 20, 0.5), 1.0, 2, "always")
 
-    def test_json_dict(self):
+    def test_json_dict(self, capsys):
+        # the CLI's JSON body is the report's fields in declaration order
+        argv = ["negdep", "--n-balls", "6", "--heavy", "2", "--alpha", "0.5"]
+        assert cli.main([*argv, "--t-start", "1.0", "--max-size", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         report = verify_negative_dependence(ModelParams(6, 2, 0.5), 1.0, 2)
-        payload = report.to_json_dict()
         assert payload["schema"] == "negdep-report/1"
-        assert payload["total_balls"] == 6
-        assert len(payload["rows"]) == 2
-        assert payload["passed"] is True
+        assert payload["total_balls"] == report.total_balls == 6
+        assert len(payload["rows"]) == len(report.rows) == 2
+        assert payload["passed"] is report.passed is True
+        assert [row["joint"] for row in payload["rows"]] == [row.joint for row in report.rows]
         assert (list(payload), list(payload["rows"][0])) == (
             [
                 "schema",
+                "config",
                 "total_balls",
                 "heavy_count",
                 "heavy_rate",

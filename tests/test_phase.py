@@ -1,5 +1,6 @@
 """Tests for mixing times, cutoff profiles and the regime classifier."""
 
+import json
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from urnlab import (
     ContradictionError,
     DeclaredLimits,
     ModelParams,
+    NoCrossingError,
     ParamFamily,
     chain_regime,
     classify,
+    cli,
     cutoff_profile,
     dist,
     mixing_time,
@@ -83,6 +86,22 @@ class TestMixingTime:
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             mixing_time(CLASSICAL, 0.25, target="joint")
+
+    def test_curve_that_never_crosses(self, monkeypatch):
+        monkeypatch.setattr(dist, "distance_curve", lambda params, targets: lambda t: (0.5,))
+        with pytest.raises(NoCrossingError, match="stayed above 0.25"):
+            mixing_time(CLASSICAL, 0.25)
+
+    def test_bracket_invariant_refuses_a_nan_value(self, monkeypatch):
+        # a NaN is neither above nor below epsilon, so it lands on the lower
+        # side of the bracket, and the endpoint re-check must refuse it
+        def curve(params, targets):
+            return lambda t: (1.0 if t == 0.0 else math.nan if t < 4.0 else 0.0,)
+
+        monkeypatch.setattr(dist, "distance_curve", curve)
+        with pytest.raises(RuntimeError, match="bracket invariant failed") as caught:
+            mixing_time(CLASSICAL, 0.25)
+        assert not isinstance(caught.value, NoCrossingError)
 
 
 class TestProductConditionRatio:
@@ -276,15 +295,20 @@ class TestClassifyExtrapolate:
         assert report.m_diverges is False
         assert report.chain_regime == "NoCutoff"
 
-    def test_report_metadata(self):
+    def test_report_metadata(self, capsys):
         family = ParamFamily(("power", 0.75), ("const", 0.2), self.SIZES)
         report = classify(family, ratio="never")
         assert report.mode == "extrapolate"
-        assert report.largest.total_balls == 100_000
+        assert report.samples[-1].total_balls == 100_000
+        assert report.predicted_times == predicted_times(family.instances()[-1])
         assert len(report.samples) == 3
         assert report.product_condition_ratio is None
         assert report.ratio_size is None
-        payload = report.to_json_dict()
+        # the CLI's JSON body is the report's fields in declaration order
+        argv = ["classify", "--m-rule", "power:0.75", "--alpha-rule", "const:0.2"]
+        sizes = ",".join(map(str, self.SIZES))
+        assert cli.main([*argv, "--sizes", sizes, "--ratio", "never"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "regime-report/1"
         assert set(payload["predicted_times"]) == {
             "regular_cutoff",
@@ -299,6 +323,7 @@ class TestClassifyExtrapolate:
         ) == (
             [
                 "schema",
+                "config",
                 "mode",
                 "samples",
                 "gamma_inf",

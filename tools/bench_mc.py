@@ -9,12 +9,12 @@ Measures one or two checkouts of urnlab and writes one JSON record:
 The checkout holding this script is measured as "change"; --parent names a
 second checkout (for instance a `git clone` of the parent commit) measured
 as "parent" with the same commands.  Every measurement runs in a fresh
-interpreter that imports urnlab from that checkout's src/, parent and change
-in turn, so machine noise falls on both.  Each per-layer case runs in 3
-rounds per checkout (ROUNDS), the checkout that goes first alternating from
-round to round; the record keeps every round and the median over rounds of
-the per-round bests, since one round per side cannot tell a 2x change from
-a shared machine's drift.
+interpreter that imports urnlab from that checkout's src/, with BLAS and
+OpenMP at one thread (THREADS), parent and change in turn, so machine noise
+falls on both.  Each per-layer case runs in 3 rounds per checkout (ROUNDS),
+the checkout that goes first alternating from round to round; the record
+keeps every round and the median over rounds of the per-round bests, since
+one round per side cannot tell a 2x change from a shared machine's drift.
 
 Per layer: the first and the best of 5 calls of `mc.sample_batch`,
 `dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
@@ -49,11 +49,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/7"
+SCHEMA = "urnlab-bench-mc/8"
 REPEATS = 5
 ROUNDS = 3
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
+# every child runs with BLAS and OpenMP at one thread, as perfbench's workers do:
+# OpenBLAS splits a dot product of more than 10,000 entries across threads, and on
+# a shared machine such a dot can wait milliseconds for the second thread
+THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # name: (call, arguments); model parameters are (total_balls, heavy_count, heavy_rate)
 CASES = {
@@ -146,7 +150,7 @@ print(time.perf_counter() - started)
 
 
 def _run(checkout: Path, command: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **THREADS)
     completed = subprocess.run(
         command, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True
     )
@@ -252,6 +256,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "threads": "OMP/OPENBLAS/MKL_NUM_THREADS=1",
         "rounds": ROUNDS,
         "perfbench": {"seed": args.seed, "seconds": args.seconds},
         "cases": {name: {"call": call, **dict(zip(ARGUMENT_NAMES[call], arguments))}
