@@ -3,7 +3,8 @@
 Emits exact distance curves, bound tables, regime reports, negative
 dependence certificates, and Monte Carlo draws as CSV or JSON.  Every
 output opens with a header echoing the resolved configuration and the
-package version; identical invocations produce byte-identical output.
+package version; identical invocations produce byte-identical output at a
+fixed BLAS thread count.
 
 Exit codes: 0 success, 2 capacity guard tripped, 3 mathematical invariant
 violated (either an implementation bug or a counterexample to a proved
@@ -205,8 +206,8 @@ def cmd_bounds(args) -> str:
         # that side cross-checks two reductions of the same tables: the CDF
         # gap at the likelihood-ratio crossing, found by one bisection, against
         # the mass of the interval {p > pi} less half the mass drift, found by
-        # bisection on each side of the ratio's peak (an end test or a
-        # Fibonacci search), or by one bisection where it runs past an end.
+        # one bisection where it runs past an end of pi's search window, or by
+        # bisection on each side of the ratio's peak (a Fibonacci search).
         lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
         for i, (t, exact) in enumerate(zip(grid, table["exact"])):
             lower = max(cheb.values[i], table["lb_kolm"][i])

@@ -540,25 +540,15 @@ def _sum_law(x: Pmf, y: Pmf):
     return p, p_cdf, offset, last, mass
 
 
-def _ratio_peak(ratio, lo: int, hi: int, fall: float) -> tuple[int, float]:
+def _ratio_peak(ratio, lo: int, hi: int) -> tuple[int, float]:
     """Index and value of the largest ratio(j) over [lo, hi], for a ratio
-    that is log-concave before rounding: fall is the factor by which one read
-    must exceed another for the exact values to be in the same order.
-
-    Log-concave, the ratio peaks at an end from which it falls to the next
-    index, so an end whose read exceeds the next one's by more than `fall`
-    is taken with two reads.  Otherwise a Fibonacci search (Kiefer, 1953) runs
+    that is log-concave before rounding: a Fibonacci search (Kiefer, 1953)
     over the bracket (top, top + large), large a Fibonacci number, points
     past hi reading -1: one new probe per step, ties kept left.  Where the
     ratio is flat within the reads' error the sign of its one-step
     difference is noise; the two probes, a quarter of the bracket apart, see
     the ratio's slope over that distance until the bracket is a few wide.
     """
-    if lo < hi:
-        for end, inner in ((lo, lo + 1), (hi, hi - 1)):
-            at_end = ratio(end)
-            if at_end > fall * ratio(inner):
-                return end, at_end
 
     def at(j: int) -> float:
         return ratio(j) if j <= hi else -1.0
@@ -591,18 +581,22 @@ def _interval_distance(
 
     p is a Poisson-binomial law, so by Newton's inequalities p / pi is
     log-concave (Hardy, Littlewood & Polya, Inequalities, 2.22) and
-    I = {p > pi} is one interval.  The search stays where both laws exceed
-    the floor, an interval because both are log-concave.  Past pi's floor
-    window p > pi wherever p has mass above the floor, so where one look at
-    p just outside that window, on the side of p's mode (within 1 of p's
-    mean, Darroch, 1964), finds p above the floor, I runs on to 0 or N;
-    only where it does not is p's edge bisected from its mode.  Where I runs
-    on at one end, it is a prefix or a suffix of the window, one bisection;
-    where it runs on at both, it is everything.  Where it runs on at neither,
-    _ratio_peak finds the peak of p / pi (an end of the window from which the
-    ratio falls by more than the reads' error, else a Fibonacci search), and
-    a bisection on each side of it the sign change of p - pi.  With
-    point and CDF values of p from _sum_law, (1/2) sum |p - pi| = p(I) -
+    I = {p > pi} is one interval.  Past pi's floor window p > pi wherever p
+    has mass above the floor, so where one look at p just outside that
+    window, on the side of p's mode (within 1 of p's mean, Darroch, 1964),
+    finds p above the floor, I runs on to 0 or N.  Four cases, on which ends
+    run on:
+    - both: I is the whole line (then p >= pi across the window, which mass 1
+      allows only where p equals pi to rounding);
+    - one: I holds an index past that end, so inside the window it is a
+      prefix (or a suffix), and one bisection over the window on the sign of
+      p - pi finds its other end; where p is below the floor that sign is
+      already settled, so p's floor edge is not needed;
+    - neither: the search stays where both laws exceed the floor, an
+      interval because both are log-concave: p's floor edges are bisected
+      from its mode, _ratio_peak finds the peak of p / pi between them, and
+      a bisection on each side of the peak the sign change of p - pi.
+    With point and CDF values of p from _sum_law, (1/2) sum |p - pi| = p(I) -
     pi(I) - (1/2) (sum p - sum pi), keeping the allowed mass drift in as tv
     does, clamped to [0, 1] as tv_product is.
     """
@@ -617,47 +611,25 @@ def _interval_distance(
 
     centre = int(regular.mean() + heavy.mean())
     mode = max(range(max(centre - 1, offset), min(centre + 2, last) + 1), key=p)
-    # p's floor edges matter only inside pi's floor window: p runs past it
-    # below when p > floor at pi_lo - 1 (or at its mode, if that lies lower),
-    # and only when it does not is the edge bisected.  The same above.
     runs_below = pi_lo > offset and p(min(pi_lo - 1, mode)) > _SEARCH_FLOOR
     runs_above = pi_hi < last and p(max(pi_hi + 1, mode)) > _SEARCH_FLOOR
-    lo_edge = pi_lo if runs_below else _first(
-        max(offset, pi_lo), mode, lambda j: p(j) > _SEARCH_FLOOR
-    )
-    hi_edge = pi_hi if runs_above else _first(
-        mode, min(last, pi_hi) + 1, lambda j: p(j) <= _SEARCH_FLOOR
-    ) - 1
-    # I = [lo, hi), empty until found, and placed where the run-on below reaches it
-    lo = hi = hi_edge + 1 if runs_above else lo_edge
-    if lo_edge <= hi_edge and not (runs_below or runs_above):
-        # A read of p / pi is within `error` relative of the exact ratio, to
-        # first order: 1e-12 for each factor table's entries and pi's
-        # (binomial_pmf, coordinate_law), w u for the dot product over the
-        # shorter window w (Higham, Accuracy and Stability of Numerical
-        # Algorithms, 3.1), u for the quotient and u for _ratio_peak's
-        # product, u = 2^-53.  Two reads whose quotient passes (1 + error) /
-        # (1 - error) are in the exact ratios' order.
-        error = 3e-12 + (min(regular.window.size, heavy.window.size) + 2) * 2.0**-53
-        peak, at_peak = _ratio_peak(
-            lambda j: p(j) / pi_at(j), lo_edge, hi_edge, (1.0 + error) / (1.0 - error)
-        )
-        # a quotient of two floats exceeds 1 exactly when p > pi
-        if at_peak > 1.0:
-            lo = _first(lo_edge, peak, lambda j: p(j) > pi_at(j))
-            hi = _first(peak, hi_edge + 1, lambda j: p(j) <= pi_at(j))
-    elif lo_edge <= hi_edge and runs_below != runs_above:
-        # I holds the index past the end that runs on, so inside the window
-        # it is a prefix or a suffix: one bisection and no peak (where both
-        # ends run on, I is the whole line)
-        if runs_below:
-            hi = _first(lo_edge, hi_edge + 1, lambda j: p(j) <= pi_at(j))
-        else:
-            lo = _first(lo_edge, hi_edge + 1, lambda j: p(j) > pi_at(j))
-    if runs_below:
-        lo = 0
-    if runs_above:
-        hi = len(pi)
+    # I = [lo, hi)
+    if runs_below and runs_above:
+        lo, hi = 0, len(pi)
+    elif runs_below:
+        lo, hi = 0, _first(pi_lo, pi_hi + 1, lambda j: p(j) <= pi_at(j))
+    elif runs_above:
+        lo, hi = _first(pi_lo, pi_hi + 1, lambda j: p(j) > pi_at(j)), len(pi)
+    else:
+        lo_edge = _first(max(offset, pi_lo), mode, lambda j: p(j) > _SEARCH_FLOOR)
+        hi_edge = _first(mode, min(last, pi_hi) + 1, lambda j: p(j) <= _SEARCH_FLOOR) - 1
+        lo = hi = lo_edge  # empty until found
+        if lo_edge <= hi_edge:
+            peak, at_peak = _ratio_peak(lambda j: p(j) / pi_at(j), lo_edge, hi_edge)
+            # a quotient of two floats exceeds 1 exactly when p > pi
+            if at_peak > 1.0:
+                lo = _first(lo_edge, peak, lambda j: p(j) > pi_at(j))
+                hi = _first(peak, hi_edge + 1, lambda j: p(j) <= pi_at(j))
     positive = p_cdf(hi - 1) - p_cdf(lo - 1) - (pi_at_most(hi - 1) - pi_at_most(lo - 1))
     drift = mass - float(pi_cdf[-1])
     return min(1.0, max(0.0, positive - 0.5 * drift))
@@ -763,10 +735,9 @@ def distance_curve(params: ModelParams, targets: tuple[str, ...], strategy="corn
     sum of N independent Bernoullis, so by Newton's inequalities its law over
     Binomial(N, 1/2) is log-concave, the set where it exceeds the stationary
     law is one interval I, and the distance is P_t(I) - pi(I), from two CDF
-    values per law at edges found by bisection on each side of the ratio's
-    peak, that peak an end of the search window where the ratio falls away
-    from it and otherwise found by a Fibonacci search; where I runs past an
-    end of the window, one bisection and no peak (_interval_distance).
+    values per law at edges found by one bisection where I runs past an end
+    of the search window, and otherwise by bisection on each side of the
+    ratio's peak, found by a Fibonacci search (_interval_distance).
 
     Starts and stationary tables are built here, once; "observable" and
     "kolmogorov" share Binomial(N, 1/2).  An evaluation walks the union of

@@ -1152,72 +1152,158 @@ class TestIntervalDistance:
         assert observed_tv(p, t, start) == pytest.approx(expected, rel=0, abs=1e-14)
 
     @pytest.mark.parametrize(
-        "p, start, t, flat",
+        "p, start, t",
         [
-            (ModelParams(10_000, 1000, 0.2), "corners", 120.0, False),
-            (ModelParams(10_000, 1000, 0.2), "corners", 150.0, True),
-            (ModelParams(10_000, 1000, 0.2), "corners", 200.0, True),
-            (ModelParams(2000, 1000, 1.0), InitialState(500, 500), 14.624431560686244, True),
-            (
-                ModelParams(2779, 74, 0.5259671852163785), InitialState(1351, 37),
-                23.85009864570661, True,
-            ),
+            (ModelParams(10_000, 1000, 0.2), "corners", 120.0),
+            (ModelParams(10_000, 1000, 0.2), "corners", 150.0),
+            (ModelParams(10_000, 1000, 0.2), "corners", 200.0),
+            (ModelParams(2000, 1000, 1.0), InitialState(500, 500), 14.624431560686244),
+            (ModelParams(2779, 74, 0.5259671852163785), InitialState(1351, 37), 23.85009864570661),
         ],
     )
-    def test_end_test_leaves_a_flat_ratio_to_the_fibonacci_search(
-        self, p, start, t, flat, monkeypatch
-    ):
-        """Where p / pi falls from an end of the window by more than the
-        reads' error, that end is the peak; where the ratio is flat within
-        that error (the README instance at t = 150 and 200, distances below
-        1e-12, and test_ratio_flatter_than_table_noise's starts) the end test
-        must not fire, and the Fibonacci search finds the peak.  At t = 120
-        the log ratio still falls 7.8e-12 a step at an end, and the end test
-        fires."""
+    def test_fibonacci_search_runs_where_no_end_runs_on(self, p, start, t, monkeypatch):
+        """Where I runs past neither end of pi's floor window the Fibonacci
+        search finds the peak of p / pi, once per start: at the README
+        instance at t = 120, where the log ratio falls 7.8e-12 a step at an
+        end, and where the ratio is flat within the reads' error (t = 150 and
+        200, distances below 1e-12, and test_ratio_flatter_than_table_noise's
+        starts)."""
         searched, ratio_peak = [], dist_module._ratio_peak
 
-        def counting_ratio_peak(ratio, lo, hi, fall):
-            reads = [0]
-
-            def counted(j: int) -> float:
-                reads[0] += 1
-                return ratio(j)
-
-            found = ratio_peak(counted, lo, hi, fall)
-            searched.append(reads[0] > 4)  # an end test reads 2 or 4 values
-            return found
+        def counting_ratio_peak(ratio, lo, hi):
+            searched.append((lo, hi))
+            return ratio_peak(ratio, lo, hi)
 
         monkeypatch.setattr(dist_module, "_ratio_peak", counting_ratio_peak)
         got = distance_curve(p, ("observable",), start)(t)[0]
         assert got == pytest.approx(
             oracles.observable_distance_convolved(p, start, t), rel=0, abs=1e-13
         )
-        assert searched and all(searched) == flat and any(searched) == flat
+        assert len(searched) == (2 if start == "corners" else 1)
 
-    def test_end_test_needs_a_fall_beyond_the_read_error(self):
-        """A ratio peaked at 300 of [0, 600], rising 6e-13 a step at its
-        ends, read with 2e-12 of noise that makes it look falling at both: a
-        one-step test without the error margin takes an end as the peak."""
-        error = 3e-12
+    @pytest.mark.parametrize(
+        "p, start, t, below, above, interval",
+        [
+            (ModelParams(10_000, 1000, 0.2), InitialState(0, 0), 5.0, True, False, True),
+            (ModelParams(10_000, 1000, 0.2), InitialState(9000, 1000), 5.0, False, True, True),
+            (ModelParams(10_000, 1000, 0.2), InitialState(4500, 500), 2.0, False, False, True),
+            (ModelParams(2000, 1000, 1.0), InitialState(0, 0), 50.0, False, False, False),
+        ],
+        ids=["prefix", "suffix", "neither", "neither-empty"],
+    )
+    def test_each_end_against_the_convolution_route(
+        self, p, start, t, below, above, interval, monkeypatch
+    ):
+        """One start per case of _interval_distance: I runs past the lower
+        end of pi's floor window (a prefix of it), past the upper end (a
+        suffix), or past neither, with the peak of p / pi above 1 and at or
+        below it (I empty: at t = 50 both factor tables are the stationary
+        binomials).  Which ends run on is read off the convolved law; the
+        peak search runs only where neither does."""
+        pi = stationary_observed(p)
+        pi_window = np.flatnonzero(pi.probs > dist_module._SEARCH_FLOOR)
+        law = observed_law(p, start, t).probs
+        assert (law[: pi_window[0]] > dist_module._SEARCH_FLOOR).any() == below
+        assert (law[pi_window[-1] + 1 :] > dist_module._SEARCH_FLOOR).any() == above
+        peaks, ratio_peak = [], dist_module._ratio_peak
 
-        def ratio(j: int) -> float:
-            noise = 2e-12 if j in (0, 600) else -2e-12 if j in (1, 599) else 0.0
-            return (1.0 - 1e-15 * (j - 300) ** 2) * (1.0 + noise)
+        def recording_ratio_peak(ratio, lo, hi):
+            found = ratio_peak(ratio, lo, hi)
+            peaks.append(found[1])
+            return found
 
-        peak, at_peak = dist_module._ratio_peak(ratio, 0, 600, (1 + error) / (1 - error))
-        assert (peak, at_peak) == (300, 1.0)
-        assert dist_module._ratio_peak(ratio, 0, 600, 1.0)[0] == 0  # no margin
-        falling = dist_module._ratio_peak(lambda j: 0.5**j, 0, 600, (1 + error) / (1 - error))
-        assert falling == (0, 1.0)
+        monkeypatch.setattr(dist_module, "_ratio_peak", recording_ratio_peak)
+        got = distance_curve(p, ("observable",), start)(t)[0]
+        assert got == pytest.approx(
+            oracles.observable_distance_convolved(p, start, t), rel=0, abs=1e-13
+        )
+        if below or above:
+            assert peaks == []
+        else:
+            assert len(peaks) == 1 and (peaks[0] > 1.0) == interval
+
+    def test_both_ends_run_on(self):
+        """Both ends run on only where p exceeds pi just past both ends of
+        pi's floor window; p / pi is log-concave, so then p >= pi across the
+        window, which mass 1 allows only where p equals pi to rounding there
+        and an edge entry of pi lies within rounding of the floor.  Here
+        pi's window is narrowed to its entries above 1e-270 at a time where
+        both factor tables are the stationary binomials: both ends run on, p
+        is read at its mode (4 reads) and the two looks past the window alone,
+        and the distance is the mass drift, within 1e-13 of the convolution
+        route."""
+        p, t = ModelParams(2000, 1000, 1.0), 50.0
+        regular, heavy = chain_law(p, InitialState(0, 0), t)
+        pi = stationary_observed(p)
+        above = np.flatnonzero(pi.window > 1e-270) + pi.offset
+        reads, sum_law = [0], dist_module._sum_law
+
+        def counting_sum_law(x, y):
+            point, *rest = sum_law(x, y)
+
+            def counted(j: int) -> float:
+                reads[0] += 1
+                return point(j)
+
+            return (counted, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dist_module, "_sum_law", counting_sum_law)
+            got = dist_module._interval_distance(
+                regular, heavy, pi, np.cumsum(pi.window), int(above[0]), int(above[-1])
+            )
+        assert reads[0] == 6
+        expected = oracles.observable_distance_convolved(p, InitialState(0, 0), t)
+        assert got == pytest.approx(expected, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "p, times",
+        [
+            (ModelParams(10**4, 1000, 0.2), np.geomspace(1.3, 33.0, 40)),
+            (ModelParams(10**5, 10**4, 0.2), np.geomspace(2.0, 60.0, 16)),
+        ],
+        ids=["README", "N1e5"],
+    )
+    def test_run_on_distance_reads_p_once_per_bisection_step(self, p, times, monkeypatch):
+        """Where I runs past an end of pi's floor window [lo, hi], a distance
+        reads p at most 6 + ceil(log2(hi - lo + 2)) times: p's mode (4 reads),
+        one look past each end, and one bisection over the window on the sign
+        of p - pi, no floor edge bisected (18 at the README instance, 20 at
+        N = 10^5, both reached; 28 to 33 with p's floor edge bisected first).
+        Which distances run on is read off the convolved law."""
+        pi = stationary_observed(p)
+        window = np.flatnonzero(pi.probs > dist_module._SEARCH_FLOOR)
+        lo, hi = int(window[0]), int(window[-1])
+        distances, sum_law = [], dist_module._sum_law
+
+        def counting_sum_law(x, y):
+            point, *rest = sum_law(x, y)
+            law = convolve(x, y).probs > dist_module._SEARCH_FLOOR
+            distances.append([law[:lo].any() or law[hi + 1 :].any(), 0])
+
+            def counted(j: int) -> float:
+                distances[-1][1] += 1
+                return point(j)
+
+            return (counted, *rest)
+
+        monkeypatch.setattr(dist_module, "_sum_law", counting_sum_law)
+        curve = distance_curve(p, ("observable",))
+        for t in times:
+            curve(float(t))
+        run_on = [reads for runs, reads in distances if runs]
+        assert len(run_on) > len(distances) / 2
+        assert max(run_on) <= 6 + math.ceil(math.log2(hi - lo + 2))
 
     def test_point_evaluations_per_distance(self, monkeypatch):
         """At the README curve instance over 40 geometric times from 1.3 to
-        33, the corners' 80 distances read p at most 36 times each on
-        average (28.8 measured; 44.5 with the Fibonacci search run on every
-        distance, 75.5 with the ternary mode search, two point values a step,
-        and both floor edges always bisected).  Where both of p's floor edges
-        and both ends of I are bisected a single distance reads p up to 66
-        times."""
+        33, the corners' 80 distances read p at most 22 times each on
+        average (18.9 measured; 29.3 with p's floor edge bisected where I
+        runs past an end of pi's window, 44.5 with the Fibonacci search run
+        on every distance, 75.5 with the ternary mode search, two point
+        values a step, and both floor edges always bisected).  Where both of
+        p's floor edges and both ends of I are bisected a single distance
+        reads p up to 66 times."""
         reads, sum_law = [], dist_module._sum_law
 
         def counting_sum_law(x, y):
@@ -1235,7 +1321,7 @@ class TestIntervalDistance:
         for t in np.geomspace(1.3, 33.0, 40):
             curve(float(t))
         assert len(reads) == 80
-        assert sum(reads) <= 36 * len(reads)
+        assert sum(reads) <= 22 * len(reads)
 
     @pytest.mark.parametrize("strategy", ["corners", "full_scan", InitialState(5, 2)])
     def test_no_convolution_beyond_the_coordinate_laws(self, strategy, monkeypatch):

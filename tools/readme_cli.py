@@ -2,7 +2,8 @@
 
 Each invocation found in a fenced code block (backslash continuations
 joined) runs in-process through urnlab.cli.main against the src/ tree next
-to this script.  One line is printed per invocation:
+to this script, with OpenMP and BLAS at one thread.  One line is printed
+per invocation:
 
     <sha256 of stdout> <exit code> <argv>
 
@@ -18,9 +19,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
 import sys
 from pathlib import Path
+
+# numpy reads these when urnlab imports it, below: a threaded dot product of
+# more than 10,000 entries can round differently, so the thread count is fixed
+os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
