@@ -15,6 +15,7 @@ contradictory declared limits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,6 +72,12 @@ def _csv_text(config: dict, columns: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass type's field names in declaration order, read once per type."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _json_safe(obj):
     """obj ready for json.dumps: a dataclass becomes a dict of its fields in
     declaration order, a list or tuple a list, and a non-finite float its repr
@@ -79,7 +86,7 @@ def _json_safe(obj):
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(float(obj))
     if is_dataclass(obj):
-        return {f.name: _json_safe(getattr(obj, f.name)) for f in fields(obj)}
+        return {name: _json_safe(getattr(obj, name)) for name in _field_names(type(obj))}
     if isinstance(obj, dict):
         return {key: _json_safe(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -133,6 +133,11 @@ def _ctmc_kernel(
     draws at a time and events _CHUNK at a time; the last events of a draw
     cut by a chunk edge are carried into the next chunk, so temporaries stay
     O(_CHUNK + N) however many events one draw makes.
+
+    Each (draw, ball)'s last event in a chunk is one unstable argsort of the
+    keys draw (n + m) + ball and np.maximum.reduceat of the event positions
+    over the runs of equal sorted keys: O(E log E) for E events, in key
+    order, with no stable sort and no key wider than draw and ball.
     """
     n, m = params.regular_count, params.heavy_count
     heavy_rate_total = m * params.heavy_rate
@@ -155,8 +160,10 @@ def _ctmc_kernel(
             coin = (coin_rng.random(stop - first) < 0.5).astype(np.int64)
             draw, ball, coin = (np.concatenate(pair) for pair in zip(carried, (draw, ball, coin)))
             keys = draw * (n + m) + ball
-            _, from_end = np.unique(keys[::-1], return_index=True)
-            last = keys.size - 1 - from_end  # each (draw, ball)'s last event, by key
+            order = np.argsort(keys)
+            keys = keys[order]
+            runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            last = np.maximum.reduceat(order, runs)  # each (draw, ball)'s last event, by key
             draw, ball, coin = draw[last], ball[last], coin[last]
             open_draw = draw[-1]
             cut = np.searchsorted(draw, open_draw) if ends[open_draw] > stop else draw.size

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from .bounds import coupling_union_bound
 
 BRUTE_FORCE_LIMIT = 10**6
 SLACK_TOL = -1e-12
+_BLOCK_TERMS = 2**13  # hypergeometric terms per block of rows
 
 
 def mean_z(params: ModelParams, t: float) -> float:
@@ -52,24 +54,88 @@ def _log_sum_exp(values: np.ndarray) -> float:
     return top + math.log(float(np.exp(values - top).sum()))
 
 
-def _hypergeometric_log_weights(
-    params: ModelParams, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Heavy-member counts a of a size-subset with nonzero weight, and their
-    log weights log C(m, a) + log C(n, size - a) - log C(N, size).
+def _weight_blocks(
+    params: ModelParams, sizes: range
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Hypergeometric log weights of every size in `sizes`, in blocks.
+
+    Row `size` holds the heavy-member counts a of a size-subset with nonzero
+    weight and their log weights log C(m, a) + log C(n, size - a) - log C(N, size).
+    The rows are laid end to end and cut into blocks of consecutive sizes
+    holding at most _BLOCK_TERMS terms (a longer row is a block of its own),
+    so a block's arrays hold at most _BLOCK_TERMS entries or one row however
+    many rows there are; each block is (row lengths, a, size - a, log
+    weights), the last three flat.
 
     The tables hold log C(c, j) - c log 2, whose powers of 2 cancel between
     the three factors (m + n = N), and log C(N, size) is taken as the log of
-    the weights' own sum (Vandermonde), so the weights sum to 1 in rounding.
+    the row's own sum (Vandermonde), so each row sums to 1 in rounding.  That
+    sum is one np.sum over the row's slice, the order it has on a row alone
+    (np.add.reduceat's is not); every other step is elementwise, so a row's
+    bits do not depend on the rows beside it.
     """
     m, n = params.heavy_count, params.regular_count
-    first, last = max(0, size - n), min(size, m)
-    support = np.arange(first, last + 1)
-    log_terms = (
-        _log_half_binomial(m)[first : last + 1]
-        + _log_half_binomial(n)[size - last : size - first + 1][::-1]
-    )
-    return support, log_terms - _log_sum_exp(log_terms)
+    heavy_table, regular_table = _log_half_binomial(m), _log_half_binomial(n)
+    all_sizes = np.arange(sizes.start, sizes.stop)
+    all_firsts = np.maximum(all_sizes - n, 0)
+    all_lengths = np.minimum(all_sizes, m) - all_firsts + 1
+    ends = np.cumsum(all_lengths)
+    lo = 0
+    while lo < all_sizes.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK_TERMS, side="right")))
+        lengths = all_lengths[lo:hi]
+        starts = np.cumsum(lengths) - lengths
+        # a = first + column, the column counted from the row's start
+        heavy = np.repeat(all_firsts[lo:hi] - starts, lengths)
+        heavy += np.arange(heavy.size)
+        regular = np.repeat(all_sizes[lo:hi], lengths)
+        regular -= heavy
+        log_weights = heavy_table[heavy]
+        log_weights += regular_table[regular]
+        # table entries are finite (>= -c log 2), so every row's top is too
+        tops = np.maximum.reduceat(log_weights, starts)
+        scaled = log_weights - np.repeat(tops, lengths)
+        np.exp(scaled, out=scaled)
+        norms = [
+            top + math.log(float(scaled[start : start + length].sum()))
+            for top, start, length in zip(tops.tolist(), starts.tolist(), lengths.tolist())
+        ]
+        log_weights -= np.repeat(norms, lengths)
+        yield lengths, heavy, regular, log_weights
+        lo = hi
+
+
+def _hypergeometric_log_weights(
+    params: ModelParams, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heavy-member counts a of a size-subset with nonzero weight and their
+    log weights: the one-row call of _weight_blocks."""
+    ((_, support, _, log_weights),) = _weight_blocks(params, range(size, size + 1))
+    return support, log_weights
+
+
+def _joint_moments(params: ModelParams, t: float, sizes: range) -> np.ndarray:
+    """joint_moment of every size in `sizes`, one _weight_blocks block at a time.
+
+    Each term is a scalar math.exp (np.exp moves the last bit of some), and
+    each row sums its terms left to right: the block's terms are laid in a
+    zero-padded rows x longest-row grid, whose cumulative sum along a row is
+    that sequential sum, trailing zeros adding nothing.
+    """
+    heavy_decay = params.heavy_rate * t
+    moments = np.empty(len(sizes))
+    row = 0
+    for lengths, heavy, regular, log_terms in _weight_blocks(params, sizes):
+        log_terms -= heavy_decay * heavy
+        log_terms -= t * regular
+        grid = np.zeros((lengths.size, int(lengths.max())))
+        grid[np.arange(grid.shape[1]) < lengths[:, None]] = np.fromiter(
+            map(math.exp, log_terms.tolist()), float, log_terms.size
+        )
+        moments[row : row + lengths.size] = np.cumsum(grid, axis=1, out=grid)[:, -1]
+        row += lengths.size
+    return moments
 
 
 def joint_moment(params: ModelParams, t: float, size: int) -> float:
@@ -80,17 +146,27 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
         sum_a C(m, a) C(n, size - a) / C(N, size) * x^a y^(size - a)
     with x, y the heavy and regular survivals.  Weights are evaluated in log
     space from Loader's binomial tables (dist._log_dbinom), so the formula
-    stays usable at large N.
+    stays usable at large N.  This is the one-row call of the blocked rows
+    that verify_negative_dependence computes (_joint_moments): each term is
+    math.exp of its log and the terms are summed left to right, so a row's
+    bits do not depend on the rows computed beside it.
     """
     check_integer("size", size, 1, params.total_balls)
     check_time(t)
-    support, log_weights = _hypergeometric_log_weights(params, size)
-    log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
-    # Scalar left-to-right sum: np.sum's pairwise order would move the last bits.
-    total = 0.0
-    for log_term in log_terms.tolist():
-        total += math.exp(log_term)
-    return total
+    return float(_joint_moments(params, t, range(size, size + 1))[0])
+
+
+def _brute_force_fits(params: ModelParams) -> bool:
+    """C(N, m) <= BRUTE_FORCE_LIMIT, decided without building C(N, m): C(N, i)
+    does not decrease for i <= N / 2, so the products C(N, i) for i up to
+    min(m, N - m) stop at the first one past the limit."""
+    total = params.total_balls
+    placements = 1
+    for i in range(min(params.heavy_count, total - params.heavy_count)):
+        placements = placements * (total - i) // (i + 1)
+        if placements > BRUTE_FORCE_LIMIT:
+            return False
+    return True
 
 
 def brute_force_joint_moment(params: ModelParams, t: float, size: int) -> float:
@@ -100,11 +176,12 @@ def brute_force_joint_moment(params: ModelParams, t: float, size: int) -> float:
     placements.  Used as the independent cross-check for joint_moment.
     """
     check_integer("size", size, 1, params.total_balls)
-    placements = math.comb(params.total_balls, params.heavy_count)
-    if placements > BRUTE_FORCE_LIMIT:
+    if not _brute_force_fits(params):
         raise CapacityError(
-            f"{placements} heavy placements exceed the {BRUTE_FORCE_LIMIT} guard"
+            f"C({params.total_balls}, {params.heavy_count}) heavy placements exceed "
+            f"the {BRUTE_FORCE_LIMIT} guard"
         )
+    placements = math.comb(params.total_balls, params.heavy_count)
     pair = survival(params, t)
     x, y = pair.heavy_survival, pair.regular_survival
     # Subset = positions 0..size-1; exchangeability makes the choice immaterial.
@@ -190,21 +267,24 @@ def verify_negative_dependence(
 ) -> NegDepReport:
     """Tabulate joint vs product moments for sizes 1..max_size.
 
+    The joint column is _joint_moments over the whole range: rows laid end to
+    end in blocks of at most _BLOCK_TERMS terms, every elementwise step done
+    per block, each row's normaliser one np.sum over its slice and each
+    moment a left-to-right sum of math.exp terms, so every row equals
+    joint_moment at its size bit for bit.
+
     brute_force: "auto" adds the enumeration column when C(N, m) fits the
     guard, "never" skips it, "always" demands it (CapacityError if too big).
     """
     check_integer("max_size", max_size, 1, params.total_balls)
     if brute_force not in ("auto", "never", "always"):
         raise ValueError(f"unknown brute_force mode {brute_force!r}")
-    use_brute = brute_force == "always" or (
-        brute_force == "auto"
-        and math.comb(params.total_balls, params.heavy_count) <= BRUTE_FORCE_LIMIT
-    )
+    use_brute = brute_force == "always" or (brute_force == "auto" and _brute_force_fits(params))
     z = mean_z(params, t)
     rows = []
     brute_max_error = 0.0 if use_brute else None
-    for size in range(1, max_size + 1):
-        joint = joint_moment(params, t, size)
+    joints = _joint_moments(params, t, range(1, max_size + 1)).tolist()
+    for size, joint in enumerate(joints, start=1):
         product = z**size
         brute = None
         if use_brute:

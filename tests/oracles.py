@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import norm
 
-from urnlab import dist
+from urnlab import dist, negdep
 from urnlab.model import InitialState
 
 ORACLE_STATE_LIMIT = 20_000
@@ -318,6 +318,33 @@ def subset_survival_moment(n_balls: int, m: int, alpha: float, t: float, size: i
         total += prod
         count += 1
     return total / count
+
+
+def hypergeometric_log_weights_row(params, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One size's heavy-member counts a and log weights, built alone: the
+    slices of negdep's log Binomial(c, 1/2) tables for a and size - a,
+    normalised by their own log-sum-exp (the per-size route the blocks replaced)."""
+    m, n = params.heavy_count, params.regular_count
+    first, last = max(0, size - n), min(size, m)
+    support = np.arange(first, last + 1)
+    log_terms = (
+        negdep._log_half_binomial(m)[first : last + 1]
+        + negdep._log_half_binomial(n)[size - last : size - first + 1][::-1]
+    )
+    top = float(log_terms.max())
+    return support, log_terms - (top + math.log(float(np.exp(log_terms - top).sum())))
+
+
+def joint_moment_loop(params, t: float, size: int) -> float:
+    """negdep.joint_moment one size at a time, as it was before the rows were
+    computed in blocks: the size's own weights, then a scalar left-to-right
+    sum of math.exp terms."""
+    support, log_weights = hypergeometric_log_weights_row(params, size)
+    log_terms = log_weights - params.heavy_rate * t * support - t * (size - support)
+    total = 0.0
+    for log_term in log_terms.tolist():
+        total += math.exp(log_term)
+    return total
 
 
 def no_cutoff_profile(n_balls: int, m: int, c: float) -> float:

@@ -225,6 +225,31 @@ class TestBlockContract:
             assert np.array_equal(batch.outcomes, outcomes)
             assert np.array_equal(batch.event_counts, events)
 
+    @pytest.mark.parametrize(
+        "params, init, t, count",
+        [
+            # 4 balls, 200 events a draw: nearly every event is overwritten
+            (ModelParams(3, 1, 1.0), InitialState(1, 0), 50.0, 60),
+            # 0.475 events a draw: one event chunk spans thousands of draws
+            (ModelParams(50, 5, 0.5), InitialState(20, 2), 0.01, 20_000),
+        ],
+        ids=["overwritten", "sparse"],
+    )
+    def test_last_event_reduction_at_its_extremes(self, monkeypatch, params, init, t, count):
+        """Each (draw, ball)'s last event comes from one argsort and a
+        maximum over runs of equal keys: equal to the scalar reads whether
+        nearly every key repeats or almost none does, at either chunk size."""
+        outcomes, events = batch_scalar(params, init, t, count, 11, "ctmc")
+        if t == 50.0:
+            assert events.mean() > 40 * params.total_balls
+        else:
+            assert np.mean(events <= 1) > 0.9
+        for chunk in (mc._CHUNK, 8):
+            monkeypatch.setattr(mc, "_CHUNK", chunk)
+            batch = sample_batch(params, init, t, count, 11, sampler="ctmc")
+            assert np.array_equal(batch.outcomes, outcomes), chunk
+            assert np.array_equal(batch.event_counts, events), chunk
+
     def test_sample_coupled_keeps_its_bytes(self):
         """The single-draw kernel reads the variates in the order of the
         scalar draw it replaced; the values were pinned before it did."""

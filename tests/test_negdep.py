@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from urnlab import cli
+from urnlab import cli, negdep
 from urnlab.model import CapacityError, ModelParams
 from urnlab.negdep import (
     BRUTE_FORCE_LIMIT,
+    _brute_force_fits,
     _hypergeometric_log_weights,
     SLACK_TOL,
     brute_force_joint_moment,
@@ -107,6 +110,113 @@ class TestJointMoment:
         p = ModelParams(n, m, alpha)
         slack = mean_z(p, t) ** size - joint_moment(p, t, size)
         assert slack >= SLACK_TOL
+
+
+@st.composite
+def _negdep_cases(draw):
+    """N up to 400 (rows of up to 201 terms, several blocks), m and max_size
+    drawn with their extremes 0, N and 1, N weighted in."""
+    total = draw(st.integers(2, 400))
+    heavy = draw(st.one_of(st.sampled_from([0, total]), st.integers(0, total)))
+    max_size = draw(st.one_of(st.sampled_from([1, total]), st.integers(1, total)))
+    alpha = draw(st.floats(0.05, 1.0))
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0)))
+    return ModelParams(total, heavy, alpha), t, max_size
+
+
+class TestBlockedRows:
+    """verify_negative_dependence computes every row in blocks of terms;
+    each row must equal the per-size loop it replaced bit for bit."""
+
+    @given(case=_negdep_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_per_size_loop(self, case):
+        params, t, max_size = case
+        report = verify_negative_dependence(params, t, max_size, "never")
+        assert [row.size for row in report.rows] == list(range(1, max_size + 1))
+        for row in report.rows:
+            assert row.joint == oracles.joint_moment_loop(params, t, row.size), row.size
+
+    @pytest.mark.parametrize("total, heavy", [(400, 200), (300, 0), (300, 300), (1000, 100)])
+    def test_rows_spanning_several_blocks(self, total, heavy):
+        params = ModelParams(total, heavy, 0.3)
+        blocks = list(negdep._weight_blocks(params, range(1, total + 1)))
+        lengths = np.concatenate([block[0] for block in blocks])
+        assert lengths.tolist() == [
+            min(size, heavy) - max(0, size - (total - heavy)) + 1 for size in range(1, total + 1)
+        ]
+        if lengths.sum() > negdep._BLOCK_TERMS:
+            assert len(blocks) > 1
+        for block in blocks:
+            assert block[0].sum() <= negdep._BLOCK_TERMS
+        report = verify_negative_dependence(params, 0.7, total, "never")
+        for row in report.rows:
+            assert row.joint == oracles.joint_moment_loop(params, 0.7, row.size), row.size
+
+    def test_rows_longer_than_a_block(self, monkeypatch):
+        """A row past _BLOCK_TERMS is a block of its own; shorter neighbours
+        still share blocks, and no value moves."""
+        params = ModelParams(60, 25, 0.4)
+        monkeypatch.setattr(negdep, "_BLOCK_TERMS", 7)
+        blocks = [block[0].tolist() for block in negdep._weight_blocks(params, range(1, 61))]
+        assert blocks[:3] == [[2, 3], [4], [5]]
+        assert all(len(block) == 1 for block in blocks if sum(block) > 7)
+        assert all(sum(block) <= 7 for block in blocks if len(block) > 1)
+        report = verify_negative_dependence(params, 1.1, 60, "never")
+        for row in report.rows:
+            assert row.joint == oracles.joint_moment_loop(params, 1.1, row.size), row.size
+
+    @pytest.mark.parametrize("total, heavy", [(9, 0), (9, 9), (9, 4), (1000, 100), (3000, 1500)])
+    def test_one_row_calls(self, total, heavy):
+        """joint_moment and the weights that mgf_compare and exact_chi_square
+        read are the one-row calls of the blocks: same bits as the loop."""
+        params = ModelParams(total, heavy, 0.5)
+        for size in sorted({1, heavy or 1, total // 2, total}):
+            support, log_weights = _hypergeometric_log_weights(params, size)
+            ref_support, ref_weights = oracles.hypergeometric_log_weights_row(params, size)
+            assert np.array_equal(support, ref_support)
+            assert np.array_equal(log_weights, ref_weights)
+            assert joint_moment(params, 0.8, size) == oracles.joint_moment_loop(params, 0.8, size)
+
+    def test_peak_memory_of_a_thousand_rows(self):
+        params = ModelParams(1000, 100, 0.2)
+        verify_negative_dependence(params, 1.0, 1000)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            verify_negative_dependence(params, 1.0, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
+
+class TestBruteForceGuard:
+    @pytest.mark.parametrize("total", range(2, 61))
+    def test_matches_the_full_binomial(self, total):
+        for heavy in range(total + 1):
+            fits = math.comb(total, heavy) <= BRUTE_FORCE_LIMIT
+            assert _brute_force_fits(ModelParams(total, heavy, 0.5)) == fits, heavy
+
+    @pytest.mark.parametrize("total", [61, 100, 2000, 10**5, 10**7])
+    def test_first_count_past_the_limit(self, total):
+        heavy = next(m for m in range(total) if math.comb(total, m) > BRUTE_FORCE_LIMIT)
+        for m in (heavy, total - heavy):
+            assert not _brute_force_fits(ModelParams(total, m, 0.5))
+        for m in (heavy - 1, total - heavy + 1):
+            assert _brute_force_fits(ModelParams(total, m, 0.5))
+
+    def test_large_instance_returns_at_once(self):
+        """C(10^7, 5 x 10^6) has about 3 x 10^6 digits; the guard stops after
+        a dozen products, so "auto" skips brute force without building it."""
+        params = ModelParams(10**7, 5 * 10**6, 0.5)
+        started = time.perf_counter()
+        with pytest.raises(CapacityError):
+            brute_force_joint_moment(params, 1.0, 1)
+        assert time.perf_counter() - started < 0.1
+        report = verify_negative_dependence(params, 1.0, 1, "auto")
+        assert report.brute_max_error is None
+        assert time.perf_counter() - started < 10.0
+        negdep._log_half_binomial.cache_clear()  # drop the 5 x 10^6-entry table
 
 
 class TestHypergeometricWeights:
