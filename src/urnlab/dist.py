@@ -119,6 +119,10 @@ _BD0_SERIES = tuple(1.0 / j for j in range(21, 1, -2))
 # Chernoff: b(k; n, p) <= exp(-n KL(k/n || p)), so past this exponent an entry is
 # below e^-750, under half the smallest subnormal: exp rounds it to 0.0 anyway.
 _WINDOW_NATS = 750.0
+# entries per block of the ratio recurrence, each from one Loader anchor
+_BLOCK = 512
+_COLUMNS = np.arange(float(_BLOCK))
+_STEPS = _COLUMNS[1:]
 
 
 def _stirlerr_series(j: np.ndarray, smallest: int) -> np.ndarray:
@@ -153,8 +157,10 @@ def _stirlerr(n: int) -> float:
     return (_STIRLING[-1] - acc) / j
 
 
-def _split_means(n: int, p: float) -> tuple[float, float, float, float]:
-    """n p and n (1 - p) as float values plus the rounding error of each.
+def _means(n: int, p: float) -> tuple[float, float, float, float]:
+    """n p and n (1 - p) as float values, then the slope in k and the
+    intercept (stirlerr(n) included) that correct log b(k) for the rounding
+    of both: bd0(x, M + e) = bd0(x, M) + e (1 - x / M) + O(e^2).
 
     Exact rational arithmetic on the float p: at n = 10^6 a rounded n p alone
     moves entries 20 standard deviations out by about 1e-12 relative.  n (1 - p)
@@ -166,7 +172,9 @@ def _split_means(n: int, p: float) -> tuple[float, float, float, float]:
     rest_num, rest_den = rest.as_integer_ratio()
     mean_err = (n * num * mean_den - mean_num * den) / (den * mean_den)
     rest_err = ((n * den - n * num) * rest_den - rest_num * den) / (den * rest_den)
-    return mean, mean_err, rest, rest_err
+    slope = mean_err / mean - rest_err / rest
+    intercept = _stirlerr(n) + (rest_err * n / rest - (mean_err + rest_err))
+    return mean, rest, slope, intercept
 
 
 def _log_dbinom(lo: int, hi: int, n: int, p: float) -> np.ndarray:
@@ -184,7 +192,7 @@ def _log_dbinom(lo: int, hi: int, n: int, p: float) -> np.ndarray:
     a, b = max(lo, 1), min(hi, n - 1)
     if a > b:
         return out
-    mean, mean_err, rest, rest_err = _split_means(n, p)
+    mean, rest, slope, intercept = _means(n, p)
     k = np.arange(a, b + 1, dtype=float)
     x = np.empty((2, k.size))
     x[0] = k
@@ -242,15 +250,47 @@ def _log_dbinom(lo: int, hi: int, n: int, p: float) -> np.ndarray:
     np.log(prefactor, out=prefactor)
     prefactor *= 0.5
     body += prefactor
-    # First-order correction for the rounding of both means: bd0(x, M + e)
-    # = bd0(x, M) + e (1 - x / M) + O(e^2).
-    slope = mean_err / mean - rest_err / rest
-    constant = rest_err * n / rest - (mean_err + rest_err)
     k *= slope
-    k += _stirlerr(n) + constant
+    k += intercept
     k -= body
     out[a - lo : b - lo + 1] = k
     return out
+
+
+def _log_dbinom_at(k: int, n: int, p: float, means: tuple) -> float:
+    """log Binomial(n, p) pmf at one k: _log_dbinom's form as a scalar, with
+    math's log; means is _means(n, p).
+
+    One change: bd0 runs its series wherever |v| < 1/2, not 1/10, summed
+    until the next power of v^2 is below 2^-56 of the first (at most 28
+    terms).  Past |v| = 1/10 the direct form's x log(x / M) loses about
+    x u/2 to the rounding of x / M: 1.3e-12 at Binomial(10^6, 0.01),
+    k = 13072.  Within the window |v| >= 1/2 only where x < 1,800, so there
+    x u/2 < 1e-13."""
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    mean, rest, slope, intercept = means
+    body = 0.0
+    for x, m in ((float(k), mean), (float(n - k), rest)):
+        diff = x - m
+        v = diff / (x + m)
+        if abs(v) < 0.5:
+            w = v * v
+            acc, power, odd = 0.0, w, 3.0
+            while power > 2.0**-56 * w:
+                acc += power / odd
+                power *= w
+                odd += 2.0
+            bd0 = (acc * x * 2.0 + diff) * v
+        elif min(mean, rest) < 1.0:
+            bd0 = (math.log(x) - math.log(m)) * x + (m - x)
+        else:
+            bd0 = math.log(x / m) * x + (m - x)
+        body += _stirlerr(int(x)) + bd0
+    body += math.log((2.0 * math.pi / n) * k * (n - k)) * 0.5
+    return k * slope + intercept - body
 
 
 def _first(lo: int, hi: int, predicate) -> int:
@@ -310,18 +350,44 @@ def _window(n: int, p: float) -> tuple[int, int]:
     return first, last
 
 
+def _split_ratio(num: int, den: int) -> tuple[float, float]:
+    """num / den rounded to a float x, and (num / den - x) / x."""
+    high = num / den  # int / int rounds once
+    top, bottom = high.as_integer_ratio()
+    return high, (num * bottom - top * den) / (den * top)
+
+
 def binomial_pmf(trials: int, success_prob: float) -> Pmf:
-    """Binomial(trials, success_prob) in Loader's saddle-point form.
+    """Binomial(trials, success_prob): Loader's saddle-point form at one
+    anchor per 512 entries, a ratio recurrence between them.
 
     Only the Chernoff window trials * KL(k / trials || p) <= 750 is evaluated
     (its edges from certified Newton steps, _window) and stored, unpadded
     (about 39 sqrt(trials) at p = 1/2).  Every entry outside it is below
-    e^-750, which exp rounds to 0.0, so the table and its zero pattern are
-    those of the full evaluation.  Entries are within 1e-12 relative of
-    40-digit arithmetic up to 10^6 trials: at most 3.4e-13 was measured at
-    the mode, 3, 9, 20 and 30 standard deviations out and the end points,
-    from 10^3 to 9 x 10^6 trials (log-gamma lost 1.0e-11 at 10^4, 1.1e-10
-    at 10^5 and 1.6e-9 at 10^6).
+    e^-750, under half the smallest subnormal, so the table and its zero
+    pattern are those of the full evaluation.
+
+    Method: the log value of Loader's form (_log_dbinom_at) at the anchors
+    mode + 512 i, mode = floor((trials + 1) p) clipped to the window; from
+    each anchor the 512 entries outward from the mode by one cumulative
+    product of the ratios b(k) / b(k - 1) = (n - k + 1) / k * p / q going up
+    and b(k) / b(k + 1) = (k + 1) / (n - k) * q / p going down.  Every block
+    starts from its anchor times 2^600 and one final multiply scales it
+    back, so an entry is rounded into the subnormal range once, at the end.
+
+    p = 1/2 is the exception: exp(_log_dbinom) at every entry, the tables
+    from before the recurrence, bit for bit.  Those are the stationary laws,
+    built once per curve, so it costs little.  Where every table of a
+    distance is Binomial(n, 1/2) the distance is 0 and what the searches
+    read is rounding; a test of the interval search there fails when the
+    tables move by an ulp.
+
+    Error: an entry is within its anchor's error plus at most 512 * 3u,
+    about 1.7e-13, from the rounded ratios and products (u = 2^-53).  The
+    tests hold entries within 1e-12 relative (plus the smallest subnormal)
+    of 40-digit arithmetic at every anchor, next to it and 511 steps out
+    from 10^3 to 10^7 trials (at most 2.0e-13 found), and at the mode, 3,
+    9 and 20 standard deviations out and the end points up to 10^6 trials.
     """
     check_integer("trials", trials, 0, math.inf)
     p = float(success_prob)
@@ -331,7 +397,53 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     if trials == 0 or p == 0.0 or p == 1.0:
         return Pmf([1.0], 0 if p == 0.0 else trials, trials + 1)
     lo, hi = _window(trials, p)
-    return Pmf(np.exp(_log_dbinom(lo, hi, trials, p)), lo, trials + 1)
+    if p == 0.5:
+        return Pmf(np.exp(_log_dbinom(lo, hi, trials, p)), lo, trials + 1)
+    mode = min(max(int((trials + 1) * p), lo), hi)
+    means = _means(trials, p)
+
+    def anchor(k: int) -> float:
+        """b(k) 2^600, exactly so while b(k) is a normal float."""
+        log_b = _log_dbinom_at(k, trials, p, means)
+        if log_b > -708.0:
+            return math.ldexp(math.exp(log_b), 600)
+        return math.exp(log_b + 600 * math.log(2.0))
+
+    # One row per anchor, the rows going up then those going down: the
+    # anchor, then the ratios (top - t) / (bottom + t) * odds at t = 1, 2, ...,
+    # odds = p / q going up and q / p going down, each rounded to a float
+    # whose relative rest is put back per column as (1 + rest)^t, to first
+    # order, with the anchors' scale.  A row past 0 or trials reads a zero
+    # ratio there and zeros after it.
+    up = range(mode, hi + 1, _BLOCK)
+    down = range(mode, lo - 1, -_BLOCK) if mode > lo else range(0)
+    num, den = p.as_integer_ratio()
+    odds = [_split_ratio(num, den - num)]
+    heads = [anchor(k) for k in up]
+    if down:  # the mode's anchor heads a row each way; q / p is finite
+        heads += [heads[0], *map(anchor, down[1:])]
+        odds.append(_split_ratio(den - num, num))
+    rows = np.array([
+        heads,
+        [trials + 1 - k for k in up] + [k + 1 for k in down],
+        [*up, *(trials - k for k in down)],
+        [odds[0][0]] * len(up) + [odds[-1][0]] * len(down),
+    ])
+    width = min(max(hi - mode, mode - lo) + 1, _BLOCK)  # one row a side if short
+    blocks = np.empty((rows.shape[1], width))
+    blocks[:, 0] = rows[0]
+    steps = blocks[:, 1:]
+    np.subtract(rows[1, :, None], _STEPS[: width - 1], out=steps)
+    steps /= rows[2, :, None] + _STEPS[: width - 1]
+    steps *= rows[3, :, None]
+    np.cumprod(blocks, axis=1, out=blocks)
+    scales = np.multiply.outer([rest * 2.0**-600 for _, rest in odds], _COLUMNS[:width])
+    scales += 2.0**-600
+    blocks[: len(up)] *= scales[0]
+    blocks[len(up) :] *= scales[-1]
+    flat, split = blocks.ravel(), len(up) * width
+    table = np.concatenate((flat[split + mode - lo : split : -1], flat[: hi - mode + 1]))
+    return Pmf(table, lo, trials + 1)
 
 
 def convolve(a: Pmf, b: Pmf) -> Pmf:

@@ -6,9 +6,10 @@ enumeration in plain floats, 40-digit arithmetic, one scalar variate per
 Monte Carlo read from substreams built straight from the documented keys,
 the count-level event loop the ctmc kernel replaced, the full
 convolutions the observable's interval reduction and the half-line bound's
-bisection replaced, and the bisection the binomial window's Newton estimate
-replaced), so agreement is evidence rather than the same code
-tested against itself.
+bisection replaced, the bisection the binomial window's Newton estimate
+replaced, and the per-entry binomial tables the ratio recurrence
+replaced), so agreement is evidence rather than the same code tested
+against itself.
 """
 
 from __future__ import annotations
@@ -97,6 +98,16 @@ def binomial_pmf_log_gamma(trials: int, p: float) -> np.ndarray:
     k = np.arange(trials + 1, dtype=float)
     log_comb = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
     return np.exp(log_comb + xlogy(k, p) + xlog1py(trials - k, -p))
+
+
+def binomial_pmf_direct(trials: int, p: float) -> np.ndarray:
+    """Binomial(trials, p) over the full table, 0 < p < 1, with Loader's form
+    at every entry of the Chernoff window: the route dist.binomial_pmf took
+    before its ratio recurrence, and still takes at p = 1/2."""
+    lo, hi = dist._window(trials, p)
+    table = np.zeros(trials + 1)
+    table[lo : hi + 1] = np.exp(dist._log_dbinom(lo, hi, trials, p))
+    return table
 
 
 def window_bisection(n: int, p: float) -> tuple[int, int]:

@@ -157,6 +157,11 @@ class TestBinomialPmf:
     )
     @example(trials=3, prob=1.0 - 2.0**-53)  # n - n p would read 4e-16, not 3e-16
     @example(trials=3, prob=5e-324)  # k / (n p) overflows
+    # b(129) = 2.21e-324 rounds to 0.0 and b(371) = 2.54e-324 to 5e-324; a
+    # product rounded into the subnormal range before its last factor can
+    # read 5e-324 at the first and reads 0.0 at the second
+    @example(trials=288, prob=0.0006837361039723803)
+    @example(trials=1148, prob=0.8342670488203054)
     @settings(max_examples=200, deadline=None)
     def test_window_keeps_the_zero_pattern(self, trials, prob):
         """The Chernoff window drops only entries that the full log-gamma
@@ -165,6 +170,98 @@ class TestBinomialPmf:
         reference = oracles.binomial_pmf_log_gamma(trials, prob)
         assert np.array_equal(ours > 0.0, reference > 0.0)
         np.testing.assert_allclose(ours, reference, rtol=1e-10, atol=1e-300)
+
+    @pytest.mark.parametrize("prob", [0.01, 0.3, 0.4999])
+    @pytest.mark.parametrize("trials", [10**3, 10**4, 10**5, 10**6, 10**7])
+    def test_matches_forty_digits_at_block_edges(self, trials, prob):
+        """Within 1e-12 relative of 40-digit arithmetic (plus the smallest
+        subnormal) at every anchor of the recurrence, one step to either
+        side of it and 511 steps out from it, on both sides of the mode:
+        2,202 points, at most 2.0e-13 off."""
+        table = binomial_pmf(trials, prob)
+        lo, hi = dist_module._window(trials, prob)
+        mode = min(max(int((trials + 1) * prob), lo), hi)
+        block = dist_module._BLOCK
+        points = set()
+        for anchor in range(mode, hi + 1, block):
+            points |= {anchor - 1, anchor, anchor + 1, anchor + block - 1}
+        for anchor in range(mode, lo - 1, -block):
+            points |= {anchor - 1, anchor, anchor + 1, anchor - block + 1}
+        dense = table.probs
+        for k in sorted(k for k in points if lo <= k <= hi):
+            reference = oracles.binomial_pmf_mp(trials, prob, k)
+            assert abs(dense[k] - reference) <= 1e-12 * reference + 5e-324, k
+
+    @given(
+        trials=st.integers(min_value=1, max_value=10**7),
+        prob=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.floats(min_value=1e-8, max_value=1e-3),
+        ),
+        place=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(trials=2396426, prob=0.011183996989124725, place=12087 / 12599)
+    @settings(max_examples=300, deadline=None)
+    def test_anchor_is_loaders_log_value(self, trials, prob, place):
+        """The scalar anchor against _log_dbinom(k, k, n, p) across the
+        window: within 8 u max(1, |log b|) where _log_dbinom's bd0 runs its
+        series (|v| < 1/10) on both rows, and within 8 u (|log b| +
+        max(k, n - k)) elsewhere, where its direct form loses about x u/2.
+        The largest gap found was 3.0e-12, at Binomial(2396426, 0.0112),
+        k = 32834 (log b = -646.8; the example)."""
+        lo, hi = dist_module._window(trials, prob)
+        k = lo + round(place * (hi - lo))
+        means = dist_module._means(trials, prob)
+        scalar = dist_module._log_dbinom_at(k, trials, prob, means)
+        vector = float(dist_module._log_dbinom(k, k, trials, prob)[0])
+        mean, rest = means[0], means[1]
+        in_series = all(abs(x - m) < (x + m) / 10 for x, m in ((k, mean), (trials - k, rest)))
+        if k in (0, trials) or in_series:
+            bound = max(1.0, abs(vector))
+        else:
+            bound = abs(vector) + max(k, trials - k)
+        assert abs(scalar - vector) <= 8 * 2.0**-53 * bound
+
+    @given(
+        trials=st.integers(min_value=1, max_value=3000),
+        prob=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.floats(min_value=1e-300, max_value=1e-3),
+        ),
+    )
+    @example(trials=539, prob=0.0006431823297116543)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_direct_route(self, trials, prob):
+        """Within 1e-12 relative of Loader's form at every entry
+        (oracles.binomial_pmf_direct, the route the ratio recurrence
+        replaced) wherever that exceeds 1e-290; at most 4.4e-13 was found.
+        Up to 3,000 trials: past about 9,000 the direct route is itself
+        more than 1e-12 off 40 digits deep in the tails (2.3e-12 found at
+        2.4 x 10^6 trials), and test_matches_forty_digits_at_block_edges
+        checks those tables against 40 digits instead."""
+        ours = binomial_pmf(trials, prob).probs
+        reference = oracles.binomial_pmf_direct(trials, prob)
+        shown = reference > 1e-290
+        np.testing.assert_allclose(ours[shown], reference[shown], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "trials, prob",
+        [(194_333, 0.479), (1_990_048, 0.404), (5_213_925, 0.654), (5_232_520, 0.104)],
+    )
+    def test_mass_stays_within_rounding_of_one(self, trials, prob):
+        """The odds p / q and q / p are rounded once and what the rounding
+        left out is put back per column.  Rounded alone, they bias every
+        ratio of a row the same way, and these tables' mass drifted 1.3e-14
+        to 1.6e-14 from 1; with the rest put back, at most 2.2e-15 was found
+        over 3,000 random tables from 10 to 10^7 trials."""
+        assert abs(float(binomial_pmf(trials, prob).window.sum()) - 1.0) <= 4e-15
+
+    @pytest.mark.parametrize("trials", [1, 10, 2000, 10**5])
+    def test_half_is_the_direct_route_bit_for_bit(self, trials):
+        """p = 1/2 keeps Loader's form at every entry: the stationary laws
+        keep their bits."""
+        table = binomial_pmf(trials, 0.5)
+        assert table.probs.tobytes() == oracles.binomial_pmf_direct(trials, 0.5).tobytes()
 
     @given(
         trials=st.integers(min_value=1, max_value=10**9),

@@ -16,7 +16,7 @@ the checkout that goes first alternating from round to round; the record
 keeps every round and the median over rounds of the per-round bests, since
 one round per side cannot tell a 2x change from a shared machine's drift.
 
-Per layer: the first and the best of 5 calls of `mc.sample_batch`,
+Per layer: the first call, then the best of 5 samples, of `mc.sample_batch`,
 `dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
 `dist.distance_curve` (the observable from the perfbench size N = 10^4, the
 chain from N = 10^5, both up to N = 10^7; the curve is built before the
@@ -24,9 +24,13 @@ timed calls), `dist.coordinate_law` from a corner and from an interior
 start, `dist.convolve` of two prebuilt binomial tables and
 `bounds.kolmogorov_lower_bound` (up to N = 10^7), at fixed sizes
 (CASES, each case in a fresh interpreter; the first call pays what a process
-builds once, such as negdep's cached tables), with that interpreter's peak
-RSS (ru_maxrss, set-up and import included), and the best of 5
-`import urnlab` times, each in a fresh interpreter, in the same rounds.
+builds once, such as negdep's cached tables).  Each sample repeats the
+call for at least MIN_SAMPLE_S, the count set by timing one more call after
+the first, and reports the time per call: with one call per sample,
+sub-millisecond cases spread 1.5x between rounds.  With each case, that
+interpreter's peak RSS (ru_maxrss, set-up and import included), and the
+best of 5 `import urnlab` times, each in a fresh interpreter, in the same
+rounds.
 End to end: the Tier-1 suite's wall time and criterion 8's call time (one
 pytest run, read from its JUnit report), and the last stdout line of
 `perfbench/run.py` for each workload at --seed and --seconds.
@@ -49,8 +53,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/8"
+SCHEMA = "urnlab-bench-mc/9"
 REPEATS = 5
+MIN_SAMPLE_S = 0.02
 ROUNDS = 3
 WORKLOADS = ("observable", "chain", "crosscheck")
 CRITERION_8 = "test_criterion_8_monte_carlo_consistency"
@@ -65,8 +70,10 @@ CASES = {
     "coupled_N500_t3_1M": ("sample_batch", ("coupled", (500, 50, 0.3), 3.0, 1_000_000)),
     "ctmc_N500_t3_200": ("sample_batch", ("ctmc", (500, 50, 0.3), 3.0, 200)),
     "ctmc_N6_t0.8_200k": ("sample_batch", ("ctmc", (6, 2, 0.5), 0.8, 200_000)),
+    "binomial_N272_p0.33": ("binomial_pmf", (272, 0.33)),
     "binomial_N1000_p0.115": ("binomial_pmf", (1000, 0.115)),
     "binomial_N9000_p0.36": ("binomial_pmf", (9000, 0.36)),
+    "binomial_N9e4_p0.3": ("binomial_pmf", (90_000, 0.3)),
     "binomial_N1e5_p0.5": ("binomial_pmf", (100_000, 0.5)),
     "binomial_N1e6_p0.31": ("binomial_pmf", (1_000_000, 0.31)),
     "negdep_N1000_m100_t1_1000rows": ("verify_negative_dependence", ((1000, 100, 0.2), 1.0, 1000)),
@@ -97,12 +104,13 @@ ARGUMENT_NAMES = {
     "kolmogorov_lower_bound": ("params", "t"),
 }
 
-# Runs in the measured checkout's interpreter; prints {"times": {case: [seconds
-# per call]}, "peak_rss_mb": the interpreter's peak RSS} (ru_maxrss is in KiB on Linux).
-# prepare[call] takes a case's arguments, does the untimed set-up and returns the
-# timed call; repeat i of a sample_batch case uses seed i.
+# Runs in the measured checkout's interpreter; prints {"times": {case: {"first":
+# seconds, "calls": calls per sample, "samples": [seconds per call]}}, "peak_rss_mb":
+# the interpreter's peak RSS} (ru_maxrss is in KiB on Linux).  prepare[call] takes
+# a case's arguments, does the untimed set-up and returns the timed call; every
+# call of sample i of a sample_batch case uses seed i.
 _LAYER_SCRIPT = """
-import json, resource, sys, time
+import json, math, resource, sys, time
 from urnlab import InitialState, ModelParams, bounds, dist, mc, negdep
 
 def curve_evaluation(target, params, t):
@@ -129,15 +137,23 @@ prepare = {
     "kolmogorov_lower_bound": lambda params, t: lambda seed:
         bounds.kolmogorov_lower_bound(ModelParams(*params), t),
 }
-cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+cases, repeats, min_sample = json.loads(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3])
 times = {}
 for name, (call, arguments) in cases.items():
     timed = prepare[call](*arguments)
-    times[name] = []
+    started = time.perf_counter()
+    timed(0)
+    first = time.perf_counter() - started
+    started = time.perf_counter()
+    timed(0)
+    calls = max(1, math.ceil(min_sample / (time.perf_counter() - started)))
+    samples = []
     for seed in range(repeats):
         started = time.perf_counter()
-        timed(seed)
-        times[name].append(time.perf_counter() - started)
+        for _ in range(calls):
+            timed(seed)
+        samples.append((time.perf_counter() - started) / calls)
+    times[name] = {"first": first, "calls": calls, "samples": samples}
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"times": times, "peak_rss_mb": peak_rss_mb}))
 """
@@ -175,10 +191,16 @@ def _layer_round(checkout: Path, name: str) -> dict:
     if name == "import_urnlab":
         command = [sys.executable, "-c", _IMPORT_SCRIPT]
         return {"best_s": min(float(_run(checkout, command)) for _ in range(REPEATS))}
-    command = [sys.executable, "-c", _LAYER_SCRIPT, json.dumps({name: CASES[name]}), str(REPEATS)]
+    command = [
+        sys.executable, "-c", _LAYER_SCRIPT, json.dumps({name: CASES[name]}), str(REPEATS),
+        str(MIN_SAMPLE_S),
+    ]
     measured = json.loads(_run(checkout, command))
     times = measured["times"][name]
-    return {"first_s": times[0], "best_s": min(times), "peak_rss_mb": measured["peak_rss_mb"]}
+    return {
+        "first_s": times["first"], "best_s": min(times["samples"]),
+        "calls_per_sample": times["calls"], "peak_rss_mb": measured["peak_rss_mb"],
+    }
 
 
 def per_layer(checkouts: dict[str, Path]) -> dict[str, dict]:
@@ -258,6 +280,7 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "threads": "OMP/OPENBLAS/MKL_NUM_THREADS=1",
         "rounds": ROUNDS,
+        "min_sample_s": MIN_SAMPLE_S,
         "perfbench": {"seed": args.seed, "seconds": args.seconds},
         "cases": {name: {"call": call, **dict(zip(ARGUMENT_NAMES[call], arguments))}
                   for name, (call, arguments) in CASES.items()},
