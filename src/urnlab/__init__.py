@@ -41,9 +41,6 @@ from .dist import (
     tv_product,
 )
 from .bounds import (
-    BoundCurve,
-    CURVE_KINDS,
-    bound_curve,
     chebyshev_lower_bound,
     clt_lower_bound,
     coupling_union_bound,
@@ -64,13 +61,10 @@ from .negdep import (
 )
 from .mc import (
     SampleBatch,
-    TvEstimate,
     draw_stream,
     empirical_pmf,
-    estimate_observed_tv,
     sample_batch,
     sample_coupled,
-    sample_ctmc,
 )
 from .phase import (
     ContradictionError,
@@ -81,7 +75,6 @@ from .phase import (
     RegimeReport,
     chain_regime,
     classify,
-    cutoff_profile,
     mixing_time,
     observable_regime,
     product_condition_ratio,

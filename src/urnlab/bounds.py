@@ -5,15 +5,14 @@ chi-square (L2) bound for the observable, and a product-form L2 bound for the
 full chain.  Lower bounds watch the half-line statistic "left-urn total below
 N/2 - k": Chebyshev gives a closed form, the exact-CDF variant sharpens it,
 and a central-limit version is reported for reference only (it is asymptotic,
-not a finite-N certificate, and is flagged as such).
+not a finite-N certificate).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .model import ModelParams, check_time
+from .model import ModelParams
 from .dist import distance_curve, observable_mean_variance, survival
 
 _SQRT2 = math.sqrt(2.0)
@@ -93,69 +92,10 @@ def kolmogorov_lower_bound(params: ModelParams, t: float) -> float:
 def clt_lower_bound(params: ModelParams, t: float) -> float:
     """Normal-approximation estimate Phi(c) - Phi(-c) of the observable distance.
 
-    Asymptotic only: accurate to O(1/sqrt(N)) but not a finite-N certificate.
-    Curves built from it carry asymptotic=True.
+    Asymptotic only: accurate to O(1/sqrt(N)) but not a finite-N certificate,
+    so the bounds table prints it for reference and never enters it in the
+    sandwich check.
     """
     c = _half_line_margin(params, t)
     return max(0.0, math.erf(c / _SQRT2))
 
-
-# kind -> (target, bound function name, asymptotic).  Looked up by name per call,
-# so a wrapper set on the module attribute (as perfbench/spans.py does) is called.
-_BOUND_KINDS = {
-    "coupling_ub": ("chain", "coupling_union_bound", False),
-    "l2_ub": ("observable", "l2_upper_bound", False),
-    "chain_l2_ub": ("chain", "product_chain_upper_bound", False),
-    "chebyshev_lb": ("observable", "chebyshev_lower_bound", False),
-    "kolmogorov_lb": ("observable", "kolmogorov_lower_bound", False),
-    "clt_lb": ("observable", "clt_lower_bound", True),
-}
-
-CURVE_KINDS = (*_BOUND_KINDS, "exact")
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """A sampled curve t -> value with provenance.
-
-    kind identifies the producing rule (one of CURVE_KINDS); target says
-    which distance it brackets.  raw_values keeps the unclamped values for
-    kinds that clamp (the coupling bound).  asymptotic flags estimates that
-    are not finite-N certificates.
-    """
-
-    kind: str
-    target: str
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    raw_values: tuple[float, ...] | None = None
-    asymptotic: bool = field(default=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
-        for t in self.times:
-            check_time(t, "times")
-
-
-def bound_curve(params: ModelParams, kind: str, times) -> BoundCurve:
-    """Evaluate one named bound on a time grid.  kind "exact" is handled by
-    the distance routines, not here."""
-    times = tuple(float(t) for t in times)
-    if kind not in _BOUND_KINDS:
-        raise ValueError(f"bound_curve cannot evaluate kind {kind!r}")
-    target, name, asymptotic = _BOUND_KINDS[kind]
-    values = tuple(globals()[name](params, t) for t in times)
-    clamped = kind == "coupling_ub"  # the only bound returned raw
-    return BoundCurve(
-        kind=kind,
-        target=target,
-        times=times,
-        values=tuple(min(1.0, v) for v in values) if clamped else values,
-        raw_values=values if clamped else None,
-        asymptotic=asymptotic,
-    )

@@ -60,10 +60,11 @@ class Pmf:
             raise ValueError(f"pmf mass {total} is too far from 1")
         if drift > _MASS_RENORM_TOL:
             arr = arr / total
-        nonzero = np.flatnonzero(arr)
-        self.window = arr[nonzero[0] : nonzero[-1] + 1].copy()
+        nonzero = arr != 0.0  # first and last True found by argmax from each end
+        first, stop = int(nonzero.argmax()), arr.size - int(nonzero[::-1].argmax())
+        self.window = arr[first:stop].copy()
         self.window.setflags(write=False)
-        self.offset, self.size = offset + int(nonzero[0]), size
+        self.offset, self.size = offset + first, size
 
     @property
     def probs(self) -> np.ndarray:

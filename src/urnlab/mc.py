@@ -5,7 +5,7 @@ time-t state in O(1) from the per-ball survival construction (exact, no time
 discretisation), while the ctmc sampler runs the event-driven jump process
 (physical, O(events)).  Agreement between the two validates both.  Each is
 one block kernel that draws a whole chunk per numpy call; `sample_coupled`
-and `sample_ctmc` run the same kernels on one draw.
+runs the coupled kernel on one draw.
 
 Randomness contract: draw j of a batch lies in block b = j // BLOCK and
 reads its variates from Philox substreams keyed by (seed, b, kind): key
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CapacityError, InitialState, ModelParams, check_integer, check_time
-from .dist import Pmf, stationary_observed, survival, tv
+from .dist import Pmf, survival
 
 _SAMPLERS = ("coupled", "ctmc")
 CTMC_EVENT_LIMIT = 10**8
@@ -174,35 +174,6 @@ def _ctmc_kernel(
             np.add.at(outcomes, (lo + draw, is_heavy.astype(np.intp)), coin - started_left)
 
 
-def _check_event_budget(params: ModelParams, t: float, draws: int) -> None:
-    """Refuse an event-driven run expecting more than CTMC_EVENT_LIMIT events."""
-    expected = (params.regular_count + params.heavy_count * params.heavy_rate) * t
-    if expected * draws > CTMC_EVENT_LIMIT:
-        raise CapacityError(
-            f"{expected * draws:.3g} expected ctmc events exceed the {CTMC_EVENT_LIMIT} guard"
-        )
-
-
-def sample_ctmc(
-    params: ModelParams, init: InitialState, t: float, rng: np.random.Generator
-) -> tuple[int, int]:
-    """One draw via the event-driven simulation of the jump process.
-
-    Poisson((n + m alpha) t) events, each redrawing the side of a uniformly
-    chosen ball of a species picked in proportion to its rate.  Costs
-    O((n + m alpha) t) per draw, guarded at CTMC_EVENT_LIMIT expected
-    events; serves as the physical oracle for sample_coupled.  This is the
-    batch kernel on one draw with every kind read from `rng`, so past
-    _CHUNK events its bytes depend on the chunk size (batches' do not).
-    """
-    init.validate(params)
-    check_time(t)
-    _check_event_budget(params, t, 1)
-    outcome, events = np.empty((1, 2), dtype=np.int64), np.empty(1, dtype=np.int64)
-    _ctmc_kernel(params, init, t, (rng,) * 4, outcome, events)
-    return int(outcome[0, 0]), int(outcome[0, 1])
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     """A reproducible batch of draws of the pair state at one time point."""
@@ -244,7 +215,11 @@ def sample_batch(
     _check_key(seed, count - 1)
     check_time(t)
     if sampler == "ctmc":
-        _check_event_budget(params, t, count)
+        expected = (params.regular_count + params.heavy_count * params.heavy_rate) * t * count
+        if expected > CTMC_EVENT_LIMIT:
+            raise CapacityError(
+                f"{expected:.3g} expected ctmc events exceed the {CTMC_EVENT_LIMIT} guard"
+            )
     init.validate(params)
     species = _coupled_species(params, init, t)
     outcomes = np.empty((count, 2), dtype=np.int64)
@@ -289,40 +264,3 @@ def empirical_pmf(batch: SampleBatch, projection: str = "total") -> Pmf:
         raise ValueError(f"unknown projection {projection!r}")
     return Pmf(np.bincount(values) / batch.count, 0, support + 1)
 
-
-@dataclass(frozen=True)
-class TvEstimate:
-    """Plug-in estimate of the observable distance with its bias scale.
-
-    The plug-in estimator is biased upward by about sqrt((N + 1) / count)
-    (half the expected L1 fluctuation of the histogram), so read `value`
-    together with `bias_bound`.
-    """
-
-    value: float
-    bias_bound: float
-    count: int
-    seed: int
-    t: float
-
-
-def estimate_observed_tv(
-    params: ModelParams,
-    t: float,
-    count: int,
-    seed: int,
-    init: InitialState | None = None,
-    sampler: str = "coupled",
-) -> TvEstimate:
-    """Monte Carlo estimate of the observable distance from `init` (default all-right)."""
-    if init is None:
-        init = InitialState(0, 0)
-    batch = sample_batch(params, init, t, count, seed, sampler=sampler)
-    value = tv(empirical_pmf(batch, "total"), stationary_observed(params))
-    return TvEstimate(
-        value=value,
-        bias_bound=math.sqrt((params.total_balls + 1) / count),
-        count=count,
-        seed=seed,
-        t=t,
-    )

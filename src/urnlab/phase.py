@@ -26,7 +26,6 @@ from .model import (
     tilde_gamma,
 )
 from . import dist
-from .bounds import BoundCurve
 
 INSENSITIVITY = "Insensitivity"
 DELAYED_CUTOFF = "DelayedCutoff"
@@ -172,33 +171,6 @@ def product_condition_ratio(params: ModelParams, epsilon: float = 0.25) -> float
         )
     result = mixing_time(params, epsilon, target="chain")
     return result.time / params.relaxation_time
-
-
-def cutoff_profile(
-    params: ModelParams,
-    center_time: float,
-    offsets,
-    window_unit: float | None = None,
-    target: str = "observable",
-) -> BoundCurve:
-    """Exact distance curve sampled at center + offset * window_unit.
-
-    window_unit defaults to the relaxation time when the observable delay
-    exponent is non-negative (delayed and no-cutoff regimes have windows of
-    that scale) and to 1 otherwise.
-    """
-    if window_unit is None:
-        window_unit = params.relaxation_time if gamma(params) >= 0.0 else 1.0
-    if window_unit <= 0.0:
-        raise ValueError("window_unit must be positive")
-    curve = dist.distance_curve(params, (target,))
-    times = tuple(center_time + window_unit * float(o) for o in offsets)
-    return BoundCurve(
-        kind="exact",
-        target=target,
-        times=times,
-        values=tuple(curve(t)[0] for t in times),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from urnlab.model import InitialState, ModelParams, predicted_times
 from urnlab.bounds import (
-    BoundCurve,
-    CURVE_KINDS,
-    bound_curve,
     chebyshev_lower_bound,
     clt_lower_bound,
     coupling_union_bound,
@@ -17,7 +14,6 @@ from urnlab.bounds import (
     l2_upper_bound,
     product_chain_upper_bound,
 )
-from urnlab import bounds as bounds_module
 from urnlab import dist as dist_module
 from urnlab.dist import chain_tv, observed_tv
 
@@ -213,82 +209,20 @@ class TestKolmogorovBisection:
         assert lengths == []
 
 
-class TestBoundCurve:
-    def test_kinds_catalogue(self):
-        assert CURVE_KINDS == (
-            "coupling_ub",
-            "l2_ub",
-            "chain_l2_ub",
-            "chebyshev_lb",
-            "kolmogorov_lb",
-            "clt_lb",
-            "exact",
-        )
-
-    def test_coupling_curve_keeps_raw(self):
-        curve = bound_curve(SMALL, "coupling_ub", [0.0, 1.0, 4.0])
-        assert curve.raw_values[0] == 4.0
-        assert curve.values[0] == 1.0
-        assert curve.target == "chain"
-        assert not curve.asymptotic
-
-    def test_clt_curve_flagged_asymptotic(self):
-        curve = bound_curve(SMALL, "clt_lb", [0.5, 1.0])
-        assert curve.asymptotic
-
-    def test_dispatch_matches_scalars(self):
-        times = [0.3, 1.1, 2.7]
-        for kind, fn in [
-            ("l2_ub", l2_upper_bound),
-            ("chain_l2_ub", product_chain_upper_bound),
-            ("chebyshev_lb", chebyshev_lower_bound),
-            ("kolmogorov_lb", kolmogorov_lower_bound),
-        ]:
-            curve = bound_curve(SMALL, kind, times)
-            assert curve.values == tuple(fn(SMALL, t) for t in times)
-
-    def test_exact_kind_not_evaluated_here(self):
-        with pytest.raises(ValueError):
-            bound_curve(SMALL, "exact", [1.0])
-
-    @pytest.mark.parametrize("kind", ["exact", "nope"])
-    def test_unevaluated_kind_message(self, kind):
-        with pytest.raises(ValueError) as err:
-            bound_curve(SMALL, kind, [1.0])
-        assert str(err.value) == f"bound_curve cannot evaluate kind {kind!r}"
-
-    def test_dispatch_sees_wrapped_module_attribute(self, monkeypatch):
-        """A wrapper set on the module attribute, as a tracer installs one,
-        is what bound_curve calls."""
-        calls = []
-
-        def counting(params, t):
-            calls.append(t)
-            return l2_upper_bound(params, t)
-
-        monkeypatch.setattr(bounds_module, "l2_upper_bound", counting)
-        curve = bound_curve(SMALL, "l2_ub", [0.5, 2.0])
-        assert calls == [0.5, 2.0]
-        assert curve.values == tuple(l2_upper_bound(SMALL, t) for t in (0.5, 2.0))
-
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            BoundCurve("nope", "observable", (0.0,), (1.0,))
-        with pytest.raises(ValueError):
-            BoundCurve("l2_ub", "observable", (1.0, 1.0), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            BoundCurve("l2_ub", "observable", (-1.0, 1.0), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            BoundCurve("l2_ub", "observable", (0.0, 1.0), (0.5,))
-        with pytest.raises(ValueError, match="non-negative"):
-            BoundCurve("l2_ub", "observable", (math.nan,), (0.5,))
-        with pytest.raises(ValueError, match="non-negative"):
-            BoundCurve("l2_ub", "observable", (1.0, math.inf), (0.5, 0.5))
-
-    def test_nan_time_rejected(self):
-        for t in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                bound_curve(SMALL, "l2_ub", [t])
+@pytest.mark.parametrize(
+    "bound",
+    [
+        chebyshev_lower_bound,
+        clt_lower_bound,
+        l2_upper_bound,
+        coupling_union_bound,
+        product_chain_upper_bound,
+    ],
+)
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_closed_forms_reject_bad_times(bound, t):
+    with pytest.raises(ValueError, match="non-negative"):
+        bound(SMALL, t)
 
 
 class TestSandwich:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import urnlab
 from urnlab import ModelParams, bounds, cli, dist
 
 
@@ -321,6 +322,23 @@ class TestBounds:
             for column, fn in functions.items():
                 assert row[payload["columns"].index(column)] == fn(params, t), column
 
+    def test_calls_the_bound_module_attribute(self, monkeypatch, capsys):
+        """A wrapper set on a bounds function's module attribute, as a tracer
+        installs one, is what the table calls: once per grid time, with every
+        printed byte unchanged."""
+        _, plain, _ = run_cli([*self.ARGS, "--format", "json"], capsys)
+        calls, l2_upper_bound = [], bounds.l2_upper_bound
+
+        def counting(params, t):
+            calls.append(t)
+            return l2_upper_bound(params, t)
+
+        monkeypatch.setattr(bounds, "l2_upper_bound", counting)
+        code, out, _ = run_cli([*self.ARGS, "--format", "json"], capsys)
+        assert code == 0
+        assert out == plain  # the ub_l2 column among the rest
+        assert calls == [row[0] for row in json.loads(out)["rows"]]
+        assert len(calls) == 8
 
     def test_full_scan_guard_only_under_exact(self, capsys):
         """Without --exact the table needs no start, so a scan the guard
@@ -979,3 +997,70 @@ class TestTopLevel:
             capture_output=True, text=True, timeout=60, check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    def test_public_surface(self):
+        """The package exports exactly these names: an entry point that was
+        removed for want of a caller does not come back unnoticed."""
+        assert sorted(urnlab.__all__) == [
+            "ALPHA_FLOOR",
+            "CapacityError",
+            "ContradictionError",
+            "DeclaredLimits",
+            "FULL_SCAN_LIMIT",
+            "FamilySample",
+            "InitialState",
+            "MixingTimeResult",
+            "ModelParams",
+            "NegDepReport",
+            "NegDepRow",
+            "NoCrossingError",
+            "ParamFamily",
+            "Pmf",
+            "PredictedTimes",
+            "RegimeReport",
+            "SampleBatch",
+            "SurvivalPair",
+            "__version__",
+            "binomial_pmf",
+            "brute_force_joint_moment",
+            "chain_law",
+            "chain_regime",
+            "chain_tv",
+            "chebyshev_lower_bound",
+            "classify",
+            "clt_lower_bound",
+            "convolve",
+            "coupling_union_bound",
+            "distance_curve",
+            "draw_stream",
+            "empirical_pmf",
+            "exact_chi_square",
+            "factorial_moment_comparison",
+            "gamma",
+            "joint_moment",
+            "kolmogorov_lower_bound",
+            "l2_upper_bound",
+            "mean_z",
+            "mgf_compare",
+            "mixing_time",
+            "observable_mean_variance",
+            "observable_regime",
+            "observed_law",
+            "observed_tv",
+            "parse_alpha_rule",
+            "parse_m_rule",
+            "predicted_times",
+            "product_chain_upper_bound",
+            "product_condition_ratio",
+            "sample_batch",
+            "sample_coupled",
+            "stationary_chain",
+            "stationary_observed",
+            "survival",
+            "tilde_gamma",
+            "tv",
+            "tv_product",
+            "validate_declared",
+            "verify_negative_dependence",
+        ]
+        assert all(hasattr(urnlab, name) for name in urnlab.__all__)

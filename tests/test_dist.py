@@ -986,6 +986,13 @@ class TestDistanceCurve:
             assert observable(t)[0] == pytest.approx(per_start_observable, rel=0, abs=1e-15)
             assert chain(t) == (chain_tv(p, t, strategy),) == (per_start_chain,)
 
+    @pytest.mark.parametrize("target", ["observable", "chain", "kolmogorov"])
+    def test_bad_time_rejected(self, target):
+        curve = distance_curve(ModelParams(10, 3, 0.5), (target,))
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="non-negative"):
+                curve(t)
+
     @pytest.mark.parametrize(
         "p", [ModelParams(12, 4, 0.4), ModelParams(9, 0, 0.5), ModelParams(7, 7, 0.3)]
     )

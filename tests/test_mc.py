@@ -11,10 +11,8 @@ from urnlab.mc import (
     CTMC_EVENT_LIMIT,
     draw_stream,
     empirical_pmf,
-    estimate_observed_tv,
     sample_batch,
     sample_coupled,
-    sample_ctmc,
 )
 
 SMALL = ModelParams(6, 2, 0.5)
@@ -68,7 +66,9 @@ class TestSamplers:
     def test_time_zero_returns_initial_state(self):
         init = InitialState(3, 1)
         assert sample_coupled(SMALL, init, 0.0, draw_stream(0, 0)) == (3, 1)
-        assert sample_ctmc(SMALL, init, 0.0, draw_stream(0, 0)) == (3, 1)
+        batch = sample_batch(SMALL, init, 0.0, 3, 0, sampler="ctmc")
+        assert batch.outcomes.tolist() == [[3, 1]] * 3
+        assert batch.event_counts.tolist() == [0] * 3
 
     def test_outputs_in_range(self):
         for index in range(200):
@@ -78,20 +78,19 @@ class TestSamplers:
 
     def test_ctmc_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            sample_ctmc(SMALL, CORNER, -1.0, draw_stream(0, 0))
+            sample_batch(SMALL, CORNER, -1.0, 5, 0, sampler="ctmc")
 
     def test_nan_time_rejected(self):
         for t in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="non-negative"):
-                sample_ctmc(SMALL, CORNER, t, draw_stream(0, 0))
-            with pytest.raises(ValueError, match="non-negative"):
-                sample_batch(SMALL, CORNER, t, 5, seed=0)
+            for sampler in ("coupled", "ctmc"):
+                with pytest.raises(ValueError, match="non-negative"):
+                    sample_batch(SMALL, CORNER, t, 5, seed=0, sampler=sampler)
 
     def test_ctmc_event_guard(self):
         # SMALL runs at total rate 4 + 2 * 0.5 = 5 events per unit time
         started = time.perf_counter()
         with pytest.raises(CapacityError):
-            sample_ctmc(SMALL, CORNER, 1e300, draw_stream(0, 0))
+            sample_batch(SMALL, CORNER, 1e300, 1, 0, sampler="ctmc")
         with pytest.raises(CapacityError):
             sample_batch(SMALL, CORNER, CTMC_EVENT_LIMIT / 50.0, 11, 0, sampler="ctmc")
         assert time.perf_counter() - started < 1.0
@@ -332,33 +331,11 @@ class TestAgainstExactLaws:
         assert gap < 0.02
 
 
-class TestTvEstimate:
-    def test_estimates_distance_to_stationarity(self):
-        p = ModelParams(500, 50, 0.3)
-        estimate = estimate_observed_tv(p, 3.0, 20000, seed=42)
-        exact = dist.observed_tv(p, 3.0, InitialState(0, 0))
-        assert abs(estimate.value - exact) <= estimate.bias_bound
-
-    def test_bias_bound_formula(self):
-        p = ModelParams(500, 50, 0.3)
-        estimate = estimate_observed_tv(p, 3.0, 400, seed=0)
-        assert estimate.bias_bound == pytest.approx((501 / 400) ** 0.5, rel=1e-12)
-        assert estimate.count == 400
-        assert estimate.t == 3.0
-
-    def test_deterministic(self):
-        p = ModelParams(40, 8, 0.4)
-        a = estimate_observed_tv(p, 1.5, 3000, seed=5)
-        b = estimate_observed_tv(p, 1.5, 3000, seed=5)
-        assert a.value == b.value
-
-    def test_respects_custom_init_and_sampler(self):
-        p = ModelParams(12, 3, 0.5)
-        init = InitialState(9, 3)
-        estimate = estimate_observed_tv(p, 0.0, 500, seed=1, init=init, sampler="ctmc")
-        # at t = 0 the draws all sit at the start, so the estimate is the
-        # exact point-mass distance
-        expected = dist.tv(
-            dist.observed_law(p, init, 0.0), dist.stationary_observed(p)
-        )
-        assert estimate.value == pytest.approx(expected, abs=1e-12)
+def test_plug_in_distance_within_its_bias_bound():
+    """The histogram's distance to stationarity lies within the plug-in
+    bias scale sqrt((N + 1) / count) of the exact distance."""
+    p, count = ModelParams(500, 50, 0.3), 20000
+    batch = sample_batch(p, CORNER, 3.0, count, seed=42)
+    estimate = dist.tv(empirical_pmf(batch), dist.stationary_observed(p))
+    exact = dist.observed_tv(p, 3.0, CORNER)
+    assert abs(estimate - exact) <= ((p.total_balls + 1) / count) ** 0.5

@@ -1,4 +1,4 @@
-"""Tests for mixing times, cutoff profiles and the regime classifier."""
+"""Tests for mixing times and the regime classifier."""
 
 import json
 import math
@@ -16,7 +16,6 @@ from urnlab import (
     chain_regime,
     classify,
     cli,
-    cutoff_profile,
     dist,
     mixing_time,
     observable_regime,
@@ -117,46 +116,6 @@ class TestProductConditionRatio:
         big = ModelParams(100_000, 5623, 0.2)
         with pytest.raises(CapacityError):
             product_condition_ratio(big)
-
-
-class TestCutoffProfile:
-    def test_values_match_exact_distance(self):
-        times = predicted_times(DELAYED)
-        offsets = (-0.5, 0.0, 0.5, 1.0)
-        curve = cutoff_profile(DELAYED, times.delayed_cutoff, offsets)
-        assert curve.kind == "exact"
-        assert curve.target == "observable"
-        # gamma >= 0 here, so the window unit defaults to the relaxation time 5
-        expected_times = tuple(times.delayed_cutoff + 5.0 * o for o in offsets)
-        assert curve.times == pytest.approx(expected_times)
-        for t, v in zip(curve.times, curve.values):
-            assert v == dist.observed_tv(DELAYED, t)
-
-    def test_window_unit_defaults_to_one_for_negative_gamma(self):
-        curve = cutoff_profile(CLASSICAL, 4.0, (-1.0, 0.0, 1.0))
-        assert curve.times == pytest.approx((3.0, 4.0, 5.0))
-
-    def test_explicit_window_unit(self):
-        curve = cutoff_profile(CLASSICAL, 4.0, (-1.0, 1.0), window_unit=0.25)
-        assert curve.times == pytest.approx((3.75, 4.25))
-
-    def test_chain_target(self):
-        params = ModelParams(40, 8, 0.5)
-        curve = cutoff_profile(params, 2.0, (0.0, 1.0), target="chain")
-        assert curve.target == "chain"
-        assert curve.values[0] == dist.chain_tv(params, 2.0)
-
-    def test_negative_sample_time_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            cutoff_profile(CLASSICAL, 1.0, (-2.0, 0.0))
-        with pytest.raises(ValueError, match="non-negative"):
-            cutoff_profile(CLASSICAL, math.nan, (0.0,))
-        with pytest.raises(ValueError, match="non-negative"):
-            cutoff_profile(CLASSICAL, math.inf, (0.0,))
-
-    def test_nonpositive_window_unit_rejected(self):
-        with pytest.raises(ValueError, match="window_unit"):
-            cutoff_profile(CLASSICAL, 4.0, (0.0,), window_unit=0.0)
 
 
 class TestRegimeLabels:
