@@ -178,56 +178,52 @@ def _means(n: int, p: float) -> tuple[float, float, float, float]:
     return mean, rest, slope, intercept
 
 
-def _log_dbinom(lo: int, hi: int, n: int, p: float) -> np.ndarray:
-    """log Binomial(n, p) pmf at k = lo..hi, 0 <= lo <= hi <= n, 0 < p < 1.
+def _log_dbinom_half(lo: int, hi: int, n: int) -> np.ndarray:
+    """log Binomial(n, 1/2) pmf at k = lo..hi, 0 <= lo <= hi <= n.
 
-    k = 0 and k = n are scalars; the interior k = a..b is one numpy pass over
-    the rows k and n - k.  Everything is sliced at arithmetically computed
-    bounds: no boolean masks, whose cost dominates on small tables.
+    k = 0 and k = n are scalars.  Both means are n / 2 exactly (_means'
+    slope 0, intercept stirlerr(n)), so Loader's rows at k and n - k are one,
+    g(x) = stirlerr(x) + bd0(x, n / 2), read forwards and backwards:
+    log b(k) = stirlerr(n) - (g(k) + g(n - k) + log(2 pi k (n - k) / n) / 2),
+    g taken once over [min(a, n - b), max(b, n - a)] for the interior a..b.
+    Everything is sliced at arithmetically computed bounds: no boolean
+    masks, whose cost dominates on small tables.
+
+    Error: the direct bd0 loses up to x 2^-53 per row outside the series
+    run, so an entry is off 40 digits by up to about n 2^-53 relative: past
+    1e-12 deep in the tails from about 10^4 to 4 x 10^4 trials (2.2e-12 at
+    n = 24,750, k = 9,580); past that every entry above 1e-290 is in the run.
     """
     out = np.empty(hi - lo + 1)
     if lo == 0:
-        out[0] = n * math.log1p(-p)
+        out[0] = n * math.log(0.5)
     if hi == n:
-        out[-1] = n * math.log(p)
+        out[-1] = n * math.log(0.5)
     a, b = max(lo, 1), min(hi, n - 1)
     if a > b:
         return out
-    mean, rest, slope, intercept = _means(n, p)
-    k = np.arange(a, b + 1, dtype=float)
-    x = np.empty((2, k.size))
-    x[0] = k
-    np.subtract(n, k, out=x[1])
-    means = np.array([[mean], [rest]])
+    first, last = min(a, n - b), max(b, n - a)
+    x = np.arange(first, last + 1, dtype=float)
+    mean = n * 0.5
 
-    stirlerr = _stirlerr_series(x, min(a, n - b))
-    head = max(min(b, 15) - a + 1, 0)  # k <= 15 opens row 0, n - k <= 15 closes row 1
-    stirlerr[0, :head] = _STIRLERR[a : a + head]
-    tail = max(min(n - a, 15) - (n - b) + 1, 0)
-    stirlerr[1, k.size - tail :] = _STIRLERR[n - b : n - b + tail][::-1]
+    g = _stirlerr_series(x, first)
+    head = max(min(last, 15) - first + 1, 0)
+    g[:head] = _STIRLERR[first : first + head]
 
-    # bd0: the direct form, then the series in v = (x - M) / (x + M) over each
-    # row's run with |v| < 0.1 (x within (9 M / 11, 11 M / 9)), where the
-    # direct form cancels; ten terms reach v^22 < 1e-22.
-    if min(mean, rest) < 1.0:
-        # x / M can overflow for a tiny M; log x and log M then have opposite
-        # signs, so their difference does not cancel.
-        bd0 = np.log(x)
-        bd0 -= np.log(means)
-    else:
-        bd0 = np.divide(x, means)
-        np.log(bd0, out=bd0)
+    # bd0: the direct form (M >= 1, so x / M cannot overflow), then the series
+    # in v = (x - M) / (x + M) over the run with |v| < 0.1 (x within
+    # (9 M / 11, 11 M / 9)), where the direct form cancels; ten terms reach
+    # v^22 < 1e-22.
+    bd0 = np.divide(x, mean)
+    np.log(bd0, out=bd0)
     bd0 *= x
-    bd0 += means - x
-    start0 = min(max(math.ceil(mean * 9 / 11), a), b + 1) - a
-    stop0 = max(min(math.floor(mean * 11 / 9), b) + 1 - a, start0)
-    start1 = min(max(n - math.floor(rest * 11 / 9), a), b + 1) - a
-    stop1 = max(min(n - math.ceil(rest * 9 / 11), b) + 1 - a, start1)
-    start, stop = min(start0, start1), max(stop0, stop1)
-    if start < stop:  # one series over the union of the two runs
-        xs = x[:, start:stop]
-        diff = xs - means
-        v = xs + means
+    bd0 += mean - x
+    start = min(max(math.ceil(mean * 9 / 11), first), last + 1) - first
+    stop = max(min(math.floor(mean * 11 / 9), last) + 1 - first, start)
+    if start < stop:
+        xs = x[start:stop]
+        diff = xs - mean
+        v = xs + mean
         np.divide(diff, v, out=v)
         w = v * v
         acc = _BD0_SERIES[0] * w
@@ -241,33 +237,30 @@ def _log_dbinom(lo: int, hi: int, n: int, p: float) -> np.ndarray:
         acc *= 2.0
         acc += diff
         acc *= v
-        bd0[0, start0:stop0] = acc[0, start0 - start : stop0 - start]
-        bd0[1, start1:stop1] = acc[1, start1 - start : stop1 - start]
+        bd0[start:stop] = acc
 
-    stirlerr += bd0
-    body = stirlerr.sum(axis=0)
-    prefactor = (2.0 * math.pi / n) * k
-    prefactor *= x[1]
+    g += bd0
+    ks, mirror = slice(a - first, b - first + 1), slice(n - b - first, n - a - first + 1)
+    body = g[ks] + g[mirror][::-1]  # g(k) + g(n - k)
+    prefactor = (2.0 * math.pi / n) * x[ks]
+    prefactor *= x[mirror][::-1]
     np.log(prefactor, out=prefactor)
     prefactor *= 0.5
     body += prefactor
-    k *= slope
-    k += intercept
-    k -= body
-    out[a - lo : b - lo + 1] = k
+    out[a - lo : b - lo + 1] = _stirlerr(n) - body
     return out
 
 
 def _log_dbinom_at(k: int, n: int, p: float, means: tuple) -> float:
-    """log Binomial(n, p) pmf at one k: _log_dbinom's form as a scalar, with
-    math's log; means is _means(n, p).
+    """log Binomial(n, p) pmf at one k: Loader's form as a scalar, general
+    in p, with math's log; means is _means(n, p).
 
-    One change: bd0 runs its series wherever |v| < 1/2, not 1/10, summed
-    until the next power of v^2 is below 2^-56 of the first (at most 28
-    terms).  Past |v| = 1/10 the direct form's x log(x / M) loses about
-    x u/2 to the rounding of x / M: 1.3e-12 at Binomial(10^6, 0.01),
-    k = 13072.  Within the window |v| >= 1/2 only where x < 1,800, so there
-    x u/2 < 1e-13."""
+    One change from the vector form (_log_dbinom_half): bd0 runs its series
+    wherever |v| < 1/2, not 1/10, summed until the next power of v^2 is
+    below 2^-56 of the first (at most 28 terms).  Past |v| = 1/10 the direct
+    form's x log(x / M) loses up to x 2^-53 to the rounding of x / M:
+    1.3e-12 at Binomial(10^6, 0.01), k = 13072.  Within the window
+    |v| >= 1/2 only where x < 1,800, so there x 2^-53 < 2e-13."""
     if k == 0:
         return n * math.log1p(-p)
     if k == n:
@@ -376,8 +369,9 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
     starts from its anchor times 2^600 and one final multiply scales it
     back, so an entry is rounded into the subnormal range once, at the end.
 
-    p = 1/2 is the exception: exp(_log_dbinom) at every entry, the tables
-    from before the recurrence, bit for bit.  Those are the stationary laws,
+    p = 1/2 is the exception: exp(_log_dbinom_half) at every entry, the
+    tables from before the recurrence, bit for bit, with that function's
+    error bound, not the one below.  Those are the stationary laws,
     built once per curve, so it costs little.  Where every table of a
     distance is Binomial(n, 1/2) the distance is 0 and what the searches
     read is rounding; a test of the interval search there fails when the
@@ -399,7 +393,7 @@ def binomial_pmf(trials: int, success_prob: float) -> Pmf:
         return Pmf([1.0], 0 if p == 0.0 else trials, trials + 1)
     lo, hi = _window(trials, p)
     if p == 0.5:
-        return Pmf(np.exp(_log_dbinom(lo, hi, trials, p)), lo, trials + 1)
+        return Pmf(np.exp(_log_dbinom_half(lo, hi, trials)), lo, trials + 1)
     mode = min(max(int((trials + 1) * p), lo), hi)
     means = _means(trials, p)
 

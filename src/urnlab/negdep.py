@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .model import CapacityError, ModelParams, check_integer, check_time
-from .dist import _log_dbinom, survival
+from .dist import _log_dbinom_half, survival
 from .bounds import coupling_union_bound
 
 BRUTE_FORCE_LIMIT = 10**6
@@ -40,7 +40,7 @@ def _log_half_binomial(count: int) -> np.ndarray:
     """log Binomial(count, 1/2) pmf at 0..count, i.e. log C(count, j) - count log 2;
     built once per count, from its lower half and the symmetry j -> count - j,
     and read-only, since callers share it."""
-    half = _log_dbinom(0, count // 2, count, 0.5)
+    half = _log_dbinom_half(0, count // 2, count)
     table = np.concatenate((half, half[: (count + 1) // 2][::-1]))
     table.setflags(write=False)
     return table
@@ -145,7 +145,7 @@ def joint_moment(params: ModelParams, t: float, size: int) -> float:
     hypergeometric count) gives
         sum_a C(m, a) C(n, size - a) / C(N, size) * x^a y^(size - a)
     with x, y the heavy and regular survivals.  Weights are evaluated in log
-    space from Loader's binomial tables (dist._log_dbinom), so the formula
+    space from Loader's tables (dist._log_dbinom_half), so the formula
     stays usable at large N.  This is the one-row call of the blocked rows
     that verify_negative_dependence computes (_joint_moments): each term is
     math.exp of its log and the terms are summed left to right, so a row's

@@ -7,7 +7,8 @@ Monte Carlo read from substreams built straight from the documented keys,
 the count-level event loop the ctmc kernel replaced, the full
 convolutions the observable's interval reduction and the half-line bound's
 bisection replaced, the bisection the binomial window's Newton estimate
-replaced, and the per-entry binomial tables the ratio recurrence
+replaced, the per-entry binomial tables the ratio recurrence
+replaced, and the two-row Loader form the one-row p = 1/2 form
 replaced), so agreement is evidence rather than the same code tested
 against itself.
 """
@@ -100,13 +101,98 @@ def binomial_pmf_log_gamma(trials: int, p: float) -> np.ndarray:
     return np.exp(log_comb + xlogy(k, p) + xlog1py(trials - k, -p))
 
 
+def log_dbinom_direct(lo: int, hi: int, n: int, p: float) -> np.ndarray:
+    """log Binomial(n, p) pmf at k = lo..hi, 0 <= lo <= hi <= n, 0 < p < 1:
+    Loader's form at every entry, general in p, over the rows k and n - k,
+    the vector form dist.binomial_pmf used for every p before its ratio
+    recurrence, and for p = 1/2 before dist._log_dbinom_half read one row
+    at k and at n - k.
+
+    k = 0 and k = n are scalars; the interior k = a..b is one numpy pass over
+    the rows k and n - k.  Everything is sliced at arithmetically computed
+    bounds: no boolean masks, whose cost dominates on small tables.
+    """
+    out = np.empty(hi - lo + 1)
+    if lo == 0:
+        out[0] = n * math.log1p(-p)
+    if hi == n:
+        out[-1] = n * math.log(p)
+    a, b = max(lo, 1), min(hi, n - 1)
+    if a > b:
+        return out
+    mean, rest, slope, intercept = dist._means(n, p)
+    k = np.arange(a, b + 1, dtype=float)
+    x = np.empty((2, k.size))
+    x[0] = k
+    np.subtract(n, k, out=x[1])
+    means = np.array([[mean], [rest]])
+
+    stirlerr = dist._stirlerr_series(x, min(a, n - b))
+    head = max(min(b, 15) - a + 1, 0)  # k <= 15 opens row 0, n - k <= 15 closes row 1
+    stirlerr[0, :head] = dist._STIRLERR[a : a + head]
+    tail = max(min(n - a, 15) - (n - b) + 1, 0)
+    stirlerr[1, k.size - tail :] = dist._STIRLERR[n - b : n - b + tail][::-1]
+
+    # bd0: the direct form, then the series in v = (x - M) / (x + M) over each
+    # row's run with |v| < 0.1 (x within (9 M / 11, 11 M / 9)), where the
+    # direct form cancels; ten terms reach v^22 < 1e-22.
+    if min(mean, rest) < 1.0:
+        # x / M can overflow for a tiny M; log x and log M then have opposite
+        # signs, so their difference does not cancel.
+        bd0 = np.log(x)
+        bd0 -= np.log(means)
+    else:
+        bd0 = np.divide(x, means)
+        np.log(bd0, out=bd0)
+    bd0 *= x
+    bd0 += means - x
+    start0 = min(max(math.ceil(mean * 9 / 11), a), b + 1) - a
+    stop0 = max(min(math.floor(mean * 11 / 9), b) + 1 - a, start0)
+    start1 = min(max(n - math.floor(rest * 11 / 9), a), b + 1) - a
+    stop1 = max(min(n - math.ceil(rest * 9 / 11), b) + 1 - a, start1)
+    start, stop = min(start0, start1), max(stop0, stop1)
+    if start < stop:  # one series over the union of the two runs
+        xs = x[:, start:stop]
+        diff = xs - means
+        v = xs + means
+        np.divide(diff, v, out=v)
+        w = v * v
+        acc = dist._BD0_SERIES[0] * w
+        for c in dist._BD0_SERIES[1:-1]:
+            acc += c
+            acc *= w
+        acc += dist._BD0_SERIES[-1]
+        # (x - M) v + 2 x v w (1/3 + w/5 + ...)
+        acc *= w
+        acc *= xs
+        acc *= 2.0
+        acc += diff
+        acc *= v
+        bd0[0, start0:stop0] = acc[0, start0 - start : stop0 - start]
+        bd0[1, start1:stop1] = acc[1, start1 - start : stop1 - start]
+
+    stirlerr += bd0
+    body = stirlerr.sum(axis=0)
+    prefactor = (2.0 * math.pi / n) * k
+    prefactor *= x[1]
+    np.log(prefactor, out=prefactor)
+    prefactor *= 0.5
+    body += prefactor
+    k *= slope
+    k += intercept
+    k -= body
+    out[a - lo : b - lo + 1] = k
+    return out
+
+
 def binomial_pmf_direct(trials: int, p: float) -> np.ndarray:
     """Binomial(trials, p) over the full table, 0 < p < 1, with Loader's form
-    at every entry of the Chernoff window: the route dist.binomial_pmf took
-    before its ratio recurrence, and still takes at p = 1/2."""
+    at every entry of the Chernoff window (log_dbinom_direct): the route
+    dist.binomial_pmf took before its ratio recurrence, and at p = 1/2 the
+    one it still takes, there through dist._log_dbinom_half."""
     lo, hi = dist._window(trials, p)
     table = np.zeros(trials + 1)
-    table[lo : hi + 1] = np.exp(dist._log_dbinom(lo, hi, trials, p))
+    table[lo : hi + 1] = np.exp(log_dbinom_direct(lo, hi, trials, p))
     return table
 
 

@@ -203,17 +203,18 @@ class TestBinomialPmf:
     @example(trials=2396426, prob=0.011183996989124725, place=12087 / 12599)
     @settings(max_examples=300, deadline=None)
     def test_anchor_is_loaders_log_value(self, trials, prob, place):
-        """The scalar anchor against _log_dbinom(k, k, n, p) across the
-        window: within 8 u max(1, |log b|) where _log_dbinom's bd0 runs its
-        series (|v| < 1/10) on both rows, and within 8 u (|log b| +
-        max(k, n - k)) elsewhere, where its direct form loses about x u/2.
+        """The scalar anchor against Loader's vector form
+        (oracles.log_dbinom_direct(k, k, n, p)) across the window: within
+        8 u max(1, |log b|) where the vector form's bd0 runs its series
+        (|v| < 1/10) on both rows, and within 8 u (|log b| + max(k, n - k))
+        elsewhere, where its direct form loses up to x 2^-53.
         The largest gap found was 3.0e-12, at Binomial(2396426, 0.0112),
         k = 32834 (log b = -646.8; the example)."""
         lo, hi = dist_module._window(trials, prob)
         k = lo + round(place * (hi - lo))
         means = dist_module._means(trials, prob)
         scalar = dist_module._log_dbinom_at(k, trials, prob, means)
-        vector = float(dist_module._log_dbinom(k, k, trials, prob)[0])
+        vector = float(oracles.log_dbinom_direct(k, k, trials, prob)[0])
         mean, rest = means[0], means[1]
         in_series = all(abs(x - m) < (x + m) / 10 for x, m in ((k, mean), (trials - k, rest)))
         if k in (0, trials) or in_series:
@@ -256,12 +257,55 @@ class TestBinomialPmf:
         over 3,000 random tables from 10 to 10^7 trials."""
         assert abs(float(binomial_pmf(trials, prob).window.sum()) - 1.0) <= 4e-15
 
-    @pytest.mark.parametrize("trials", [1, 10, 2000, 10**5])
-    def test_half_is_the_direct_route_bit_for_bit(self, trials):
-        """p = 1/2 keeps Loader's form at every entry: the stationary laws
-        keep their bits."""
-        table = binomial_pmf(trials, 0.5)
-        assert table.probs.tobytes() == oracles.binomial_pmf_direct(trials, 0.5).tobytes()
+    @given(
+        trials=st.one_of(
+            st.integers(min_value=1, max_value=3000),
+            st.integers(min_value=1, max_value=10**9),
+        ),
+        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        lower_half=st.booleans(),
+    )
+    @example(trials=1, ends=(0.0, 1.0), lower_half=False)
+    @example(trials=10, ends=(0.0, 1.0), lower_half=False)
+    @example(trials=2000, ends=(0.0, 1.0), lower_half=False)
+    @example(trials=10**5, ends=(0.0, 1.0), lower_half=False)
+    @example(trials=10**5, ends=(0.0, 1.0), lower_half=True)
+    @example(trials=10**8, ends=(0.0, 1.0), lower_half=False)
+    @example(trials=10**9, ends=(0.0, 1.0), lower_half=False)
+    @example(trials=10**9, ends=(0.2, 0.7), lower_half=False)
+    @settings(max_examples=200, deadline=None)
+    def test_half_is_the_direct_route_bit_for_bit(self, trials, ends, lower_half):
+        """p = 1/2 reads one row of Loader's form at k and at n - k
+        (_log_dbinom_half), byte for byte the two-row form it replaced
+        (oracles.log_dbinom_direct), so the stationary laws keep their bits:
+        on any [lo, hi] in [0, n] up to 10^6 trials and in the Chernoff
+        window past that, and on its lower half (negdep's (0, n // 2))."""
+        lo, hi = (0, trials) if trials <= 10**6 else dist_module._window(trials, 0.5)
+        if lower_half:
+            hi = trials // 2
+        else:
+            lo, hi = sorted(lo + round(end * (hi - lo)) for end in ends)
+        ours = dist_module._log_dbinom_half(lo, hi, trials)
+        assert ours.tobytes() == oracles.log_dbinom_direct(lo, hi, trials, 0.5).tobytes()
+
+    @pytest.mark.parametrize(
+        "trials, k",
+        [(12_000, 4_093), (20_000, 7_470), (24_000, 9_289), (24_750, 9_580), (39_750, 16_259)],
+    )
+    def test_half_tails_against_forty_digits(self, trials, k):
+        """_log_dbinom_half's stated bound deep in the tails, where the
+        direct bd0 loses up to x 2^-53 on each row x = k, n - k: within
+        n 2^-53 + 1e-13 relative of 40 digits.  Each point is the largest
+        error found over every entry above 1e-290 at its size, 1.07e-12 to
+        2.22e-12 (at n = 24,750), past the 1e-12 the other tables keep."""
+        with mpmath.workdps(40):
+            exact = (
+                mpmath.loggamma(trials + 1) - mpmath.loggamma(k + 1)
+                - mpmath.loggamma(trials - k + 1) - trials * mpmath.log(2)
+            )
+            ours = mpmath.mpf(float(dist_module._log_dbinom_half(k, k, trials)[0]))
+            error = abs(float(mpmath.expm1(ours - exact)))
+        assert error <= trials * 2.0**-53 + 1e-13
 
     @given(
         trials=st.integers(min_value=1, max_value=10**9),

@@ -220,6 +220,14 @@ class TestBruteForceGuard:
 
 
 class TestHypergeometricWeights:
+    @pytest.mark.parametrize("count", [1, 2, 3, 10, 999, 1000, 24_000, 10**5])
+    def test_half_tables_are_the_direct_form_and_its_mirror(self, count):
+        """Each table is the two-row Loader form on 0..count // 2
+        (oracles.log_dbinom_direct) and that half mirrored, byte for byte."""
+        half = oracles.log_dbinom_direct(0, count // 2, count, 0.5)
+        expected = np.concatenate((half, half[: (count + 1) // 2][::-1]))
+        assert negdep._log_half_binomial(count).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "total, heavy, size",
         [(1000, 100, 1), (1000, 100, 50), (1000, 100, 500), (1000, 100, 999), (3000, 1500, 100)],
