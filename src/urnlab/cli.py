@@ -304,7 +304,7 @@ def cmd_simulate(args) -> str:
         params, init, args.t, args.samples, args.seed, sampler=args.sampler
     )
     config = _config(args)
-    totals = batch.outcomes.sum(axis=1)
+    totals = batch.outcomes[:, 0] + batch.outcomes[:, 1]
     if args.format == "csv":
         columns = ["index", "regular_left", "heavy_left", "total_left"]
         parts = [np.arange(batch.count), batch.outcomes, totals]

@@ -1,21 +1,22 @@
 """Monte Carlo cross-validation samplers.
 
 Two independent routes to the same laws: the coupled sampler draws the
-time-t state in O(1) from the per-ball survival construction (exact, no time
-discretisation), while the ctmc sampler runs the event-driven jump process
-(physical, O(events)).  Agreement between the two validates both.  Each is
-one block kernel that draws a whole chunk per numpy call; `sample_coupled`
-runs the coupled kernel on one draw.
+time-t state in O(1) from each ball's chance of ending on the far side of
+its start (exact, no time discretisation), while the ctmc sampler runs the
+event-driven jump process (physical, O(events)).  Agreement between the two
+validates both.  Each is one block kernel that draws a whole chunk per numpy
+call; `sample_coupled` runs the coupled kernel on one draw.
 
 Randomness contract: draw j of a batch lies in block b = j // BLOCK and
 reads its variates from Philox substreams keyed by (seed, b, kind): key
-[seed, 16 b + kind], counter starting at top word 1.  Kinds 0-5 are, for the
-regular then the heavy species, the coupled sampler's left survivors, right
-survivors and fair coins; kinds 6-9 are the ctmc sampler's event counts and
-its species, ball and coin uniforms.  Within a block each substream is read
-in draw order, so draw j depends only on (seed, j): a batch is a prefix of
-any longer batch with the same seed, on any machine with the same numpy, and
-its bytes do not depend on the chunk size the kernels work in.
+[seed, 16 b + kind], counter starting at top word 1.  Kinds 0-3 are, for the
+regular then the heavy species, the coupled sampler's flips among the balls
+that start left and among those that start right; kinds 4-5 are unused;
+kinds 6-9 are the ctmc sampler's event counts and its species, ball and coin
+uniforms.  Within a block each substream is read in draw order, so draw j
+depends only on (seed, j): a batch is a prefix of any longer batch with the
+same seed, on any machine with the same numpy, and its bytes do not depend
+on the chunk size the kernels work in.
 `draw_stream(seed, j)` keeps counter top word 0, so it never overlaps a
 batch substream and does not reproduce batch draw j.
 """
@@ -34,7 +35,7 @@ _SAMPLERS = ("coupled", "ctmc")
 CTMC_EVENT_LIMIT = 10**8
 BLOCK = 65_536
 _KINDS_PER_BLOCK = 16
-_COUPLED_KINDS = range(0, 6)
+_COUPLED_KINDS = range(0, 4)
 _CTMC_KINDS = range(6, 10)
 _CHUNK = 8_192  # draws (coupled) or events (ctmc) per numpy call
 
@@ -69,11 +70,11 @@ def _substreams(seed: int, block: int, kinds: range) -> tuple[np.random.Generato
 def _coupled_species(
     params: ModelParams, init: InitialState, t: float
 ) -> tuple[tuple[int, int, float], ...]:
-    """Per species (count, initially left, survival) at time t, regular first."""
+    """Per species (count, initially left, flip) at time t, regular first."""
     pair = survival(params, t)
     return (
-        (params.regular_count, init.regular_left, pair.regular_survival),
-        (params.heavy_count, init.heavy_left, pair.heavy_survival),
+        (params.regular_count, init.regular_left, pair.regular_flip),
+        (params.heavy_count, init.heavy_left, pair.heavy_flip),
     )
 
 
@@ -84,17 +85,20 @@ def _coupled_kernel(
 ) -> None:
     """Fill `outcomes` (draws x 2) with coupled draws, _CHUNK draws at a time.
 
-    Species s reads its left survivors, right survivors and coins from
-    streams[3s], streams[3s + 1] and streams[3s + 2], each in draw order.
+    A ball ends on the far side of its start with probability f = (1 -
+    e^{-rate t}) / 2, independently of every other ball, so a species'
+    left count is initially_left - Binomial(initially_left, f) +
+    Binomial(count - initially_left, f).  Species s reads the flips of its
+    left starters from streams[2s] and of its right starters from
+    streams[2s + 1], each in draw order with one (n, p) per stream.
     """
     for lo in range(0, len(outcomes), _CHUNK):
         size = min(_CHUNK, len(outcomes) - lo)
-        for column, (side_count, initially_left, keep_prob) in enumerate(species):
-            left_rng, right_rng, coin_rng = streams[3 * column : 3 * column + 3]
-            left = left_rng.binomial(initially_left, keep_prob, size)
-            right = right_rng.binomial(side_count - initially_left, keep_prob, size)
-            coins = coin_rng.binomial(side_count - left - right, 0.5)
-            outcomes[lo : lo + size, column] = left + coins
+        for column, (side_count, initially_left, flip) in enumerate(species):
+            from_left, from_right = streams[2 * column : 2 * column + 2]
+            left = initially_left - from_left.binomial(initially_left, flip, size)
+            left += from_right.binomial(side_count - initially_left, flip, size)
+            outcomes[lo : lo + size, column] = left
 
 
 def sample_coupled(
@@ -102,15 +106,16 @@ def sample_coupled(
 ) -> tuple[int, int]:
     """One exact draw of (regular_left, heavy_left) at time t.
 
-    Per species: balls that have not been redrawn (binomial survivors on each
-    side) stay put, the rest land on fair coins.  Aggregating the per-ball
-    indicators into binomials keeps the draw exact and O(1).  This is the
-    batch kernel on one draw with every kind read from `rng`, in the order
-    regular survivors left, right, coins, then the same for heavy.
+    Per species: each ball ends on the far side of its start with
+    probability (1 - e^{-rate t}) / 2, so the left count is the left
+    starters that stay plus the right starters that flip, two binomials
+    and O(1).  This is the batch kernel on one draw with every kind read
+    from `rng`, in the order regular flips from the left, from the right,
+    then the same for heavy.
     """
     init.validate(params)
     outcome = np.empty((1, 2), dtype=np.int64)
-    _coupled_kernel(_coupled_species(params, init, t), (rng,) * 6, outcome)
+    _coupled_kernel(_coupled_species(params, init, t), (rng,) * 4, outcome)
     return int(outcome[0, 0]), int(outcome[0, 1])
 
 
@@ -252,7 +257,7 @@ def empirical_pmf(batch: SampleBatch, projection: str = "total") -> Pmf:
     reduction is a deterministic ordered bincount.
     """
     if projection == "total":
-        values = batch.outcomes.sum(axis=1)
+        values = batch.outcomes[:, 0] + batch.outcomes[:, 1]
         support = batch.params.total_balls
     elif projection == "regular":
         values = batch.outcomes[:, 0]

@@ -478,12 +478,34 @@ def batch_substreams(seed: int, block: int, kinds) -> tuple:
 
 
 def coupled_draw(params, init, t: float, streams) -> tuple[int, int]:
-    """One survival-construction draw, one scalar binomial per variate.
+    """One flip-construction draw, one scalar binomial per variate.
 
-    Species s (regular, then heavy) reads its left survivors, right
-    survivors and fair coins from streams[3s], streams[3s + 1] and
-    streams[3s + 2].  Given one generator six times, this is the scalar
-    draw sample_coupled made before it ran the block kernel.
+    Species s (regular, then heavy) reads the flips of its left starters
+    from streams[2s] and of its right starters from streams[2s + 1]; a ball
+    flips with probability (1 - e^{-rate t}) / 2.  Given one generator four
+    times, this is the draw sample_coupled makes.
+    """
+    pair = dist.survival(params, t)
+    species = (
+        (params.regular_count, init.regular_left, pair.regular_flip),
+        (params.heavy_count, init.heavy_left, pair.heavy_flip),
+    )
+    counts = []
+    for column, (side_count, initially_left, flip) in enumerate(species):
+        from_left, from_right = streams[2 * column : 2 * column + 2]
+        stayed = initially_left - int(from_left.binomial(initially_left, flip))
+        counts.append(stayed + int(from_right.binomial(side_count - initially_left, flip)))
+    return counts[0], counts[1]
+
+
+def survival_draw(params, init, t: float, streams) -> tuple[int, int]:
+    """One survival-construction draw, the coupled sampler's former route,
+    kept as a law oracle.
+
+    Per species, balls not yet redrawn (survival e^{-rate t}) stay put and
+    the rest land on fair coins: species s (regular, then heavy) reads its
+    left survivors, right survivors and coins from streams[3s],
+    streams[3s + 1] and streams[3s + 2].
     """
     pair = dist.survival(params, t)
     species = (
@@ -527,13 +549,13 @@ def ctmc_ball_draw(params, init, t: float, streams) -> tuple[int, int, int]:
 def batch_scalar(params, init, t: float, count: int, seed: int, sampler: str):
     """(outcomes, event_counts) of sample_batch, element by element.
 
-    Draw j of block j // BATCH_BLOCK goes through coupled_draw (kinds 0-5)
+    Draw j of block j // BATCH_BLOCK goes through coupled_draw (kinds 0-3)
     or ctmc_ball_draw (kinds 6-9) on that block's substreams, which carry on
     from draw to draw.  event_counts is None for the coupled sampler.
     """
     outcomes = np.empty((count, 2), dtype=np.int64)
     events = np.empty(count, dtype=np.int64) if sampler == "ctmc" else None
-    kinds = range(0, 6) if sampler == "coupled" else range(6, 10)
+    kinds = range(0, 4) if sampler == "coupled" else range(6, 10)
     for index in range(count):
         block, offset = divmod(index, BATCH_BLOCK)
         if offset == 0:

@@ -33,7 +33,11 @@ best of 5 `import urnlab` times, each in a fresh interpreter, in the same
 rounds.
 End to end: the Tier-1 suite's wall time and criterion 8's call time (one
 pytest run, read from its JUnit report), and the last stdout line of
-`perfbench/run.py` for each workload at --seed and --seconds.
+`perfbench/run.py` for each workload at --seed and --seconds, ROUNDS runs
+per checkout in the same alternating rounds; the record keeps every run and
+the median of each end-to-end metric over the runs, since a workload run
+once per checkout, always in the same order, can read the machine's drift
+as a change.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = "urnlab-bench-mc/9"
+SCHEMA = "urnlab-bench-mc/10"
 REPEATS = 5
 MIN_SAMPLE_S = 0.02
 ROUNDS = 3
@@ -203,16 +207,21 @@ def _layer_round(checkout: Path, name: str) -> dict:
     }
 
 
+def _rounds(labels: list[str]):
+    """(round, label) for ROUNDS rounds, the first label of a round alternating."""
+    for i in range(ROUNDS):
+        for label in labels if i % 2 == 0 else labels[::-1]:
+            yield i, label
+
+
 def per_layer(checkouts: dict[str, Path]) -> dict[str, dict]:
     """Every case, ROUNDS rounds per checkout, the first checkout of a round
     alternating: {label: {case: {"rounds": [...], "median_best_s", "of"}}}."""
     records = {label: {} for label in checkouts}
-    labels = list(checkouts)
     for name in [*CASES, "import_urnlab"]:
-        rounds = {label: [] for label in labels}
-        for i in range(ROUNDS):
-            for label in labels if i % 2 == 0 else labels[::-1]:
-                rounds[label].append(_layer_round(checkouts[label], name))
+        rounds = {label: [] for label in checkouts}
+        for _, label in _rounds(list(checkouts)):
+            rounds[label].append(_layer_round(checkouts[label], name))
         for label, measured in rounds.items():
             records[label][name] = {
                 "rounds": measured, "of": REPEATS,
@@ -249,6 +258,26 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def end_to_end(checkouts: dict[str, Path], seed: int, seconds: float) -> dict[str, dict]:
+    """Every workload, ROUNDS runs per checkout in alternating rounds:
+    {label: {"perfbench_<workload>": {"runs": [...], "median": {metric: value}}}}."""
+    records = {label: {} for label in checkouts}
+    for workload in WORKLOADS:
+        runs = {label: [] for label in checkouts}
+        for i, label in _rounds(list(checkouts)):
+            print(f"{label}: perfbench {workload}, round {i + 1}", file=sys.stderr, flush=True)
+            runs[label].append(perfbench(checkouts[label], workload, seed, seconds))
+        for label, measured in runs.items():
+            records[label][f"perfbench_{workload}"] = {
+                "runs": measured,
+                "median": {
+                    metric: statistics.median(run["metrics"][metric]["value"] for run in measured)
+                    for metric in measured[0]["metrics"]
+                },
+            }
+    return records
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON record to write")
@@ -267,12 +296,8 @@ def main() -> int:
     for label, path in checkouts.items():
         print(f"{label}: Tier-1", file=sys.stderr, flush=True)
         results[label]["end_to_end"].update(tier1(path))
-    for workload in WORKLOADS:
-        for label, path in checkouts.items():
-            print(f"{label}: perfbench {workload}", file=sys.stderr, flush=True)
-            results[label]["end_to_end"][f"perfbench_{workload}"] = perfbench(
-                path, workload, args.seed, args.seconds
-            )
+    for label, record in end_to_end(checkouts, args.seed, args.seconds).items():
+        results[label]["end_to_end"].update(record)
     record = {
         "schema": SCHEMA,
         "python": platform.python_version(),
