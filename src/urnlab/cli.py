@@ -73,32 +73,88 @@ def _csv_text(config: dict, columns: list[str], rows) -> str:
 
 
 @functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    """A dataclass type's field names in declaration order, read once per type."""
-    return tuple(f.name for f in fields(cls))
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass type's field names in declaration order, read once per
+    type; None for a type that is not a dataclass."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
-def _json_safe(obj):
-    """obj ready for json.dumps: a dataclass becomes a dict of its fields in
-    declaration order, a list or tuple a list, and a non-finite float its repr
-    string ("inf", "-inf", "nan"), which JSON has no number for.  One walk
-    that reads each field once and copies no leaf."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(float(obj))
-    if is_dataclass(obj):
-        return {name: _json_safe(getattr(obj, name)) for name in _field_names(type(obj))}
-    if isinstance(obj, dict):
-        return {key: _json_safe(value) for key, value in obj.items()}
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    """json's spelling of a float; a non-finite one, which JSON has no number
+    for, becomes its repr string ("inf", "-inf", "nan")."""
+    text = float.__repr__(value)
+    return text if math.isfinite(value) else _quote(text)
+
+
+# json's text of each scalar type; a subclass (np.float64 is one of float)
+# takes its base's entry
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+@functools.cache
+def _object_template(cls: type, newline: str) -> str:
+    """A dataclass type's JSON object at the nesting `newline`, one %s per
+    field value, its quoted names in declaration order."""
+    inner = newline + "  "
+    members = (f"{_quote(name)}: %s" for name in _field_names(cls))
+    return f"{{{inner}{(',' + inner).join(members)}{newline}}}"
+
+
+def _json_values(values, newline: str) -> list[str]:
+    """Each value's JSON text at the nesting `newline`, scalars looked up."""
+    return [
+        text(value) if (text := _SCALAR_TEXT.get(type(value))) else _json_value(value, newline)
+        for value in values
+    ]
+
+
+def _json_value(obj, newline: str) -> str:
+    """obj as json.dumps(obj, indent=2, allow_nan=False) writes it at the
+    nesting whose line break and indent is `newline`.
+
+    A dataclass is written as the dict of its fields in declaration order and
+    a tuple as a list; scalars take _SCALAR_TEXT's spellings.  A non-str key
+    or any other leaf raises TypeError."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    inner = newline + "  "
+    names = _field_names(type(obj))
+    if names is not None:
+        parts = _json_values(map(obj.__getattribute__, names), inner)
+        return _object_template(type(obj), newline) % tuple(parts) if parts else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(value) for value in obj]
-    return obj
+        parts = _json_values(obj, inner)
+        return f"[{inner}{(',' + inner).join(parts)}{newline}]" if parts else "[]"
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        parts = map("{}: {}".format, map(_quote, obj), _json_values(obj.values(), inner))
+        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}" if obj else "{}"
+    for base in (str, int, float):
+        if isinstance(obj, base):
+            return _SCALAR_TEXT[base](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(schema: str, config: dict, body) -> str:
     """The one JSON writer: {"schema", "config", **body}, where body is a dict
-    or a report dataclass, whose fields become the keys in declaration order."""
-    document = {"schema": schema, "config": _json_safe(config), **_json_safe(body)}
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    or a report dataclass, whose fields become the keys in declaration order.
+    One walk (_json_value) writes the text json.dumps(indent=2) would."""
+    names = _field_names(type(body))
+    if names is not None:
+        body = {name: getattr(body, name) for name in names}
+    return _json_value({"schema": schema, "config": config, **body}, "\n") + "\n"
 
 
 def _table_text(args, schema: str, config: dict, columns: list[str], rows) -> str:

@@ -119,6 +119,18 @@ def sample_coupled(
     return int(outcome[0, 0]), int(outcome[0, 1])
 
 
+def _field_bits() -> int:
+    """Width of a packed ctmc word's low field: 2 position + coin, with an
+    event's position in its chunk at most _CHUNK (see _ctmc_kernel)."""
+    return (2 * _CHUNK + 1).bit_length()
+
+
+def _ctmc_ball_limit() -> int:
+    """The most balls n + m whose packed ctmc words fit in int64: 2^35 at
+    _CHUNK = 8192 (see _ctmc_kernel)."""
+    return 2**63 // (_CHUNK << _field_bits())
+
+
 def _ctmc_kernel(
     params: ModelParams,
     init: InitialState,
@@ -137,46 +149,67 @@ def _ctmc_kernel(
     ends on the side its last event's coin chose.  Event counts come _CHUNK
     draws at a time and events _CHUNK at a time; the last events of a draw
     cut by a chunk edge are carried into the next chunk, so temporaries stay
-    O(_CHUNK + N) however many events one draw makes.
+    O(_CHUNK + carried events) however many events one draw makes.
 
-    Each (draw, ball)'s last event in a chunk is one unstable argsort of the
-    keys draw (n + m) + ball and np.maximum.reduceat of the event positions
-    over the runs of equal sorted keys: O(E log E) for E events, in key
-    order, with no stable sort and no key wider than draw and ball.
+    Each (draw, ball)'s last event in a chunk comes from one sort of one
+    int64 word per event, key << B | (2 position + coin).  The key is
+    (draw - the chunk's first draw) (n + m) + ball, built by one np.repeat
+    over the chunk's own draws.  The position is 1 to _CHUNK within the
+    chunk, and 0 for a carried event, whose key no other carried event
+    shares.  So a key's last word in sorted order is its last event, and the
+    words where the key changes are the last events in key order, each coin
+    in the low bit; per (draw, species) sums of coin - started left then
+    update the outcomes.  The field takes B = bit_length(2 _CHUNK + 1) = 15
+    bits, and a key stays below _CHUNK (n + m), since a chunk's draws lie in
+    one count chunk: every word is below _CHUNK (n + m) 2^B, which fits in
+    int64 up to n + m = _ctmc_ball_limit() = 2^63 // (_CHUNK 2^B) = 2^35
+    balls.  sample_batch refuses more.
     """
     n, m = params.regular_count, params.heavy_count
+    balls = n + m
     heavy_rate_total = m * params.heavy_rate
     total_rate = n + heavy_rate_total
     heavy_share = heavy_rate_total / total_rate
+    bits = _field_bits()
     count_rng, species_rng, ball_rng, coin_rng = streams
-    empty = np.empty(0, dtype=np.int64)
+    carried = np.empty(0, dtype=np.int64)  # the open draw's last events, position 0
     outcomes[:] = (init.regular_left, init.heavy_left)
     for lo in range(0, len(outcomes), _CHUNK):
         counts = count_rng.poisson(total_rate * t, min(_CHUNK, len(outcomes) - lo))
         events[lo : lo + counts.size] = counts
         ends = np.cumsum(counts)
-        carried = (empty, empty, empty)
         for first in range(0, int(ends[-1]), _CHUNK):
             stop = min(first + _CHUNK, int(ends[-1]))
-            draw = np.searchsorted(ends, np.arange(first, stop), side="right")
-            heavy = species_rng.random(stop - first) < heavy_share
-            ball = (ball_rng.random(stop - first) * np.where(heavy, m, n)).astype(np.int64)
-            ball += heavy * n
-            coin = (coin_rng.random(stop - first) < 0.5).astype(np.int64)
-            draw, ball, coin = (np.concatenate(pair) for pair in zip(carried, (draw, ball, coin)))
-            keys = draw * (n + m) + ball
-            order = np.argsort(keys)
-            keys = keys[order]
-            runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            last = np.maximum.reduceat(order, runs)  # each (draw, ball)'s last event, by key
-            draw, ball, coin = draw[last], ball[last], coin[last]
-            open_draw = draw[-1]
-            cut = np.searchsorted(draw, open_draw) if ends[open_draw] > stop else draw.size
-            carried = (draw[cut:], ball[cut:], coin[cut:])
-            draw, ball, coin = draw[:cut], ball[:cut], coin[:cut]
+            size = stop - first
+            low, high = ends.searchsorted((first, stop - 1), side="right")
+            per_draw = counts[low : high + 1].copy()  # each draw's events in [first, stop)
+            per_draw[0] -= first - (ends[low] - counts[low])
+            per_draw[-1] -= ends[high] - stop
+            heavy = species_rng.random(size) < heavy_share
+            key = (ball_rng.random(size) * np.where(heavy, m, n)).astype(np.int64)
+            key += heavy * n  # the ball
+            key += np.repeat(np.arange(0, (high - low + 1) * balls, balls), per_draw)
+            field = np.arange(2, 2 * size + 2, 2) + (coin_rng.random(size) < 0.5)
+            words = np.concatenate((carried, key << bits | field))
+            words.sort()
+            keys = words >> bits
+            last = np.append(np.flatnonzero(keys[1:] != keys[:-1]), keys.size - 1)
+            keys, coins = keys[last], words[last] & 1
+            cut, carried = keys.size, keys[:0]
+            if ends[high] > stop:  # the open draw goes on in the next chunk
+                open_key = (high - low) * balls
+                cut = keys.searchsorted(open_key)
+                carried = (keys[cut:] - open_key) << bits | coins[cut:]
+            draw, ball = np.divmod(keys[:cut], balls)
             is_heavy = ball >= n
-            started_left = np.where(is_heavy, ball - n < init.heavy_left, ball < init.regular_left)
-            np.add.at(outcomes, (lo + draw, is_heavy.astype(np.intp)), coin - started_left)
+            started_left = ball < np.where(is_heavy, n + init.heavy_left, init.regular_left)
+            # each (draw, species) cell's sum of coin - started_left; the float
+            # weights add these small integers exactly
+            sums = np.bincount(
+                2 * draw + is_heavy, weights=coins[:cut] - started_left,
+                minlength=2 * (high - low + 1),
+            )
+            outcomes[lo + low : lo + high + 1] += sums.reshape(-1, 2).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -224,6 +257,11 @@ def sample_batch(
         if expected > CTMC_EVENT_LIMIT:
             raise CapacityError(
                 f"{expected:.3g} expected ctmc events exceed the {CTMC_EVENT_LIMIT} guard"
+            )
+        limit = _ctmc_ball_limit()
+        if params.total_balls > limit:
+            raise CapacityError(
+                f"{params.total_balls} balls exceed the ctmc sampler's {limit}-ball guard"
             )
     init.validate(params)
     species = _coupled_species(params, init, t)

@@ -8,7 +8,9 @@ the count-level event loop the ctmc kernel replaced, the full
 convolutions the observable's interval reduction and the half-line bound's
 bisection replaced, the bisection the binomial window's Newton estimate
 replaced, the per-entry binomial tables the ratio recurrence
-replaced, and the two-row Loader form the one-row p = 1/2 form
+replaced, the two-row Loader form the one-row p = 1/2 form
+replaced, the argsort-and-reduceat ctmc kernel the packed sort replaced,
+and the stdlib indent=2 encoder the CLI's one-walk JSON writer
 replaced), so agreement is evidence rather than the same code tested
 against itself.
 """
@@ -16,8 +18,10 @@ against itself.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from bisect import bisect_left
+from dataclasses import fields, is_dataclass
 
 import mpmath
 import numpy as np
@@ -25,7 +29,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import norm
 
-from urnlab import dist, negdep
+from urnlab import dist, mc, negdep
 from urnlab.model import InitialState
 
 ORACLE_STATE_LIMIT = 20_000
@@ -597,3 +601,69 @@ def ctmc_count_loop(params, init, t: float, rng) -> tuple[int, int, int]:
                 r_left -= 1
             if rng.random() < 0.5:
                 r_left += 1
+
+
+def ctmc_kernel_argsort(params, init, t: float, streams, outcomes, events) -> None:
+    """The ctmc block kernel before the packed sort, as a byte oracle: each
+    (draw, ball)'s last event in a chunk is one unstable argsort of the keys
+    draw (n + m) + ball and np.maximum.reduceat of the event positions over
+    the runs of equal sorted keys, and each event's draw one searchsorted
+    against all the count chunk's cumulative counts.  It reads mc._CHUNK at
+    call time, so a test that patches the chunk size patches it here too.
+    """
+    chunk = mc._CHUNK
+    n, m = params.regular_count, params.heavy_count
+    heavy_rate_total = m * params.heavy_rate
+    total_rate = n + heavy_rate_total
+    heavy_share = heavy_rate_total / total_rate
+    count_rng, species_rng, ball_rng, coin_rng = streams
+    empty = np.empty(0, dtype=np.int64)
+    outcomes[:] = (init.regular_left, init.heavy_left)
+    for lo in range(0, len(outcomes), chunk):
+        counts = count_rng.poisson(total_rate * t, min(chunk, len(outcomes) - lo))
+        events[lo : lo + counts.size] = counts
+        ends = np.cumsum(counts)
+        carried = (empty, empty, empty)
+        for first in range(0, int(ends[-1]), chunk):
+            stop = min(first + chunk, int(ends[-1]))
+            draw = np.searchsorted(ends, np.arange(first, stop), side="right")
+            heavy = species_rng.random(stop - first) < heavy_share
+            ball = (ball_rng.random(stop - first) * np.where(heavy, m, n)).astype(np.int64)
+            ball += heavy * n
+            coin = (coin_rng.random(stop - first) < 0.5).astype(np.int64)
+            draw, ball, coin = (np.concatenate(pair) for pair in zip(carried, (draw, ball, coin)))
+            keys = draw * (n + m) + ball
+            order = np.argsort(keys)
+            keys = keys[order]
+            runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            last = np.maximum.reduceat(order, runs)  # each (draw, ball)'s last event, by key
+            draw, ball, coin = draw[last], ball[last], coin[last]
+            open_draw = draw[-1]
+            cut = np.searchsorted(draw, open_draw) if ends[open_draw] > stop else draw.size
+            carried = (draw[cut:], ball[cut:], coin[cut:])
+            draw, ball, coin = draw[:cut], ball[:cut], coin[:cut]
+            is_heavy = ball >= n
+            started_left = np.where(is_heavy, ball - n < init.heavy_left, ball < init.regular_left)
+            np.add.at(outcomes, (lo + draw, is_heavy.astype(np.intp)), coin - started_left)
+
+
+def json_safe(obj):
+    """obj ready for json.dumps: a dataclass becomes a dict of its fields in
+    declaration order, a list or tuple a list, and a non-finite float its repr
+    string ("inf", "-inf", "nan"), which JSON has no number for."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if is_dataclass(obj):
+        return {f.name: json_safe(getattr(obj, f.name)) for f in fields(type(obj))}
+    if isinstance(obj, dict):
+        return {key: json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(value) for value in obj]
+    return obj
+
+
+def json_text_stdlib(schema: str, config: dict, body) -> str:
+    """The CLI's JSON document through the standard library, the writer's
+    byte oracle: json_safe, then json.dumps(indent=2, allow_nan=False)."""
+    document = {"schema": schema, "config": json_safe(config), **json_safe(body)}
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"

@@ -13,9 +13,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import urnlab
+from oracles import json_text_stdlib
 from urnlab import ModelParams, bounds, cli, dist
 
 
@@ -970,6 +973,94 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text() == stdout_text
+
+
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    size: object
+    value: object = None
+
+
+@dataclasses.dataclass
+class _Report:
+    rows: object
+    flag: object
+    nested: object
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     1.7976931348623157e308, 1e16, 0.1, -2.5e-300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+_STRINGS = st.one_of(
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f\n\t\r\b\f", "\u00e9\u2028",
+                     "\U0001f600", "\ud800", "a\"b\\c"]),
+    st.text(),
+)
+_SCALARS = st.one_of(
+    _FLOATS, _STRINGS, st.booleans(), st.none(),
+    st.integers(), st.sampled_from([0, -1, 2**63, 2**64, -(2**64), 10**40]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, children, max_size=4),
+        st.builds(_Row, children, children),
+        st.builds(_Report, children, children, children),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """cli._json_text against the stdlib route it replaced: the document
+    through oracles.json_safe, then json.dumps(indent=2, allow_nan=False)."""
+
+    @given(
+        config=st.dictionaries(_STRINGS, _VALUES, max_size=4),
+        body=st.one_of(
+            st.dictionaries(_STRINGS, _VALUES, max_size=4),
+            st.builds(_Report, _VALUES, _VALUES, _VALUES),
+        ),
+    )
+    @example(config={}, body={})
+    @example(config={"e": [], "f": (), "g": {}}, body=_Report([], (), {}))
+    @example(config={"rows": (_Row(1, -0.0), _Row(2, np.float64("nan")))},
+             body={"x": [[[]], {"": {"": ()}}], "schema": "shadowed"})
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stdlib_encoder(self, config, body):
+        assert cli._json_text("test/1", config, body) == json_text_stdlib("test/1", config, body)
+
+    def test_negdep_report_matches_stdlib_encoder(self):
+        report = urnlab.verify_negative_dependence(ModelParams(40, 4, 0.2), 1.0, 40, "never")
+        config = {"n_balls": 40, "max_size": 40, "brute": "never"}
+        text = cli._json_text("negdep-report/1", config, report)
+        assert text == json_text_stdlib("negdep-report/1", config, report)
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"k": {1: 2.0}}, {"k": {None: 1}}, {"k": [{(1, 2): 0}]}, _Row({2.5: "x"})],
+        ids=["int", "none", "tuple", "in-dataclass"],
+    )
+    def test_non_str_key_raises_type_error(self, body):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._json_text("test/1", {}, body)
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [object(), np.int64(3), np.bool_(True), np.array([1.0]), {1, 2}, b"x", 1j, _Row],
+        ids=["object", "int64", "bool_", "ndarray", "set", "bytes", "complex", "class"],
+    )
+    def test_non_serialisable_leaf_raises_type_error(self, leaf):
+        for document in ({"k": leaf}, {"k": [leaf]}, _Row(leaf)):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._json_text("test/1", {}, document)
+            with pytest.raises(TypeError):
+                json_text_stdlib("test/1", {}, document)
 
 
 class TestTopLevel:

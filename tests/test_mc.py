@@ -1,11 +1,20 @@
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import batch_scalar, coupled_draw, ctmc_count_loop, survival_draw
+from oracles import (
+    batch_scalar,
+    batch_substreams,
+    coupled_draw,
+    ctmc_count_loop,
+    ctmc_kernel_argsort,
+    survival_draw,
+)
 from urnlab.model import CapacityError, InitialState, ModelParams
 from urnlab import dist, mc
 from urnlab.mc import (
@@ -32,6 +41,32 @@ def _batch_cases(draw):
     t = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
     seed = draw(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1)))
     return params, init, t, draw(st.integers(1, 300)), seed
+
+
+@st.composite
+def _ctmc_cases(draw, chunk: int):
+    """N up to 40 with m = 0 and m = N among the picks, any start, t in {0,
+    1e-3} or up to 30, counts up to 300 and any seed; expected events are
+    capped at 200 event chunks of `chunk`, so a small chunk stays fast."""
+    total = draw(st.integers(2, 40))
+    heavy = draw(st.one_of(st.sampled_from([0, total]), st.integers(0, total)))
+    params = ModelParams(total, heavy, draw(st.floats(0.05, 1.0)))
+    init = InitialState(
+        draw(st.integers(0, params.regular_count)), draw(st.integers(0, params.heavy_count))
+    )
+    t = draw(st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(0.0, 30.0)))
+    rate = (params.regular_count + params.heavy_count * params.heavy_rate) * t
+    most = 300 if rate * 300 <= 200 * chunk else max(1, int(200 * chunk / rate))
+    seed = draw(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1)))
+    return params, init, t, draw(st.integers(1, most)), seed
+
+
+def _run_ctmc(kernel, params, init, t, count, seed):
+    """(outcomes, events) of one kernel on block 0's ctmc substreams."""
+    outcomes = np.zeros((count, 2), dtype=np.int64)
+    events = np.zeros(count, dtype=np.int64)
+    kernel(params, init, t, batch_substreams(seed, 0, range(6, 10)), outcomes, events)
+    return outcomes, events
 
 
 class TestDrawStream:
@@ -236,9 +271,10 @@ class TestBlockContract:
         ids=["overwritten", "sparse"],
     )
     def test_last_event_reduction_at_its_extremes(self, monkeypatch, params, init, t, count):
-        """Each (draw, ball)'s last event comes from one argsort and a
-        maximum over runs of equal keys: equal to the scalar reads whether
-        nearly every key repeats or almost none does, at either chunk size."""
+        """Each (draw, ball)'s last event comes from one sort of packed
+        (key, position, coin) words and the words where the key changes:
+        equal to the scalar reads whether nearly every key repeats or almost
+        none does, at either chunk size."""
         outcomes, events = batch_scalar(params, init, t, count, 11, "ctmc")
         if t == 50.0:
             assert events.mean() > 40 * params.total_balls
@@ -249,6 +285,64 @@ class TestBlockContract:
             batch = sample_batch(params, init, t, count, 11, sampler="ctmc")
             assert np.array_equal(batch.outcomes, outcomes), chunk
             assert np.array_equal(batch.event_counts, events), chunk
+
+    @pytest.mark.parametrize("chunk", [mc._CHUNK, 8, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ctmc_kernel_matches_argsort_oracle(self, chunk, data):
+        """The packed-sort kernel gives the argsort kernel's bytes, outcomes
+        and event counts, at the default chunk and at chunks of 8 and 3."""
+        params, init, t, count, seed = data.draw(_ctmc_cases(chunk))
+        with mock.patch.object(mc, "_CHUNK", chunk):
+            outcomes, events = _run_ctmc(mc._ctmc_kernel, params, init, t, count, seed)
+            expected = _run_ctmc(ctmc_kernel_argsort, params, init, t, count, seed)
+        assert np.array_equal(outcomes, expected[0])
+        assert np.array_equal(events, expected[1])
+
+    def test_draw_ending_on_a_chunk_edge_carries_nothing(self):
+        """Draws 33,526 and 42,097 of this block start exactly on an event
+        chunk edge of their count chunk, where the chunk before ends on a
+        draw's last event: no word may carry across such an edge."""
+        case = (self.PARAMS, self.START, 0.8, mc.BLOCK, 3)
+        outcomes, events = _run_ctmc(mc._ctmc_kernel, *case)
+        expected = _run_ctmc(ctmc_kernel_argsort, *case)
+        assert np.array_equal(outcomes, expected[0])
+        assert np.array_equal(events, expected[1])
+        for draw, edge in ((33_526, 2), (42_097, 3)):
+            assert events[draw - draw % mc._CHUNK : draw].sum() == edge * mc._CHUNK
+
+    def test_packed_word_bound(self):
+        """A word is key << B | (2 position + coin) with key < _CHUNK (n + m)
+        and B = 15 at _CHUNK = 8192, so n + m up to 2^35 fits int64; one ball
+        more is refused before anything is allocated."""
+        assert mc._field_bits() == 15
+        assert mc._ctmc_ball_limit() == 2**35
+        limit = mc._ctmc_ball_limit()
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match=f"{limit}-ball guard"):
+            sample_batch(ModelParams(limit + 1, 0, 1.0), CORNER, 1.0 / limit, 10, 0, "ctmc")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sample_batch(ModelParams(limit, 0, 1.0), CORNER, 0.0, 1, 0, "ctmc").count == 1
+
+    def test_packed_words_at_the_ball_limit(self):
+        """At _CHUNK = 3 the field is 3 bits and the limit 2^63 // 24 balls;
+        there the largest words reach 2^63 - 24 and still give the argsort
+        kernel's bytes."""
+        with mock.patch.object(mc, "_CHUNK", 3):
+            limit = mc._ctmc_ball_limit()
+            assert limit == 2**63 // 24
+            for params in (ModelParams(limit, 0, 1.0), ModelParams(limit, limit // 2, 0.5)):
+                rate = params.regular_count + params.heavy_count * params.heavy_rate
+                case = (params, InitialState(params.regular_count // 3, 0), 2.0 / rate, 30, 7)
+                outcomes, events = _run_ctmc(mc._ctmc_kernel, *case)
+                expected = _run_ctmc(ctmc_kernel_argsort, *case)
+                assert events.sum() > 30
+                assert np.array_equal(outcomes, expected[0])
+                assert np.array_equal(events, expected[1])
+            with pytest.raises(CapacityError):
+                sample_batch(ModelParams(limit + 1, 0, 1.0), CORNER, 0.0, 1, 0, "ctmc")
 
     def test_sample_coupled_keeps_its_bytes(self):
         """The single-draw kernel reads its flips from one stream in a fixed

@@ -17,7 +17,8 @@ keeps every round and the median over rounds of the per-round bests, since
 one round per side cannot tell a 2x change from a shared machine's drift.
 
 Per layer: the first call, then the best of 5 samples, of `mc.sample_batch`,
-`dist.binomial_pmf`, `negdep.verify_negative_dependence`, one evaluation of a
+`dist.binomial_pmf`, `negdep.verify_negative_dependence`, `cli._json_text` on a
+prebuilt negdep report, one evaluation of a
 `dist.distance_curve` (the observable from the perfbench size N = 10^4, the
 chain from N = 10^5, both up to N = 10^7; the curve is built before the
 timed calls), `dist.coordinate_law` from a corner and from an interior
@@ -74,6 +75,8 @@ CASES = {
     "coupled_N500_t3_1M": ("sample_batch", ("coupled", (500, 50, 0.3), 3.0, 1_000_000)),
     "ctmc_N500_t3_200": ("sample_batch", ("ctmc", (500, 50, 0.3), 3.0, 200)),
     "ctmc_N6_t0.8_200k": ("sample_batch", ("ctmc", (6, 2, 0.5), 0.8, 200_000)),
+    # 0.475 events a draw: one event chunk spans thousands of draws
+    "ctmc_N50_t0.01_20k": ("sample_batch", ("ctmc", (50, 5, 0.5), 0.01, 20_000)),
     "binomial_N272_p0.33": ("binomial_pmf", (272, 0.33)),
     "binomial_N1000_p0.115": ("binomial_pmf", (1000, 0.115)),
     "binomial_N9000_p0.36": ("binomial_pmf", (9000, 0.36)),
@@ -81,6 +84,7 @@ CASES = {
     "binomial_N1e5_p0.5": ("binomial_pmf", (100_000, 0.5)),
     "binomial_N1e6_p0.31": ("binomial_pmf", (1_000_000, 0.31)),
     "negdep_N1000_m100_t1_1000rows": ("verify_negative_dependence", ((1000, 100, 0.2), 1.0, 1000)),
+    "negdep_json_N1e3": ("json_text", ((1000, 100, 0.2), 1.0, 1000)),
     "observable_curve_N1e4_t5": ("distance_curve", ("observable", (10_000, 1000, 0.2), 5.0)),
     "observable_curve_N1e5_t20": ("distance_curve", ("observable", (100_000, 10_000, 0.2), 20.0)),
     "observable_curve_N1e6_t20": ("distance_curve", ("observable", (1_000_000, 100_000, 0.2), 20.0)),
@@ -102,6 +106,7 @@ ARGUMENT_NAMES = {
     "sample_batch": ("sampler", "params", "t", "draws"),
     "binomial_pmf": ("trials", "success_prob"),
     "verify_negative_dependence": ("params", "t", "max_size"),
+    "json_text": ("params", "t", "max_size"),
     "distance_curve": ("target", "params", "t"),
     "coordinate_law": ("count", "ones_initial", "rate", "t"),
     "convolve": ("binomial_a", "binomial_b"),
@@ -115,7 +120,7 @@ ARGUMENT_NAMES = {
 # call of sample i of a sample_batch case uses seed i.
 _LAYER_SCRIPT = """
 import json, math, resource, sys, time
-from urnlab import InitialState, ModelParams, bounds, dist, mc, negdep
+from urnlab import InitialState, ModelParams, bounds, cli, dist, mc, negdep
 
 def curve_evaluation(target, params, t):
     try:
@@ -128,6 +133,12 @@ def convolution(a, b):
     x, y = dist.binomial_pmf(*a), dist.binomial_pmf(*b)
     return lambda seed: dist.convolve(x, y)
 
+def negdep_json(params, t, max_size):
+    report = negdep.verify_negative_dependence(ModelParams(*params), t, max_size)
+    config = {"subcommand": "negdep", "n_balls": params[0], "heavy": params[1],
+              "alpha": params[2], "t": t, "max_size": max_size, "brute": "auto"}
+    return lambda seed: cli._json_text("negdep-report/1", config, report)
+
 prepare = {
     "sample_batch": lambda sampler, params, t, draws: lambda seed: mc.sample_batch(
         ModelParams(*params), InitialState(0, 0), t, draws, seed, sampler=sampler),
@@ -138,6 +149,7 @@ prepare = {
     "coordinate_law": lambda count, ones, rate, t: lambda seed:
         dist.coordinate_law(count, ones, rate, t),
     "convolve": convolution,
+    "json_text": negdep_json,
     "kolmogorov_lower_bound": lambda params, t: lambda seed:
         bounds.kolmogorov_lower_bound(ModelParams(*params), t),
 }
