@@ -264,7 +264,7 @@ def sample_batch(
                 f"{params.total_balls} balls exceed the ctmc sampler's {limit}-ball guard"
             )
     init.validate(params)
-    species = _coupled_species(params, init, t)
+    species = _coupled_species(params, init, t) if sampler == "coupled" else None
     outcomes = np.empty((count, 2), dtype=np.int64)
     events = np.empty(count, dtype=np.int64) if sampler == "ctmc" else None
     for block, lo in enumerate(range(0, count, BLOCK)):

@@ -114,8 +114,8 @@ class TestJointMoment:
 
 @st.composite
 def _negdep_cases(draw):
-    """N up to 400 (rows of up to 201 terms, several blocks), m and max_size
-    drawn with their extremes 0, N and 1, N weighted in."""
+    """N up to 400, m and max_size drawn with their extremes 0, N and 1, N
+    weighted in."""
     total = draw(st.integers(2, 400))
     heavy = draw(st.one_of(st.sampled_from([0, total]), st.integers(0, total)))
     max_size = draw(st.one_of(st.sampled_from([1, total]), st.integers(1, total)))
@@ -124,63 +124,138 @@ def _negdep_cases(draw):
     return ModelParams(total, heavy, alpha), t, max_size
 
 
-class TestBlockedRows:
-    """verify_negative_dependence computes every row in blocks of terms;
-    each row must equal the per-size loop it replaced bit for bit."""
+def _assert_close(value, expected, what, rel=1e-12):
+    """Within rel of expected where it is above 1e-300; below, where relative
+    error means nothing (subnormal rounding), within 1e-300 absolute."""
+    expected = float(expected)
+    if expected > 1e-300:
+        assert abs(value - expected) <= rel * expected, (what, value, expected)
+    else:
+        assert abs(value - expected) <= 1e-300, (what, value, expected)
+
+
+def _turn(params, t):
+    """floor(s*), s* = (m x + n y) / (x + y), from the survival floats."""
+    x, y = math.exp(-params.heavy_rate * t), math.exp(-t)
+    return int((params.heavy_count * x + params.regular_count * y) / (x + y))
+
+
+# (N, m, alpha, t): N from 10^3 to 10^5; at t = 1 the rows of N = 10^5 past
+# about 800 underflow, so two small-t instances keep its downward run in play
+FORTY_DIGIT_CASES = [
+    (1000, 100, 0.2, 1.0),
+    (3000, 300, 0.5, 0.3),
+    (10**4, 1000, 0.2, 0.01),
+    (10**4, 9000, 0.7, 3.0),
+    (10**5, 10**4, 0.2, 1.0),
+    (10**5, 10**4, 0.2, 0.01),
+    (10**5, 9 * 10**4, 0.9, 0.002),
+]
+
+
+class TestRecurrenceRows:
+    """verify_negative_dependence computes every row by the three-term
+    recurrence, up from J_0 below the turn s* and down from J_N above it."""
 
     @given(case=_negdep_cases())
     @settings(max_examples=60, deadline=None)
-    def test_rows_equal_the_per_size_loop(self, case):
+    def test_rows_equal_joint_moment_bit_for_bit(self, case):
         params, t, max_size = case
         report = verify_negative_dependence(params, t, max_size, "never")
         assert [row.size for row in report.rows] == list(range(1, max_size + 1))
         for row in report.rows:
-            assert row.joint == oracles.joint_moment_loop(params, t, row.size), row.size
+            assert row.joint == joint_moment(params, t, row.size), row.size
 
-    @pytest.mark.parametrize("total, heavy", [(400, 200), (300, 0), (300, 300), (1000, 100)])
-    def test_rows_spanning_several_blocks(self, total, heavy):
-        params = ModelParams(total, heavy, 0.3)
-        blocks = list(negdep._weight_blocks(params, range(1, total + 1)))
-        lengths = np.concatenate([block[0] for block in blocks])
-        assert lengths.tolist() == [
-            min(size, heavy) - max(0, size - (total - heavy)) + 1 for size in range(1, total + 1)
-        ]
-        if lengths.sum() > negdep._BLOCK_TERMS:
-            assert len(blocks) > 1
-        for block in blocks:
-            assert block[0].sum() <= negdep._BLOCK_TERMS
-        report = verify_negative_dependence(params, 0.7, total, "never")
+    @given(case=_negdep_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_hypergeometric_loop(self, case):
+        """The per-size sums of math.exp terms the recurrence replaced stay the
+        slower reference: every row within 1e-12 relative."""
+        params, t, max_size = case
+        report = verify_negative_dependence(params, t, max_size, "never")
         for row in report.rows:
-            assert row.joint == oracles.joint_moment_loop(params, 0.7, row.size), row.size
+            _assert_close(row.joint, oracles.joint_moment_loop(params, t, row.size), row.size)
 
-    def test_rows_longer_than_a_block(self, monkeypatch):
-        """A row past _BLOCK_TERMS is a block of its own; shorter neighbours
-        still share blocks, and no value moves."""
-        params = ModelParams(60, 25, 0.4)
-        monkeypatch.setattr(negdep, "_BLOCK_TERMS", 7)
-        blocks = [block[0].tolist() for block in negdep._weight_blocks(params, range(1, 61))]
-        assert blocks[:3] == [[2, 3], [4], [5]]
-        assert all(len(block) == 1 for block in blocks if sum(block) > 7)
-        assert all(sum(block) <= 7 for block in blocks if len(block) > 1)
-        report = verify_negative_dependence(params, 1.1, 60, "never")
-        for row in report.rows:
-            assert row.joint == oracles.joint_moment_loop(params, 1.1, row.size), row.size
+    @given(
+        total=st.integers(2, 400),
+        heavy_frac=st.floats(0.0, 1.0),
+        alpha=st.floats(1e-3, 1.0),
+        t=st.one_of(st.just(0.0), st.floats(0.0, 700.0)),
+        max_size=st.integers(1, 400),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_row_one_is_mean_z(self, total, heavy_frac, alpha, t, max_size):
+        """J_1 = (m x + n y) / N is mean_z's own arithmetic, so row 1's slack
+        is exactly 0 (it read -2.1e-14 at (1000, 100, 0.2), t = 1, through the
+        hypergeometric sums)."""
+        params = ModelParams(total, round(heavy_frac * total), alpha)
+        report = verify_negative_dependence(params, t, min(max_size, total), "never")
+        assert report.rows[0].joint == mean_z(params, t)
+        assert report.rows[0].slack == 0.0
+        assert joint_moment(params, t, 1) == mean_z(params, t)
+
+    def test_row_one_of_the_crosscheck_instance(self):
+        report = verify_negative_dependence(ModelParams(1000, 100, 0.2), 1.0, 1000)
+        assert report.rows[0].joint == mean_z(ModelParams(1000, 100, 0.2), 1.0)
+        assert report.rows[0].slack == 0.0
+        assert report.min_slack == 0.0
+
+    @pytest.mark.parametrize("total, heavy, alpha, t", FORTY_DIGIT_CASES)
+    def test_rows_match_forty_digits(self, total, heavy, alpha, t):
+        """Every row above 1e-300 within 1e-12 relative of the 40-digit sum,
+        at sizes 1, 3, 50, 300, floor(s*) - 1 .. floor(s*) + 2, N / 2, N - 1
+        and N; x and y are the survival floats, taken exactly (1.4e-14 was
+        the worst measured)."""
+        params = ModelParams(total, heavy, alpha)
+        rows = verify_negative_dependence(params, t, total, "never").rows
+        turn = _turn(params, t)
+        sizes = {1, 3, 50, 300, *range(turn - 1, turn + 3), total // 2, total - 1, total}
+        for size in sorted(sizes):
+            _assert_close(rows[size - 1].joint, oracles.joint_moment_mp(params, t, size), size)
+
+    @pytest.mark.parametrize(
+        "total, heavy, alpha, t",
+        [(10**5, 10**4, 0.2, 0.01), (10**5, 5 * 10**4, 0.5, 0.001), (10**5, 9 * 10**4, 0.9, 0.002)],
+    )
+    def test_long_runs_stay_within_1e13(self, total, heavy, alpha, t):
+        """Both runs walk about 5 x 10^4 steps here; their roundings vary from
+        step to step, so the error stays near 1e-14 (1.3e-14 measured).  A
+        product such as x y rounded once and used at every step biases every
+        step alike: with x y taken once in both runs, the worst sampled row
+        of each instance read 2e-13 to 5e-13."""
+        params = ModelParams(total, heavy, alpha)
+        turn = _turn(params, t)
+        moments = negdep._joint_moments(params, t, range(1, total + 1))
+        # turn and turn + 1 end the upward and the downward walk
+        for size in (turn // 2, turn, turn + 1, turn + 2000, total - 1):
+            _assert_close(moments[size - 1], oracles.joint_moment_mp(params, t, size), size, 1e-13)
+
+    def test_all_rows_of_a_large_instance_at_once(self):
+        """Every row of N = 10^5 is O(N) steps: about 0.25 s with the report's
+        rows built (the hypergeometric sums took minutes)."""
+        params = ModelParams(10**5, 10**4, 0.2)
+        started = time.perf_counter()
+        report = verify_negative_dependence(params, 1.0, 10**5)
+        assert time.perf_counter() - started < 2.0
+        assert len(report.rows) == 10**5
+        assert report.passed and report.min_slack == 0.0
 
     @pytest.mark.parametrize("total, heavy", [(9, 0), (9, 9), (9, 4), (1000, 100), (3000, 1500)])
     def test_one_row_calls(self, total, heavy):
-        """joint_moment and the weights that mgf_compare and exact_chi_square
-        read are the one-row calls of the blocks: same bits as the loop."""
+        """The weights that mgf_compare and exact_chi_square read are the
+        per-size route's bits; joint_moment is within 1e-12 of its loop."""
         params = ModelParams(total, heavy, 0.5)
         for size in sorted({1, heavy or 1, total // 2, total}):
             support, log_weights = _hypergeometric_log_weights(params, size)
             ref_support, ref_weights = oracles.hypergeometric_log_weights_row(params, size)
             assert np.array_equal(support, ref_support)
             assert np.array_equal(log_weights, ref_weights)
-            assert joint_moment(params, 0.8, size) == oracles.joint_moment_loop(params, 0.8, size)
+            _assert_close(joint_moment(params, 0.8, size),
+                          oracles.joint_moment_loop(params, 0.8, size), size)
 
     def test_peak_memory_of_a_thousand_rows(self):
         params = ModelParams(1000, 100, 0.2)
-        verify_negative_dependence(params, 1.0, 1000)  # builds the cached tables
+        verify_negative_dependence(params, 1.0, 1000)  # a first call, outside the trace
         tracemalloc.start()
         try:
             verify_negative_dependence(params, 1.0, 1000)
@@ -188,6 +263,79 @@ class TestBlockedRows:
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000
+
+
+class TestRecurrenceEdges:
+    """Instances where the recurrence needs its explicit cases, each against
+    the hypergeometric loop: exactly 0 where the loop reads 0, else as
+    _assert_close."""
+
+    @staticmethod
+    def _check(params, t):
+        report = verify_negative_dependence(params, t, params.total_balls, "never")
+        for row in report.rows:
+            expected = oracles.joint_moment_loop(params, t, row.size)
+            if expected == 0.0:
+                assert row.joint == 0.0, row.size
+            else:
+                _assert_close(row.joint, expected, row.size)
+        return [row.joint for row in report.rows]
+
+    @pytest.mark.parametrize("total, heavy", [(50, 10), (301, 0), (301, 301), (400, 399)])
+    def test_time_zero_rows_are_one(self, total, heavy):
+        assert self._check(ModelParams(total, heavy, 0.3), 0.0) == [1.0] * total
+
+    @pytest.mark.parametrize("t", [0.05, 1.0, 7.0])
+    def test_single_rate_is_a_power(self, t):
+        """alpha = 1 makes J_s = x^s: the turn is N / 2."""
+        rows = self._check(ModelParams(300, 120, 1.0), t)
+        x = math.exp(-t)
+        with mpmath.workdps(40):
+            for size, joint in enumerate(rows, start=1):
+                _assert_close(joint, mpmath.mpf(x) ** size, size)
+
+    @pytest.mark.parametrize("heavy", [0, 200])
+    @pytest.mark.parametrize("t", [0.01, 1.0, 5.0])
+    def test_one_species(self, heavy, t):
+        """m = 0 and m = N: J_N's neighbour is x^m y^n (m / x + n / y) / N,
+        which needs neither x^(m - 1) nor y^(n - 1); the absent survival is
+        read but cancels."""
+        params = ModelParams(200, heavy, 0.4)
+        rows = self._check(params, t)
+        base = math.exp(-0.4 * t) if heavy else math.exp(-t)
+        with mpmath.workdps(40):
+            for size, joint in enumerate(rows, start=1):
+                _assert_close(joint, mpmath.mpf(base) ** size, size)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.078])
+    def test_regular_survival_underflows(self, alpha):
+        """y = e^-800 is 0: J_{s+1} = J_s x (m - s) / (N - s) up to m and 0
+        past it, with the turn at m exactly; at alpha = 0.078 the rounded
+        s* = 10 x / x reads 9.999999999999998."""
+        params = ModelParams(50, 10, alpha)
+        assert math.exp(-800.0) == 0.0
+        rows = self._check(params, 800.0)
+        assert all(joint > 0.0 for joint in rows[:10])
+        assert rows[10:] == [0.0] * 40
+        for size in range(1, 11):
+            _assert_close(rows[size - 1], oracles.joint_moment_mp(params, 800.0, size), size)
+
+    def test_survival_product_underflows(self):
+        """x = y = e^-400 are normal but x y is not: J_1 = x, every later row
+        underflows to 0, and the downward run divides by x and y in turn."""
+        params = ModelParams(50, 10, 1.0)
+        x = math.exp(-400.0)
+        assert x > 0.0 and x * x == 0.0
+        assert self._check(params, 400.0) == [x] + [0.0] * 49
+
+    def test_subnormal_regular_survival(self):
+        """y = e^-720 is subnormal, x about 0.49: rows up to m are normal, the
+        rows past it underflow, and nothing overflows along the way."""
+        params = ModelParams(50, 40, 0.001)
+        rows = self._check(params, 720.0)
+        for size in (1, 20, 39, 40):
+            _assert_close(rows[size - 1], oracles.joint_moment_mp(params, 720.0, size), size)
+        assert all(joint <= 1e-300 for joint in rows[40:])
 
 
 class TestBruteForceGuard:

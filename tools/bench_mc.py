@@ -84,6 +84,10 @@ CASES = {
     "binomial_N1e5_p0.5": ("binomial_pmf", (100_000, 0.5)),
     "binomial_N1e6_p0.31": ("binomial_pmf", (1_000_000, 0.31)),
     "negdep_N1000_m100_t1_1000rows": ("verify_negative_dependence", ((1000, 100, 0.2), 1.0, 1000)),
+    # every row of N = 10^4: the O(N) walk beside the 1,000-row case
+    "negdep_N1e4_m1e3_t1_allrows": (
+        "verify_negative_dependence", ((10_000, 1000, 0.2), 1.0, 10_000)
+    ),
     "negdep_json_N1e3": ("json_text", ((1000, 100, 0.2), 1.0, 1000)),
     "observable_curve_N1e4_t5": ("distance_curve", ("observable", (10_000, 1000, 0.2), 5.0)),
     "observable_curve_N1e5_t20": ("distance_curve", ("observable", (100_000, 10_000, 0.2), 20.0)),
