@@ -275,10 +275,10 @@ def cmd_bounds(args) -> str:
         # check on that side needs a dominating strategy.  lb_kolm is the exact
         # distance from the all-right start, which such a strategy covers, so
         # that side cross-checks two reductions of the same tables: the CDF
-        # gap at the likelihood-ratio crossing, found by one bisection, against
+        # gap at the likelihood-ratio crossing, found by one search, against
         # the mass of the interval {p > pi} less half the mass drift, found by
-        # one bisection where it runs past an end of pi's search window, or by
-        # bisection on each side of the ratio's peak (a Fibonacci search).
+        # a search of its own where it runs past an end of pi's search window,
+        # or by bisection on each side of the ratio's peak (a Fibonacci search).
         lower_applies = isinstance(strategy, str) or strategy == InitialState(0, 0)
         for i, (t, exact) in enumerate(zip(grid, table["exact"])):
             lower = max(cheb[i], table["lb_kolm"][i])
@@ -425,17 +425,7 @@ def _add_output_flags(parser, formats=("csv", "json")) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="urnlab",
-        description="Numerical laboratory for the two-species Ehrenfest urn.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
-
-    p = sub.add_parser("curve", help="exact distance-to-stationarity curves")
+def _fill_curve(p) -> None:
     _add_model_flags(p)
     p.add_argument("--initial", default="corners", help="'corners', 'scan' or 'r,h'")
     _add_grid_flags(p)
@@ -445,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_curve)
 
-    p = sub.add_parser("bounds", help="certified bound table, optional exact column")
+
+def _fill_bounds(p) -> None:
     _add_model_flags(p)
     p.add_argument("--initial", default="corners", help="'corners', 'scan' or 'r,h'")
     _add_grid_flags(p)
@@ -457,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_bounds)
 
-    p = sub.add_parser("classify", help="cutoff-regime report for a family")
+
+def _fill_classify(p) -> None:
     p.add_argument("--m-rule", required=True, help="'fixed:c', 'power:b' or 'sqrtexp:c,l'")
     p.add_argument("--alpha-rule", required=True, help="'const:a' or 'invlog:a'")
     p.add_argument("--sizes", required=True, help="comma-separated ball counts")
@@ -474,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, formats=())
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("negdep", help="negative-dependence certificate table")
+
+def _fill_negdep(p) -> None:
     _add_model_flags(p)
     p.add_argument(
         "--t-start", dest="t", metavar="T_START", type=float, required=True,
@@ -487,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, formats=())
     p.set_defaults(handler=cmd_negdep)
 
-    p = sub.add_parser("simulate", help="Monte Carlo draws or summary")
+
+def _fill_simulate(p) -> None:
     _add_model_flags(p)
     p.add_argument("--initial", default="0,0", help="start state 'r,h'")
     p.add_argument(
@@ -500,12 +494,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_simulate)
 
+
+# name: (help line, the function that adds its arguments)
+_SUBCOMMANDS = {
+    "curve": ("exact distance-to-stationarity curves", _fill_curve),
+    "bounds": ("certified bound table, optional exact column", _fill_bounds),
+    "classify": ("cutoff-regime report for a family", _fill_classify),
+    "negdep": ("negative-dependence certificate table", _fill_negdep),
+    "simulate": ("Monte Carlo draws or summary", _fill_simulate),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """A fresh parser with every subcommand's name and help line, and the
+    arguments of the one argv names (its first token not starting with
+    "-": the top level takes no values), or of all five where it names none
+    (--help, usage errors), so help and error text are the full parser's."""
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _Parser(
+        prog="urnlab",
+        description="Numerical laboratory for the two-species Ehrenfest urn.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
+    for name, (help_line, fill) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if named == name or named not in _SUBCOMMANDS:
+            fill(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         text = args.handler(args)
     except CapacityError as exc:

@@ -293,6 +293,43 @@ def _first(lo: int, hi: int, predicate) -> int:
     return lo + bisect_left(range(lo, hi), True, key=predicate)
 
 
+def _first_from(lo: int, hi: int, guess: int | None, predicate, spare: int = 0) -> int:
+    """_first(lo, hi, predicate) searched from a guess: probes gallop out
+    from it by 1, 2, 4, ... until predicate changes, then _first bisects the
+    last gap (Bentley & Yao, "An almost optimal algorithm for unbounded
+    searching", 1976), about 2 log2 d + 1 reads for a guess d off.
+
+    Capped at (hi - lo).bit_length() + spare reads, the plain bisection's
+    bound plus spare: a bisection within k reads settles at most 2^k - 1
+    indices, so a probe is pulled in until neither side it leaves holds more
+    than the reads after it can settle, and a pulled-in probe aims at the
+    same point again.  Any search that brackets the one change point
+    returns it, so the index is _first's.  guess None is the plain
+    bisection."""
+    if guess is None:
+        return _first(lo, hi, predicate)
+    a, b, budget = lo, hi, (hi - lo).bit_length() + spare
+    aim, step, down = guess, 1, None
+    while a <= aim < b:
+        reach = 1 << (budget - 1)
+        j = min(max(aim, b - reach), a + reach - 1)
+        budget -= 1
+        below = predicate(j)  # the first true index is j or lower
+        if below:
+            b = j
+        else:
+            a = j + 1
+        if j != aim:
+            continue
+        if down is None:
+            down = below
+        elif below != down:  # stepped over the change point
+            break
+        aim += -step if down else step
+        step *= 2
+    return _first(a, b, predicate)
+
+
 def _window(n: int, p: float) -> tuple[int, int]:
     """First and last k with n KL(k/n || p) <= _WINDOW_NATS, n > 0, 0 < p < 1.
 
@@ -600,35 +637,71 @@ def tv_product(x: tuple[Pmf, Pmf], y: tuple[Pmf, Pmf]) -> float:
 _SEARCH_FLOOR = 1e-280
 
 
-def _sum_law(x: Pmf, y: Pmf):
+class _LongSide:
+    """_sum_law's O(W) set-up of the longer factor table, W its window
+    width: the cumulative sums, the window reversed between pad zeros at
+    each end (pad at least the shorter window's width less 1), the
+    cumulative sums reversed, and the mean.  distance_curve builds it once
+    per table per time and hands it to every distance that reads the table
+    as the longer factor."""
+
+    __slots__ = ("table", "pad", "cdf", "padded", "cdf_reversed", "mean")
+
+    def __init__(self, table: Pmf, pad: int) -> None:
+        long = table.window
+        # the mean first: its index array is freed before the arrays below are
+        # built, which at wide windows spares fresh pages (about 660 faults per
+        # set-up at N = 10^7 with the mean last)
+        self.table, self.pad, self.mean = table, pad, table.mean()
+        self.cdf = np.cumsum(long)
+        self.padded = np.zeros(long.size + 2 * pad)
+        self.padded[pad : pad + long.size] = long[::-1]
+        self.cdf_reversed = self.cdf[::-1].copy()
+
+
+def _long_side(x: Pmf, y: Pmf) -> _LongSide:
+    """The set-up of the longer of x and y (y if they tie, as _sum_law's
+    sort keeps it), padded for the other."""
+    if x.window.size > y.window.size:
+        return _LongSide(x, y.window.size - 1)
+    return _LongSide(y, x.window.size - 1)
+
+
+def _sum_law(x: Pmf, y: Pmf, long_side: _LongSide | None = None):
     """Point and CDF values of p, the law of the sum of two independent factor
     tables, without the convolved table: (p, p_cdf, first, last, mass).
 
     p(j) is one dot product of the shorter factor's window against a slice
-    of the longer's, reversed and padded with w - 1 zeros at each end, so
-    the slice is whole wherever the windows overlap; p_cdf(j) is a dot
-    product against the longer's cumulative sums, clipped to the overlap,
-    plus the shorter entries whose whole longer window lies at or below j:
-    O(w) over the shorter window width w, after O(W) set-up over the longer
-    W.  p is zero outside [first, last]; mass is the product of the two
+    of the longer's, reversed and padded with zeros at each end, so the
+    slice is whole wherever the windows overlap; p_cdf(j) is a dot product
+    against the longer's cumulative sums, clipped to the overlap, plus the
+    shorter entries whose whole longer window lies at or below j: O(w) over
+    the shorter window width w, after the longer's O(W) set-up, long_side
+    (_LongSide; built here when not given, padded with w - 1 zeros).  The
+    slices hold the same entries at any pad, so the values do not depend on
+    it.  p is zero outside [first, last]; mass is the product of the two
     window sums, each table's allowed mass drift kept in.
     """
     small, large = sorted((x, y), key=lambda f: f.window.size)
-    offset, short, long = small.offset + large.offset, small.window, large.window
-    width, size = short.size, long.size
+    short = small.window
+    width, size = short.size, large.window.size
+    if long_side is None:
+        long_side = _LongSide(large, width - 1)
+    elif long_side.table is not large or long_side.pad < width - 1:
+        raise ValueError("long_side is not the set-up of the longer factor")
+    offset = small.offset + large.offset
     last = offset + width + size - 2
-    long_cdf = np.cumsum(long)
+    long_cdf, padded, cdf_reversed = long_side.cdf, long_side.padded, long_side.cdf_reversed
     short_cdf = np.cumsum(short)
     # reversed: the long index j - s runs down as the short index s runs up, so
-    # p(j) reads padded[last - j : last - j + width]
-    padded = np.zeros(size + 2 * (width - 1))
-    padded[width - 1 : width - 1 + size] = long[::-1]
-    cdf_reversed = long_cdf[::-1].copy()
+    # p(j) reads padded[shift + last - j : shift + last - j + width]
+    shift = long_side.pad - (width - 1)
 
     def p(j: int) -> float:
         start = last - j
         if not 0 <= start <= last - offset:
             return 0.0
+        start += shift
         return float(short.dot(padded[start : start + width]))
 
     def p_cdf(j: int) -> float:
@@ -679,35 +752,88 @@ def _ratio_peak(ratio, lo: int, hi: int) -> tuple[int, float]:
     return (b, at_b) if at_a < at_b else (a, at_a)
 
 
+def _normal_crossing(factors, total: int) -> int | None:
+    """A guess at where p, the law of the sum of the factor tables given as
+    (mean, count) pairs, crosses pi = Binomial(total, 1/2): the ceiling of
+    where N(mu, v) crosses N(c, w), c = total / 2 and w = total / 4, on the
+    side of mu towards c, with mu the sum of the means and v that of
+    mean (1 - mean / count), each factor's variance were it a binomial
+    (exact from corner starts, only a guess elsewhere; v <= w always).
+
+    With d = c - mu the crossing mu + u solves u^2 / v - (u - d)^2 / w =
+    log(w / v), taken in the form u = sign(d) C / (|B| + sqrt(B^2 + a C)),
+    B = d / w, C = d B + log(w / v) and a = 1 / v - 1 / w, which does not
+    cancel as v nears w.  None where v is within 1e-9 of w, relative (a
+    table mean is a dot product over its window, good to about window * u
+    relative): from a corner every survival e^(-rate t) is then below about
+    3e-5 sqrt(N / count), and where the tables are the stationary ones to
+    rounding p - pi changes sign wherever rounding puts it, so only the
+    plain bisection lands where it always has."""
+    mu = sum(mean for mean, _ in factors)
+    v = sum(mean - mean * mean / count for mean, count in factors if count)
+    d, w = total / 2 - mu, total / 4
+    if not v < w * (1.0 - 1e-9):
+        return None
+    u = 0.0
+    if v > 0.0:
+        b = d / w
+        c = d * b + math.log(w / v)
+        denominator = abs(b) + math.sqrt(b * b + (1.0 / v - 1.0 / w) * c)
+        if 0.0 < denominator < math.inf:
+            u = math.copysign(c / denominator, d)
+    return math.ceil(mu + u)
+
+
 def _interval_distance(
-    regular: Pmf, heavy: Pmf, pi: Pmf, pi_cdf: np.ndarray, pi_lo: int, pi_hi: int
+    regular: Pmf,
+    heavy: Pmf,
+    pi: Pmf,
+    pi_cdf: np.ndarray,
+    pi_lo: int,
+    pi_hi: int,
+    long_side: _LongSide | None = None,
 ) -> float:
     """Total-variation distance of p, the law of the sum of two independent
     factor tables, from pi = Binomial(N, 1/2) with pi_cdf the cumulative sums
-    of its window, pi > _SEARCH_FLOOR exactly on [pi_lo, pi_hi].
+    of its window, pi > _SEARCH_FLOOR exactly on [pi_lo, pi_hi]; long_side
+    is the longer factor's set-up (_LongSide), built here when not given.
 
     p is a Poisson-binomial law, so by Newton's inequalities p / pi is
     log-concave (Hardy, Littlewood & Polya, Inequalities, 2.22) and
     I = {p > pi} is one interval.  Past pi's floor window p > pi wherever p
     has mass above the floor, so where one look at p just outside that
     window, on the side of p's mode (within 1 of p's mean, Darroch, 1964),
-    finds p above the floor, I runs on to 0 or N.  Four cases, on which ends
-    run on:
+    finds p above the floor, I runs on to 0 or N.  p's mode, the largest of
+    the four candidates around its mean, is read only where a candidate lies
+    past a look's index (so the look could land on the mode) or in the
+    "neither" case.  Four cases, on which ends run on:
     - both: I is the whole line (then p >= pi across the window, which mass 1
       allows only where p equals pi to rounding);
     - one: I holds an index past that end, so inside the window it is a
-      prefix (or a suffix), and one bisection over the window on the sign of
-      p - pi finds its other end; where p is below the floor that sign is
-      already settled, so p's floor edge is not needed;
+      prefix (or a suffix), and one search over the window on the sign of
+      p - pi finds its other end: _first_from, galloping out from where the
+      normal approximations of p and pi cross (_normal_crossing), capped at
+      the reads a plain bisection takes plus the mode reads not made, so no
+      distance reads more than with the mode and a bisection; where p is
+      below the floor that sign is already settled, so p's floor edge is
+      not needed;
     - neither: the search stays where both laws exceed the floor, an
       interval because both are log-concave: p's floor edges are bisected
       from its mode, _ratio_peak finds the peak of p / pi between them, and
       a bisection on each side of the peak the sign change of p - pi.
-    With point and CDF values of p from _sum_law, (1/2) sum |p - pi| = p(I) -
-    pi(I) - (1/2) (sum p - sum pi), keeping the allowed mass drift in as tv
-    does, clamped to [0, 1] as tv_product is.
+    Over the 80 corner distances of the README curve instance p is read 4.8
+    times per distance (18.2 with the mode always read and a plain
+    bisection), over 32 at N = 10^5 12.0 (24.5), 4 of those in the
+    "neither" case at 60 to 64 reads each.  With point and CDF values of p
+    from _sum_law, (1/2) sum |p - pi| = p(I) - pi(I) - (1/2) (sum p -
+    sum pi), keeping the allowed mass drift in as tv does, clamped to
+    [0, 1] as tv_product is.
     """
-    p, p_cdf, offset, last, mass = _sum_law(regular, heavy)
+    if long_side is None:
+        long_side = _long_side(regular, heavy)
+    short = heavy if long_side.table is regular else regular
+    factors = ((long_side.mean, len(long_side.table) - 1), (short.mean(), len(short) - 1))
+    p, p_cdf, offset, last, mass = _sum_law(regular, heavy, long_side)
 
     def pi_at(j: int) -> float:
         return pi.window[j - pi.offset]
@@ -716,18 +842,30 @@ def _interval_distance(
         k = min(j - pi.offset, pi_cdf.size - 1)
         return float(pi_cdf[k]) if k >= 0 else 0.0
 
-    centre = int(regular.mean() + heavy.mean())
-    mode = max(range(max(centre - 1, offset), min(centre + 2, last) + 1), key=p)
-    runs_below = pi_lo > offset and p(min(pi_lo - 1, mode)) > _SEARCH_FLOOR
-    runs_above = pi_hi < last and p(max(pi_hi + 1, mode)) > _SEARCH_FLOOR
+    centre = int(factors[0][0] + factors[1][0])
+    candidates = range(max(centre - 1, offset), min(centre + 2, last) + 1)
+    # a look lands on the mode only where a candidate lies past its index
+    below, above, spare = pi_lo - 1, pi_hi + 1, len(candidates)
+    mode = None
+    if candidates[0] < below or candidates[-1] > above:
+        mode = max(candidates, key=p)
+        below, above, spare = min(below, mode), max(above, mode), 0
+    runs_below = pi_lo > offset and p(below) > _SEARCH_FLOOR
+    runs_above = pi_hi < last and p(above) > _SEARCH_FLOOR
     # I = [lo, hi)
     if runs_below and runs_above:
         lo, hi = 0, len(pi)
-    elif runs_below:
-        lo, hi = 0, _first(pi_lo, pi_hi + 1, lambda j: p(j) <= pi_at(j))
-    elif runs_above:
-        lo, hi = _first(pi_lo, pi_hi + 1, lambda j: p(j) > pi_at(j)), len(pi)
+    elif runs_below or runs_above:
+        guess = _normal_crossing(factors, len(pi) - 1)
+        if runs_below:
+            lo = 0
+            hi = _first_from(pi_lo, pi_hi + 1, guess, lambda j: p(j) <= pi_at(j), spare)
+        else:
+            lo = _first_from(pi_lo, pi_hi + 1, guess, lambda j: p(j) > pi_at(j), spare)
+            hi = len(pi)
     else:
+        if mode is None:
+            mode = max(candidates, key=p)
         lo_edge = _first(max(offset, pi_lo), mode, lambda j: p(j) > _SEARCH_FLOOR)
         hi_edge = _first(mode, min(last, pi_hi) + 1, lambda j: p(j) <= _SEARCH_FLOOR) - 1
         lo = hi = lo_edge  # empty until found
@@ -742,11 +880,14 @@ def _interval_distance(
     return min(1.0, max(0.0, positive - 0.5 * drift))
 
 
-def _half_line_gap(regular: Pmf, heavy: Pmf, pi: Pmf) -> float:
+def _half_line_gap(
+    regular: Pmf, heavy: Pmf, pi: Pmf, long_side: _LongSide | None = None
+) -> float:
     """Half-line separation P_t(W <= j*) - pi(W <= j*) of p, the law of the
     sum of two independent factor tables from the all-right start, from
     pi = Binomial(N, 1/2), at j* the last j with p(j) > pi(j), clamped to
-    [0, 1].
+    [0, 1]; long_side is the longer factor's set-up (_LongSide), built here
+    when not given.
 
     Each half-line {W <= j} is a single event, so the gap at any j is a
     certified lower bound on total variation; where the search lands decides
@@ -759,19 +900,30 @@ def _half_line_gap(regular: Pmf, heavy: Pmf, pi: Pmf) -> float:
     taken signed: from this start the CDF of p lies above pi's.
 
     No convolution: from this start no ball starts left, so each factor
-    table is one binomial (coordinate_law), and j* is one bisection on
-    p(j) <= pi(j) over p's first index to pi's last, p read point by point
-    from the two factor tables (_sum_law), O(w log N) over the shorter
-    factor's window width w.  It shares the tables with _interval_distance
-    but not its search or its reduction, so the lower side of the bounds
-    --exact sandwich checks one against the other.
+    table is one binomial (coordinate_law), and j* is found by one search
+    on p(j) <= pi(j) over p's first index to pi's last, p read point by
+    point from the two factor tables (_sum_law), O(w log N) over the shorter
+    factor's window width w: _first_from, galloping out from where the
+    normal approximations of p and pi cross (_normal_crossing, exact
+    moments from this start), within the reads of a plain bisection: 3.5
+    reads per distance over the README curve instance's 40 times (12.2 by
+    plain bisection), 7.0 over 16 times at N = 10^5 (13.8).  It shares the
+    tables and their set-up with _interval_distance but not its search or
+    its reduction, so the lower side of the bounds --exact sandwich checks
+    one against the other.
     """
-    p, p_cdf, first, _, _ = _sum_law(regular, heavy)
+    if long_side is None:
+        long_side = _long_side(regular, heavy)
+    short = heavy if long_side.table is regular else regular
+    factors = ((long_side.mean, len(long_side.table) - 1), (short.mean(), len(short) - 1))
+    p, p_cdf, first, _, _ = _sum_law(regular, heavy, long_side)
 
     def pi_at(j: int) -> float:
         return pi.window[j - pi.offset] if j >= pi.offset else 0.0
 
-    crossing = _first(first, pi.offset + pi.window.size, lambda j: p(j) <= pi_at(j)) - 1
+    end = pi.offset + pi.window.size
+    guess = _normal_crossing(factors, len(pi) - 1)
+    crossing = _first_from(first, end, guess, lambda j: p(j) <= pi_at(j)) - 1
     gap = p_cdf(crossing) - float(pi.window[: max(crossing - pi.offset + 1, 0)].sum())
     return min(1.0, max(0.0, gap))
 
@@ -842,9 +994,11 @@ def distance_curve(params: ModelParams, targets: tuple[str, ...], strategy="corn
     sum of N independent Bernoullis, so by Newton's inequalities its law over
     Binomial(N, 1/2) is log-concave, the set where it exceeds the stationary
     law is one interval I, and the distance is P_t(I) - pi(I), from two CDF
-    values per law at edges found by one bisection where I runs past an end
-    of the search window, and otherwise by bisection on each side of the
-    ratio's peak, found by a Fibonacci search (_interval_distance).
+    values per law at edges found, where I runs past an end of the search
+    window, by one search galloping out from the normal approximation's
+    crossing (no more reads than a plain bisection), and otherwise by
+    bisection on each side of the ratio's peak, found by a Fibonacci search
+    (_interval_distance).
 
     Starts and stationary tables are built here, once; "observable" and
     "kolmogorov" share Binomial(N, 1/2).  An evaluation walks the union of
@@ -853,6 +1007,12 @@ def distance_curve(params: ModelParams, targets: tuple[str, ...], strategy="corn
     (r, m - h) if some target's entry is mirrored, so at most one heavy table
     and its reversal are alive.  Each target reduces its own starts' tables.
     The corners (0, 0), (0, m) build two tables per time for all targets.
+    For "observable" and "kolmogorov" the longer factor table's _sum_law
+    set-up (_LongSide: cumulative sums, reversed padded window, reversed
+    cumulative sums, mean) is built here once per table per time and handed
+    to every distance that reads that table: a regular table's is kept for
+    its group, rebuilt only for a wider heavy table of a scan, so from the
+    corners both starts and the kolmogorov target share one.
     """
     if isinstance(targets, str):
         raise TypeError(f"targets is a tuple of names: distance_curve(params, ({targets!r},))")
@@ -873,23 +1033,36 @@ def distance_curve(params: ModelParams, targets: tuple[str, ...], strategy="corn
         above = np.flatnonzero(pi.window > _SEARCH_FLOOR) + pi.offset
         pi_window = (pi, np.cumsum(pi.window), int(above[0]), int(above[-1]))
 
-    def distance(target: str, regular: Pmf, heavy: Pmf) -> float:
+    def distance(target: str, regular: Pmf, heavy: Pmf, side: _LongSide | None) -> float:
         if target == "chain":
             return tv_product((regular, heavy), stationary)
         if target == "observable":
-            return _interval_distance(regular, heavy, *pi_window)
-        return _half_line_gap(regular, heavy, pi)
+            return _interval_distance(regular, heavy, *pi_window, side)
+        return _half_line_gap(regular, heavy, pi, side)
 
     def largest_from(regular: Pmf, group, t: float, largest: list[float]) -> None:
+        shared = None  # regular's set-up as the longer factor, kept for the group
+
+        def read(heavy: Pmf, readers: list[int]) -> None:
+            nonlocal shared
+            side = None
+            if any(targets[i] != "chain" for i in readers):
+                if heavy.window.size >= regular.window.size:  # _sum_law's tie rule
+                    side = _LongSide(heavy, regular.window.size - 1)
+                elif shared is None or shared.pad < heavy.window.size - 1:
+                    side = shared = _LongSide(regular, heavy.window.size - 1)
+                else:
+                    side = shared
+            for i in readers:
+                largest[i] = max(largest[i], distance(targets[i], regular, heavy, side))
+
         for (_, h), reads in group:
             heavy = mirror = None  # freed before the next table is built
             heavy = coordinate_law(m, h, rate, t)
+            read(heavy, [i for i, _ in reads])
             if any(mirrored for _, mirrored in reads):
                 mirror = heavy.reversed()
-            for i, mirrored in reads:
-                largest[i] = max(largest[i], distance(targets[i], regular, heavy))
-                if mirrored:
-                    largest[i] = max(largest[i], distance(targets[i], regular, mirror))
+                read(mirror, [i for i, mirrored in reads if mirrored])
 
     def curve(t: float) -> tuple[float, ...]:
         largest = [0.0] * len(targets)

@@ -6,7 +6,8 @@ enumeration in plain floats, 40-digit arithmetic, one scalar variate per
 Monte Carlo read from substreams built straight from the documented keys,
 the count-level event loop the ctmc kernel replaced, the full
 convolutions the observable's interval reduction and the half-line bound's
-bisection replaced, the bisection the binomial window's Newton estimate
+bisection replaced, the plain bisections the guided searches of both
+replaced, the bisection the binomial window's Newton estimate
 replaced, the per-entry binomial tables the ratio recurrence
 replaced, the two-row Loader form the one-row p = 1/2 form
 replaced, the argsort-and-reduceat ctmc kernel the packed sort replaced,
@@ -300,6 +301,84 @@ def kolmogorov_lower_bound_convolved(params, t: float) -> float:
     law = dist.observed_law(params, InitialState(0, 0), t)
     cdfs = np.cumsum(dist._aligned(law, dist.stationary_observed(params)), axis=1)
     return min(1.0, float(np.abs(cdfs[0] - cdfs[1]).max()))
+
+
+def interval_bisection(regular, heavy, pi, pi_cdf, pi_lo: int, pi_hi: int):
+    """dist._interval_distance as it was before its guided search: p's mode
+    always read (four candidates), and where I runs past one end of pi's
+    floor window one plain bisection over that whole window for its other
+    end.  Returns I = [lo, hi) and the distance."""
+    p, p_cdf, offset, last, mass = dist._sum_law(regular, heavy)
+
+    def pi_at(j: int) -> float:
+        return pi.window[j - pi.offset]
+
+    def pi_at_most(j: int) -> float:
+        k = min(j - pi.offset, pi_cdf.size - 1)
+        return float(pi_cdf[k]) if k >= 0 else 0.0
+
+    floor, first = dist._SEARCH_FLOOR, dist._first
+    centre = int(regular.mean() + heavy.mean())
+    mode = max(range(max(centre - 1, offset), min(centre + 2, last) + 1), key=p)
+    runs_below = pi_lo > offset and p(min(pi_lo - 1, mode)) > floor
+    runs_above = pi_hi < last and p(max(pi_hi + 1, mode)) > floor
+    if runs_below and runs_above:
+        lo, hi = 0, len(pi)
+    elif runs_below:
+        lo, hi = 0, first(pi_lo, pi_hi + 1, lambda j: p(j) <= pi_at(j))
+    elif runs_above:
+        lo, hi = first(pi_lo, pi_hi + 1, lambda j: p(j) > pi_at(j)), len(pi)
+    else:
+        lo_edge = first(max(offset, pi_lo), mode, lambda j: p(j) > floor)
+        hi_edge = first(mode, min(last, pi_hi) + 1, lambda j: p(j) <= floor) - 1
+        lo = hi = lo_edge
+        if lo_edge <= hi_edge:
+            peak, at_peak = dist._ratio_peak(lambda j: p(j) / pi_at(j), lo_edge, hi_edge)
+            if at_peak > 1.0:
+                lo = first(lo_edge, peak, lambda j: p(j) > pi_at(j))
+                hi = first(peak, hi_edge + 1, lambda j: p(j) <= pi_at(j))
+    positive = p_cdf(hi - 1) - p_cdf(lo - 1) - (pi_at_most(hi - 1) - pi_at_most(lo - 1))
+    drift = mass - float(pi_cdf[-1])
+    return lo, hi, min(1.0, max(0.0, positive - 0.5 * drift))
+
+
+def half_line_bisection(regular, heavy, pi):
+    """dist._half_line_gap as it was before its guided search: j* by one
+    plain bisection on p(j) <= pi(j) from p's first index to pi's last.
+    Returns j* and the gap."""
+    p, p_cdf, first, _, _ = dist._sum_law(regular, heavy)
+
+    def pi_at(j: int) -> float:
+        return pi.window[j - pi.offset] if j >= pi.offset else 0.0
+
+    end = pi.offset + pi.window.size
+    crossing = dist._first(first, end, lambda j: p(j) <= pi_at(j)) - 1
+    gap = p_cdf(crossing) - float(pi.window[: max(crossing - pi.offset + 1, 0)].sum())
+    return crossing, min(1.0, max(0.0, gap))
+
+
+def distances_bisection(params, targets, strategy, t: float) -> tuple[float, ...]:
+    """dist.distance_curve(params, targets, strategy)(t) for the targets
+    "observable" and "kolmogorov" by the two plain-bisection routes above,
+    on the tables distance_curve builds (a mirrored start reads its heavy
+    table reversed), each start's set-up built afresh."""
+    n, m, rate = params.regular_count, params.heavy_count, params.heavy_rate
+    pi = dist.stationary_observed(params)
+    above = np.flatnonzero(pi.window > dist._SEARCH_FLOOR) + pi.offset
+    window = (pi, np.cumsum(pi.window), int(above[0]), int(above[-1]))
+    largest = []
+    for target in targets:
+        value = 0.0
+        for r, h, mirrored in dist._initial_states(params, target, strategy):
+            regular = dist.coordinate_law(n, r, 1.0, t)
+            heavy = dist.coordinate_law(m, h, rate, t)
+            for table in (heavy, heavy.reversed()) if mirrored else (heavy,):
+                if target == "observable":
+                    value = max(value, interval_bisection(regular, table, *window)[2])
+                else:
+                    value = max(value, half_line_bisection(regular, table, pi)[1])
+        largest.append(value)
+    return tuple(largest)
 
 
 def convolve_dense(a, b) -> np.ndarray:

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and both output
 streams can be asserted exactly.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -1076,6 +1077,53 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["mixup"], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["-h"],
+            *([name, "--help"] for name in ("curve", "bounds", "classify", "negdep", "simulate")),
+            [],
+            ["mixup"],
+            ["--bogus"],
+            ["curve"],
+            ["curve", "--n-balls", "ten", "--heavy", "2", "--alpha", "0.5"],
+            ["bounds", *MODEL, "--bogus"],
+            ["classify", "--m-rule", "fixed:3", "--alpha-rule", "const:0.2", "--sizes", "10",
+             "--mode", "guess"],
+            ["negdep", *MODEL, "--t-start", "1", "--brute", "sometimes"],
+            ["simulate", *MODEL, "--t-start", "1", "--samples", "5", "--sampler", "gibbs"],
+        ],
+    )
+    def test_help_and_usage_errors_are_the_full_parsers(self, argv, capsys):
+        """main fills in only the named subcommand's arguments; its help and
+        usage-error text and exit code are those of the parser with all
+        five filled in (build_parser with no argv)."""
+        code, out, err = run_cli(argv, capsys)
+        try:
+            cli.build_parser().parse_args(argv)
+            full_code = None
+        except SystemExit as exc:
+            full_code = exc.code
+        full = capsys.readouterr()
+        assert code != 0 or argv[-1] in ("--help", "-h")
+        assert (code, out, err) == (full_code, full.out, full.err)
+
+    def test_fills_in_the_named_subcommand_alone(self, monkeypatch, capsys):
+        """The parser for a named subcommand carries that subcommand's
+        arguments and only -h for the other four; main reads sys.argv when
+        given no argv."""
+        parser = cli.build_parser(["bounds", *MODEL])
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        filled = {name: len(p._actions) > 1 for name, p in sub.choices.items()}
+        assert filled == {
+            "curve": False, "bounds": True, "classify": False, "negdep": False,
+            "simulate": False,
+        }
+        monkeypatch.setattr(sys, "argv", ["urnlab", "curve", *MODEL])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == run_cli(["curve", *MODEL], capsys)[1]
 
     @pytest.mark.parametrize("module", ["urnlab", "urnlab.cli"])
     def test_import_loads_no_scipy(self, module):

@@ -1377,17 +1377,17 @@ class TestIntervalDistance:
         and an edge entry of pi lies within rounding of the floor.  Here
         pi's window is narrowed to its entries above 1e-270 at a time where
         both factor tables are the stationary binomials: both ends run on, p
-        is read at its mode (4 reads) and the two looks past the window alone,
-        and the distance is the mass drift, within 1e-13 of the convolution
-        route."""
+        is read at the two looks past the window alone (its mode, far inside
+        the window, is not read: no look could land on it), and the distance
+        is the mass drift, within 1e-13 of the convolution route."""
         p, t = ModelParams(2000, 1000, 1.0), 50.0
         regular, heavy = chain_law(p, InitialState(0, 0), t)
         pi = stationary_observed(p)
         above = np.flatnonzero(pi.window > 1e-270) + pi.offset
         reads, sum_law = [0], dist_module._sum_law
 
-        def counting_sum_law(x, y):
-            point, *rest = sum_law(x, y)
+        def counting_sum_law(*args):
+            point, *rest = sum_law(*args)
 
             def counted(j: int) -> float:
                 reads[0] += 1
@@ -1400,7 +1400,7 @@ class TestIntervalDistance:
             got = dist_module._interval_distance(
                 regular, heavy, pi, np.cumsum(pi.window), int(above[0]), int(above[-1])
             )
-        assert reads[0] == 6
+        assert reads[0] == 2
         expected = oracles.observable_distance_convolved(p, InitialState(0, 0), t)
         assert got == pytest.approx(expected, rel=0, abs=1e-13)
 
@@ -1414,18 +1414,21 @@ class TestIntervalDistance:
     )
     def test_run_on_distance_reads_p_once_per_bisection_step(self, p, times, monkeypatch):
         """Where I runs past an end of pi's floor window [lo, hi], a distance
-        reads p at most 6 + ceil(log2(hi - lo + 2)) times: p's mode (4 reads),
-        one look past each end, and one bisection over the window on the sign
-        of p - pi, no floor edge bisected (18 at the README instance, 20 at
-        N = 10^5, both reached; 28 to 33 with p's floor edge bisected first).
-        Which distances run on is read off the convolved law."""
+        reads p at most 6 + ceil(log2(hi - lo + 2)) times, the reads of p's
+        mode (4), one look past each end and one plain bisection over the
+        window on the sign of p - pi, no floor edge bisected (18 at the
+        README instance, 20 at N = 10^5; 28 to 33 with p's floor edge
+        bisected first).  The guided search's cap guarantees it: it may
+        spend what a plain bisection would plus the mode reads not made
+        (at most 7 and 16 found).  Which distances run on is read off the
+        convolved law."""
         pi = stationary_observed(p)
         window = np.flatnonzero(pi.probs > dist_module._SEARCH_FLOOR)
         lo, hi = int(window[0]), int(window[-1])
         distances, sum_law = [], dist_module._sum_law
 
-        def counting_sum_law(x, y):
-            point, *rest = sum_law(x, y)
+        def counting_sum_law(x, y, *args):
+            point, *rest = sum_law(x, y, *args)
             law = convolve(x, y).probs > dist_module._SEARCH_FLOOR
             distances.append([law[:lo].any() or law[hi + 1 :].any(), 0])
 
@@ -1443,33 +1446,44 @@ class TestIntervalDistance:
         assert len(run_on) > len(distances) / 2
         assert max(run_on) <= 6 + math.ceil(math.log2(hi - lo + 2))
 
-    def test_point_evaluations_per_distance(self, monkeypatch):
-        """At the README curve instance over 40 geometric times from 1.3 to
-        33, the corners' 80 distances read p at most 22 times each on
-        average (18.9 measured; 29.3 with p's floor edge bisected where I
-        runs past an end of pi's window, 44.5 with the Fibonacci search run
-        on every distance, 75.5 with the ternary mode search, two point
-        values a step, and both floor edges always bisected).  Where both of
-        p's floor edges and both ends of I are bisected a single distance
-        reads p up to 66 times."""
+    @pytest.mark.parametrize(
+        "p, times, mean_reads",
+        [
+            (ModelParams(10**4, 1000, 0.2), np.geomspace(1.3, 33.0, 40), 6),
+            (ModelParams(10**5, 10**4, 0.2), np.geomspace(2.0, 60.0, 16), 13),
+        ],
+        ids=["README", "N1e5"],
+    )
+    def test_point_evaluations_per_distance(self, p, times, mean_reads, monkeypatch):
+        """The corners' distances read p at most 6 times each on average at
+        the README curve instance over 40 geometric times from 1.3 to 33
+        (4.8 measured, 80 distances; 18.2 with p's mode always read and a
+        plain bisection, 29.3 with p's floor edge bisected where I runs past
+        an end of pi's window, 44.5 with the Fibonacci search run on every
+        distance, 75.5 with the ternary mode search, two point values a
+        step, and both floor edges always bisected), and at most 13 at
+        N = 10^5 (12.0 measured, 32 distances, 4 of them in the "neither"
+        case at 60 to 64 reads each; 24.5 with the mode and a plain
+        bisection).  Where both of p's floor edges and both ends of I are
+        bisected a single distance reads p up to 66 times."""
         reads, sum_law = [], dist_module._sum_law
 
-        def counting_sum_law(x, y):
-            p, *rest = sum_law(x, y)
+        def counting_sum_law(*args):
+            point, *rest = sum_law(*args)
             reads.append(0)
 
             def counted(j: int) -> float:
                 reads[-1] += 1
-                return p(j)
+                return point(j)
 
             return (counted, *rest)
 
         monkeypatch.setattr(dist_module, "_sum_law", counting_sum_law)
-        curve = distance_curve(ModelParams(10**4, 1000, 0.2), ("observable",))
-        for t in np.geomspace(1.3, 33.0, 40):
+        curve = distance_curve(p, ("observable",))
+        for t in times:
             curve(float(t))
-        assert len(reads) == 80
-        assert sum(reads) <= 22 * len(reads)
+        assert len(reads) == 2 * len(times)
+        assert sum(reads) <= mean_reads * len(reads)
 
     @pytest.mark.parametrize("strategy", ["corners", "full_scan", InitialState(5, 2)])
     def test_no_convolution_beyond_the_coordinate_laws(self, strategy, monkeypatch):
@@ -1498,6 +1512,148 @@ class TestIntervalDistance:
             assert tables and len(convolutions) == len(mixed)
             if strategy == "corners":
                 assert convolutions == []
+
+
+def _checked_first_from(monkeypatch) -> list[int]:
+    """Wrap dist._first_from so every guided search is checked against the
+    plain bisection over the same range; returns a list that counts them."""
+    searches, first_from = [], dist_module._first_from
+
+    def checked(lo, hi, guess, predicate, spare=0):
+        found = first_from(lo, hi, guess, predicate, spare)
+        assert found == dist_module._first(lo, hi, predicate), (lo, hi, guess)
+        searches.append(found)
+        return found
+
+    monkeypatch.setattr(dist_module, "_first_from", checked)
+    return searches
+
+
+class TestGuidedSearch:
+    """The searches that gallop from the normal-approximation guess
+    (_first_from) against the plain bisection they replaced
+    (oracles.interval_bisection and oracles.half_line_bisection): the same
+    interval ends, so the same distance bits, in at most the reads of a
+    plain bisection."""
+
+    @given(
+        lo=st.integers(-5, 50),
+        length=st.integers(0, 3000),
+        change=st.floats(0.0, 1.0),
+        guess=st.integers(-100, 3100),
+        spare=st.integers(0, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finds_the_change_point_within_the_cap(self, lo, length, change, guess, spare):
+        """Every change point from every guess, inside the range or not, in
+        at most (hi - lo).bit_length() + spare reads; with reads to spare, a
+        guess d from the change point costs at most 2 bit_length(d) + 2."""
+        hi = lo + length
+        point = lo + round(change * length)
+        for budget, bound in ((spare, length.bit_length() + spare), (64, None)):
+            reads = []
+
+            def predicate(j: int) -> bool:
+                assert lo <= j < hi
+                reads.append(j)
+                return j >= point
+
+            start = lo + guess
+            assert dist_module._first_from(lo, hi, start, predicate, budget) == point
+            if bound is not None:
+                assert len(reads) <= bound
+            elif lo <= start < hi:
+                assert len(reads) <= 2 * abs(point - start).bit_length() + 2
+
+    @pytest.mark.parametrize(
+        "p, times",
+        [
+            (ModelParams(10**4, 1000, 0.2), np.geomspace(1.3, 33.0, 40)),
+            (ModelParams(10**5, 10**4, 0.2), np.geomspace(2.0, 60.0, 16)),
+            (ModelParams(2083, 1895, 1.0), [1000.0]),
+        ],
+        ids=["README", "N1e5", "rounding"],
+    )
+    def test_same_ends_and_bits_on_the_grids(self, p, times, monkeypatch):
+        """The README grid, the N = 10^5 grid, and t = 1000 at (2083, 1895,
+        1.0), where every table is Binomial(n, 1/2) and the distance is pure
+        rounding (the guess stands down there, and the plain bisection runs):
+        each search lands where the plain bisection does, and both columns
+        of bounds --exact keep their bits."""
+        searches = _checked_first_from(monkeypatch)
+        targets = ("kolmogorov", "observable")
+        curve = distance_curve(p, targets)
+        for t in times:
+            assert curve(float(t)) == oracles.distances_bisection(p, targets, "corners", float(t))
+        assert len(searches) >= len(times)
+
+    @given(
+        data=st.data(),
+        total=st.integers(2, 2000),
+        heavy_share=st.floats(0.0, 1.0),
+        alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        kind=st.sampled_from(["corners", "pinned", "scan"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_the_plain_bisection(self, data, total, heavy_share, alpha, kind):
+        """Corner, pinned and scan starts (scans at N <= 40), at times out to
+        where every table is Binomial(n, 1/2) (rate t past about 37)."""
+        if kind == "scan":
+            total = total % 40 + 2
+        p = ModelParams(total, round(heavy_share * total), alpha)
+        strategy = {"corners": "corners", "scan": "full_scan"}.get(kind)
+        if strategy is None:
+            strategy = _pinned_or_corners(data, p)
+        t = data.draw(
+            st.one_of(
+                st.floats(0.0, 60.0),
+                st.floats(25.0, 45.0).map(lambda rate_t: rate_t / alpha),
+                st.sampled_from([0.0, 1e-12, 1e3, 5e3]),
+            )
+        )
+        targets = ("kolmogorov", "observable") if strategy == "corners" else ("observable",)
+        with pytest.MonkeyPatch.context() as patch:
+            _checked_first_from(patch)
+            got = distance_curve(p, targets, strategy)(t)
+        assert got == oracles.distances_bisection(p, targets, strategy, t)
+
+    @pytest.mark.parametrize(
+        "p, times",
+        [
+            (ModelParams(10**4, 1000, 0.2), [1.3, 5.0, 33.0]),
+            (ModelParams(100, 90, 0.05), [0.5, 3.0]),  # the heavy table is the longer
+        ],
+    )
+    def test_one_set_up_per_table_per_time(self, p, times, monkeypatch):
+        """Both corners and the kolmogorov target read one set-up of the
+        longer factor table per time, built by distance_curve and handed to
+        every distance that reads that table."""
+        built, handed = [], []
+
+        class CountedSide(dist_module._LongSide):
+            __slots__ = ()
+
+            def __init__(self, table, pad):
+                built.append(table)
+                super().__init__(table, pad)
+
+        sum_law = dist_module._sum_law
+
+        def recording_sum_law(x, y, long_side=None):
+            handed.append(long_side)
+            return sum_law(x, y, long_side)
+
+        monkeypatch.setattr(dist_module, "_LongSide", CountedSide)
+        monkeypatch.setattr(dist_module, "_sum_law", recording_sum_law)
+        curve = distance_curve(p, ("kolmogorov", "observable"))
+        for t in times:
+            built.clear()
+            handed.clear()
+            regular, heavy = chain_law(p, InitialState(0, 0), t)
+            curve(t)
+            assert len(handed) == 3 and None not in handed
+            assert len(built) == (1 if regular.window.size > heavy.window.size else 2)
+            assert len({id(side) for side in handed}) == len(built)
 
 
 class TestMoments:

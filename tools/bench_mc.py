@@ -21,7 +21,8 @@ Per layer: the first call, then the best of 5 samples, of `mc.sample_batch`,
 prebuilt negdep report, one evaluation of a
 `dist.distance_curve` (the observable from the perfbench size N = 10^4, the
 chain from N = 10^5, both up to N = 10^7; the curve is built before the
-timed calls), `dist.coordinate_law` from a corner and from an interior
+timed calls), the README grid of 40 observable evaluations through one
+`dist.distance_curve`, `dist.coordinate_law` from a corner and from an interior
 start, `dist.convolve` of two prebuilt binomial tables and
 `bounds.kolmogorov_lower_bound` (up to N = 10^7), at fixed sizes
 (CASES, each case in a fresh interpreter; the first call pays what a process
@@ -98,6 +99,10 @@ CASES = {
         "distance_curve", ("observable", (10_000_000, 1_000_000, 0.2), 20.0)
     ),
     "chain_curve_N1e7_t20": ("distance_curve", ("chain", (10_000_000, 1_000_000, 0.2), 20.0)),
+    # 40 geometric times from 1.3 to 33 on the README curve instance, one curve
+    "observable_grid_N1e4_40t": (
+        "distance_grid", ("observable", (10_000, 1000, 0.2), 1.3, 33.0, 40)
+    ),
     "coordinate_law_n9e4_corner_t5": ("coordinate_law", (90_000, 0, 1.0, 5.0)),
     "coordinate_law_n9e4_interior_t5": ("coordinate_law", (90_000, 45_000, 1.0, 5.0)),
     "convolve_9000x1000": ("convolve", ((9000, 0.36), (1000, 0.115))),
@@ -112,6 +117,7 @@ ARGUMENT_NAMES = {
     "verify_negative_dependence": ("params", "t", "max_size"),
     "json_text": ("params", "t", "max_size"),
     "distance_curve": ("target", "params", "t"),
+    "distance_grid": ("target", "params", "t_start", "t_stop", "points"),
     "coordinate_law": ("count", "ones_initial", "rate", "t"),
     "convolve": ("binomial_a", "binomial_b"),
     "kolmogorov_lower_bound": ("params", "t"),
@@ -133,6 +139,11 @@ def curve_evaluation(target, params, t):
         curve = dist.distance_curve(ModelParams(*params), target)
     return lambda seed: curve(t)
 
+def curve_grid(target, params, t_start, t_stop, points):
+    curve = dist.distance_curve(ModelParams(*params), (target,))
+    times = [t_start * (t_stop / t_start) ** (i / (points - 1)) for i in range(points)]
+    return lambda seed: [curve(t) for t in times]
+
 def convolution(a, b):
     x, y = dist.binomial_pmf(*a), dist.binomial_pmf(*b)
     return lambda seed: dist.convolve(x, y)
@@ -150,6 +161,7 @@ prepare = {
     "verify_negative_dependence": lambda params, t, max_size: lambda seed:
         negdep.verify_negative_dependence(ModelParams(*params), t, max_size),
     "distance_curve": curve_evaluation,
+    "distance_grid": curve_grid,
     "coordinate_law": lambda count, ones, rate, t: lambda seed:
         dist.coordinate_law(count, ones, rate, t),
     "convolve": convolution,
